@@ -18,7 +18,6 @@ from .extension import (
     ExtendedSolution,
     PiecewiseLinear,
     check_interpolation,
-    evaluate,
     extend,
     periodic_reference,
     popoviciu_determinant,

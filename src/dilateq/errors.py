@@ -73,10 +73,6 @@ class CoverageBudgetExceeded(DomainViolation):
     """Extension would exceed the breakpoint budget."""
 
 
-class DegenerateStep(DomainViolation):
-    """A strip of zero width was requested (equal leading shifts)."""
-
-
 class BoundaryZero(DomainViolation):
     """A zero lies too close to the search rectangle edge for the winding
     integral to be trusted."""

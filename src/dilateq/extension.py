@@ -13,12 +13,20 @@ width b1 come from g(x) = -[ g(x + b1) + ... + g(x + bN) ].
 Everything here stays piecewise linear: a new strip is a sum of shifted
 restrictions of the already-built function, so it is represented exactly by
 its values on the union of the shifted breakpoints.  That makes the equation
-hold identically (up to float rounding) instead of only at sample points,
-and construction cost is linear in the number of strips.
+hold identically (up to float rounding) instead of only at sample points.
+
+Construction cost is linear in the number of strips: a strip reads only the
+window of breakpoints within bN of it, found by one binary search, and its
+new breakpoints are appended (or prepended) to a buffer that doubles when it
+fills.  All N shifted reads of a strip are one interpolation call.  The
+breakpoint budget is checked against the target before any strip is built,
+and where strips join, the two values must agree to within the rounding of
+the read positions times the local slopes (or to 1e-9 relative).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,7 +35,6 @@ import numpy as np
 from .coefficients import CoefficientVector, ShiftVector
 from .errors import (
     CoverageBudgetExceeded,
-    DegenerateStep,
     DomainMismatch,
     InternalInconsistency,
     InterpolationViolated,
@@ -44,7 +51,6 @@ __all__ = [
     "tent_boundary",
     "periodic_reference",
     "extend",
-    "evaluate",
     "residual_additive",
     "residual_multiplicative",
     "popoviciu_determinant",
@@ -59,7 +65,7 @@ INTERPOLATION_TOL = 1e-9
 #: breakpoints closer than _MERGE_EPS * max(1, |w|) are treated as one
 _MERGE_EPS = 1e-12
 
-#: merged breakpoints must agree in value to this, else the build is unsound
+#: relative tolerance of the seam check where strips join (see ``_seam_check``)
 _MERGE_VALUE_TOL = 1e-9
 
 
@@ -94,7 +100,10 @@ class PiecewiseLinear:
         arr = np.asarray(w, dtype=float)
         lo, hi = self.breakpoints[0], self.breakpoints[-1]
         slack = _MERGE_EPS * max(1.0, abs(lo), abs(hi))
-        if np.any(arr < lo - slack) or np.any(arr > hi + slack):
+        # min and max propagate NaN, and every comparison with NaN is false
+        if arr.size and not (arr.min() >= lo - slack and arr.max() <= hi + slack):
+            if np.isnan(arr).any():
+                raise InvalidInput("evaluation point is NaN")
             bad = arr[(arr < lo - slack) | (arr > hi + slack)]
             raise OutOfCoverage(
                 f"point {float(np.ravel(bad)[0]):.17g} outside [{lo:.17g}, {hi:.17g}]"
@@ -171,32 +180,130 @@ class ExtendedSolution:
         return self.pieces(w)
 
 
-def evaluate(sol: ExtendedSolution, w) -> float:
-    """Evaluate the constructed solution; raises OutOfCoverage outside it."""
-    return sol.pieces(w)
+class _Breakpoints:
+    """Breakpoints and values of the function built so far, in growing buffers.
+
+    The live data is ``bx[head:tail]`` (breakpoints) and ``by[head:tail]``
+    (values).  Right strips append at ``tail`` and left strips prepend before
+    ``head``; when a side runs out of room both buffers are reallocated at
+    twice the live size plus the request, with all the free room on that
+    side.  Two arrays rather than one two-row block halve the size of the
+    blocks freed on growth, which keeps glibc's dynamic mmap threshold, and
+    with it the heap fragmentation of later large arrays, low.
+    """
+
+    __slots__ = ("bx", "by", "head", "tail")
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray) -> None:
+        self.bx, self.by = np.empty(2 * xs.size), np.empty(2 * xs.size)
+        self.head, self.tail = 0, xs.size
+        self.bx[: xs.size] = xs
+        self.by[: xs.size] = ys
+
+    @property
+    def size(self) -> int:
+        return self.tail - self.head
+
+    @property
+    def xs(self) -> np.ndarray:
+        return self.bx[self.head : self.tail]
+
+    @property
+    def ys(self) -> np.ndarray:
+        return self.by[self.head : self.tail]
+
+    def window(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+        """Views of the breakpoints in [lo, hi] plus two on either side.
+
+        The margin keeps every bracketing interval of a point in [lo, hi] in
+        the window, so ``np.interp`` on it returns the same bits as on all of
+        the data.
+        """
+        i, j = self.xs.searchsorted((lo, hi))
+        i, j = self.head + max(int(i) - 2, 0), min(self.head + int(j) + 2, self.tail)
+        return self.bx[i:j], self.by[i:j]
+
+    def _regrow(self, room: int, right: bool) -> None:
+        live = self.size
+        cap = 2 * (live + room)
+        head = 0 if right else cap - live
+        bx, by = np.empty(cap), np.empty(cap)
+        bx[head : head + live] = self.xs
+        by[head : head + live] = self.ys
+        self.bx, self.by, self.head, self.tail = bx, by, head, head + live
+
+    def append(self, xs: np.ndarray, ys: np.ndarray) -> None:
+        if self.tail + xs.size > self.bx.size:
+            self._regrow(xs.size, right=True)
+        self.bx[self.tail : self.tail + xs.size] = xs
+        self.by[self.tail : self.tail + xs.size] = ys
+        self.tail += xs.size
+
+    def prepend(self, xs: np.ndarray, ys: np.ndarray) -> None:
+        if self.head < xs.size:
+            self._regrow(xs.size, right=False)
+        self.bx[self.head - xs.size : self.head] = xs
+        self.by[self.head - xs.size : self.head] = ys
+        self.head -= xs.size
 
 
 def _dedupe(nodes: np.ndarray) -> np.ndarray:
-    nodes = np.sort(nodes)
+    """Sort ``nodes`` in place; drop each node within merge range of the one before."""
+    nodes.sort()
+    keep = np.empty(nodes.size, dtype=bool)
+    keep[0] = True
     eps = _MERGE_EPS * np.maximum(1.0, np.abs(nodes[1:]))
-    keep = np.concatenate(([True], np.diff(nodes) > eps))
+    np.greater(nodes[1:] - nodes[:-1], eps, out=keep[1:])
     return nodes[keep]
 
 
-def _strip_nodes(xs: np.ndarray, shifts: Sequence[float], lo: float, hi: float) -> np.ndarray:
-    """Breakpoints of sum_j f(w - s_j) on [lo, hi]: shifted kinks plus the ends."""
-    parts = [np.array([lo, hi])]
-    for s in shifts:
-        t = xs + s
-        parts.append(t[(t > lo) & (t < hi)])
-    nodes = _dedupe(np.concatenate(parts))
+def _strip(xs: np.ndarray, ys: np.ndarray, reads: np.ndarray, lo: float, hi: float):
+    """The strip g(y) = -sum_j g(y + reads[j]) on [lo, hi], g given by (xs, ys).
+
+    ``reads`` is an (N, 1) column.  The strip's breakpoints are the ends plus
+    every kink xs - reads[j] inside (lo, hi).  Returns the nodes, their
+    values, and the (N, nodes) arrays of read positions and read values.
+    """
+    kinks = xs - reads
+    nodes = _dedupe(np.concatenate(([lo, hi], kinks[(kinks > lo) & (kinks < hi)])))
     # keep the exact endpoints even if a shifted kink landed within merge range
     nodes[0], nodes[-1] = lo, hi
-    return nodes
+    points = nodes + reads
+    terms = np.interp(points, xs, ys)
+    # rows in order, starting from +0.0 like the builtin sum
+    return nodes, -np.add.reduce(terms, axis=0, initial=0.0), points, terms
 
 
-def _seam_check(existing: float, incoming: float, where: float) -> None:
-    if abs(existing - incoming) > _MERGE_VALUE_TOL:
+def _seam_check(
+    existing: float,
+    incoming: float,
+    where: float,
+    points: np.ndarray,
+    terms: np.ndarray,
+    xs: np.ndarray,
+    ys: np.ndarray,
+) -> None:
+    """Refuse a strip whose value at the seam ``where`` disagrees beyond rounding.
+
+    ``points`` and ``terms`` are the N read positions and values that gave
+    ``incoming``; (xs, ys) is the window they were read from.  A gap within
+    1e-9 relative passes at once.  Otherwise the bound is 1e-9 of the summed
+    term sizes plus the rounding of the read positions (16 ulps at |w| plus
+    the largest read) times the summed local slopes.
+    """
+    gap = abs(existing - incoming)
+    if gap <= _MERGE_VALUE_TOL * max(1.0, abs(existing), abs(incoming)):
+        return
+    # steeper of the two segments next to each read position
+    k = np.clip(np.searchsorted(xs, points), 1, xs.size - 1)
+    m = np.minimum(k, xs.size - 2)
+    left = np.abs((ys[k] - ys[k - 1]) / (xs[k] - xs[k - 1]))
+    right = np.abs((ys[m + 1] - ys[m]) / (xs[m + 1] - xs[m]))
+    size = np.abs(terms)
+    bound = _MERGE_VALUE_TOL * max(1.0, float(size.sum())) + 16.0 * float(
+        np.spacing(abs(where) + size.max()) * np.maximum(left, right).sum()
+    )
+    if gap > bound:
         raise InternalInconsistency(
             f"strip value {incoming:.17g} disagrees with {existing:.17g} at w = {where:.17g}"
         )
@@ -212,7 +319,8 @@ def extend(
 
     ``target`` must contain [0, bN].  The result covers at least ``target``
     (coverage grows in whole strips).  Boundary data must satisfy the
-    compatibility condition to within ``tol``.
+    compatibility condition to within ``tol``.  A target needing more than
+    ``MAX_BREAKPOINTS`` breakpoints is refused before any strip is built.
     """
     shifts = _shift_entries(b)
     n = len(shifts)
@@ -226,51 +334,60 @@ def extend(
     if not (w_lo <= 0.0 and w_hi >= b_n):
         raise InvalidRange(f"target must contain [0, {b_n:.17g}]")
 
+    if not (math.isfinite(w_lo) and math.isfinite(w_hi)):
+        raise CoverageBudgetExceeded("an infinite target needs unboundedly many breakpoints")
+
+    # ShiftVector's strict increase makes both steps positive
     step_right = b_n - (shifts[-2] if n >= 2 else 0.0)
     step_left = shifts[0]
-    if step_right <= 0.0 or step_left <= 0.0:
-        raise DegenerateStep("leading shifts coincide; strips have zero width")
-
-    # arguments read by a new right strip: y - s for s in back_shifts
-    back_shifts = [-b_n] + [s - b_n for s in shifts[:-1]]
-    fwd_shifts = list(shifts)
-
-    xs = boundary.breakpoints.copy()
-    ys = boundary.values.copy()
-
-    def lookup(points: np.ndarray) -> np.ndarray:
-        return np.interp(points, xs, ys)
-
     eps = _MERGE_EPS * max(1.0, abs(w_lo), abs(w_hi))
-    hi = float(xs[-1])
+    lo, hi = boundary.domain
+    # every strip adds a breakpoint; one strip less per side absorbs rounding
+    # in the strip positions, so this refuses only targets the loops below
+    # would refuse too
+    least = (
+        boundary.breakpoints.size
+        + max(0.0, (w_hi - eps - hi) / step_right - 1.0)
+        + max(0.0, (lo - eps - w_lo) / step_left - 1.0)
+    )
+    if least > MAX_BREAKPOINTS:
+        raise CoverageBudgetExceeded(
+            f"target needs at least {least:.6g} breakpoints, over the budget of {MAX_BREAKPOINTS}"
+        )
+
+    # a right strip reads g(y - bN), g(y - (bN - b1)), ...: all within bN to its left
+    back_shifts = np.array([-b_n] + [s - b_n for s in shifts[:-1]])[:, None]
+    # a left strip reads g(x + b1), ..., g(x + bN): all within bN to its right
+    fwd_shifts = np.array(shifts)[:, None]
+    built = _Breakpoints(boundary.breakpoints, boundary.values)
+
     while hi < w_hi - eps:
         lo_s, hi_s = hi, hi + step_right
-        nodes = _strip_nodes(xs, [-s for s in back_shifts], lo_s, hi_s)
-        vals = -sum(lookup(nodes + s) for s in back_shifts)
-        _seam_check(float(ys[-1]), float(vals[0]), lo_s)
-        xs = np.concatenate([xs, nodes[1:]])
-        ys = np.concatenate([ys, vals[1:]])
-        if xs.size > MAX_BREAKPOINTS:
-            raise CoverageBudgetExceeded(f"{xs.size} breakpoints exceed the budget")
+        xs, ys = built.window(lo_s - b_n, lo_s)  # ends at the last breakpoint, lo_s
+        nodes, vals, points, terms = _strip(xs, ys, back_shifts, lo_s, hi_s)
+        _seam_check(float(ys[-1]), float(vals[0]), lo_s, points[:, 0], terms[:, 0], xs, ys)
+        built.append(nodes[1:], vals[1:])
+        if built.size > MAX_BREAKPOINTS:
+            raise CoverageBudgetExceeded(f"{built.size} breakpoints exceed the budget")
         hi = hi_s
 
-    lo = float(xs[0])
     while lo > w_lo + eps:
         lo_s, hi_s = lo - step_left, lo
-        nodes = _strip_nodes(xs, [-s for s in fwd_shifts], lo_s, hi_s)
-        vals = -sum(lookup(nodes + s) for s in fwd_shifts)
-        _seam_check(float(ys[0]), float(vals[-1]), hi_s)
-        xs = np.concatenate([nodes[:-1], xs])
-        ys = np.concatenate([vals[:-1], ys])
-        if xs.size > MAX_BREAKPOINTS:
-            raise CoverageBudgetExceeded(f"{xs.size} breakpoints exceed the budget")
+        xs, ys = built.window(hi_s, hi_s + b_n)  # starts at the first breakpoint, hi_s
+        nodes, vals, points, terms = _strip(xs, ys, fwd_shifts, lo_s, hi_s)
+        _seam_check(float(ys[0]), float(vals[-1]), hi_s, points[:, -1], terms[:, -1], xs, ys)
+        built.prepend(nodes[:-1], vals[:-1])
+        if built.size > MAX_BREAKPOINTS:
+            raise CoverageBudgetExceeded(f"{built.size} breakpoints exceed the budget")
         lo = lo_s
 
-    pieces = PiecewiseLinear(xs, ys)
+    # views into the buffer: copying them out would free a large block, which
+    # raises glibc's mmap threshold and moves later large arrays onto the heap
+    pieces = PiecewiseLinear(built.xs, built.ys)
     return ExtendedSolution(
         shifts=ShiftVector(shifts),
         boundary=boundary,
-        covered=(float(xs[0]), float(xs[-1])),
+        covered=pieces.domain,
         pieces=pieces,
     )
 

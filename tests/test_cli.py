@@ -264,6 +264,15 @@ class TestPopoviciu:
         assert code == 0
         assert json.loads(out)["det"] == pytest.approx(-0.3078, abs=1e-12)
 
+    def test_huge_step_refused_by_budget(self, capsys, tent_file):
+        # the samples span 6e300: extension refuses before building any strip
+        code, out, _ = run(
+            capsys, "popoviciu", "--boundary", tent_file, "--shifts", "[1,2]",
+            "--x", 0.5, "--h", 1e300, "--order", 3,
+        )
+        assert code == 3
+        assert out == ""
+
 
 class TestReproducibility:
     def test_byte_identical_runs(self, capsys):

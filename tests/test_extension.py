@@ -1,14 +1,16 @@
+import hashlib
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dilateq import (
     PiecewiseLinear,
     ShiftVector,
     check_interpolation,
-    evaluate,
     extend,
     normalize,
     periodic_reference,
@@ -22,6 +24,7 @@ from dilateq import extension
 from dilateq.errors import (
     CoverageBudgetExceeded,
     DomainMismatch,
+    InternalInconsistency,
     InterpolationViolated,
     InvalidInput,
     InvalidRange,
@@ -58,6 +61,16 @@ class TestPiecewiseLinear:
     def test_rejects_length_mismatch(self):
         with pytest.raises(InvalidInput):
             PiecewiseLinear([0.0, 1.0], [0.0])
+
+    @pytest.mark.parametrize("w", [math.nan, np.array([0.25, math.nan, 0.5])])
+    def test_rejects_nan(self, w):
+        f = PiecewiseLinear([0.0, 1.0], [0.0, 1.0])
+        with pytest.raises(InvalidInput):
+            f(w)
+
+    def test_empty_array(self):
+        f = PiecewiseLinear([0.0, 1.0], [0.0, 1.0])
+        assert f(np.array([])).size == 0
 
 
 class TestCheckInterpolation:
@@ -183,11 +196,173 @@ class TestExtend:
         with pytest.raises(CoverageBudgetExceeded):
             extend(tent_boundary(B12), B12, (-20.0, 20.0))
 
+    def test_budget_checked_before_building(self):
+        for target in [(0.0, 2.5e6), (0.0, math.inf), (-math.inf, 2.0)]:
+            start = time.perf_counter()
+            with pytest.raises(CoverageBudgetExceeded):
+                extend(tent_boundary(B12), B12, target)
+            assert time.perf_counter() - start < 0.5
+
     def test_evaluate_endpoint_and_out_of_coverage(self):
         sol = tent_solution()
-        assert evaluate(sol, 0.0) == tent_boundary(B12)(0.0)
+        assert sol(0.0) == tent_boundary(B12)(0.0)
         with pytest.raises(OutOfCoverage):
-            evaluate(sol, 100.0)
+            sol(100.0)
+
+
+class TestSeamTolerance:
+    """The seam check scales with the values and with position rounding."""
+
+    def test_mismatch_still_refused(self):
+        # residual 0.1 let through by tol: the first strip cannot join
+        g = PiecewiseLinear([0.0, 1.0, 2.0], [1.0, 1.0, -1.9])
+        with pytest.raises(InternalInconsistency):
+            extend(g, B12, (0.0, 3.0), tol=0.2)
+
+    def test_steep_lattice_data_past_1024(self):
+        # a slope of about 1.6e4 next to w = -1024, where the float spacing
+        # doubles: an absolute 1e-9 seam check refused this build
+        d = 1.5139675249445483
+        b = ShiftVector(tuple(d * k for k in range(1, 7)))
+        xs = np.array([
+            0.0, 0.6312537231659452, 0.9285657159816115, 1.5139675249445483,
+            3.0279350498890967, 4.541853606108534, 4.541902574833645, 6.055870099778193,
+            7.569837624722742, 8.179267449666211, 8.534120503046235, 9.08380514966729,
+        ])
+        ys = np.array([
+            0.27702372491045946, 0.8807057653966217, -0.2743839100013914,
+            0.1502663749286448, 0.012547354998434734, 0.2675528655348316,
+            -0.49963095014133274, -0.17228089520791134, 0.271089201155325,
+            0.5068436814832613, 0.6655033434745663, -0.03901481064361989,
+        ])
+        sol = extend(PiecewiseLinear(xs, ys), b, (-1030.0, b.largest))
+        assert sol.covered[0] <= -1030.0
+        assert _relative_residual(sol, b) <= 1e-8
+
+    def test_growing_values_on_real_coefficients(self):
+        # values pass 1e10 within a few dozen strips, where rounding alone
+        # exceeds an absolute 1e-9
+        b = to_additive(normalize([2.5, 6.5]))
+        span = math.sqrt(3000.0 * 2 * b.entries[0] * b.entries[1])
+        sol = extend(tent_boundary(b), b, (-0.25 * span, 0.75 * span + b.largest))
+        assert sol.pieces.breakpoints.size > 1500
+        assert np.max(np.abs(sol.pieces.values)) > 1e10
+        assert _relative_residual(sol, b) <= 1e-8
+
+
+def _relative_residual(sol, b: ShiftVector) -> float:
+    """Additive residual on the covered range relative to max|g|."""
+    lo, hi = sol.covered
+    grid = np.linspace(lo, hi - b.largest, 5000)
+    scale = max(1.0, float(np.max(np.abs(sol.pieces.values))))
+    return residual_additive(sol, b, grid) / scale
+
+
+def _lattice_data(d: float, n: int, seed: int) -> tuple[ShiftVector, PiecewiseLinear]:
+    """Compatible random data on d*(1..n): n random kinks at least d/10 apart.
+
+    The shift points are breakpoints, so g(0) = -sum g(b_k) makes the
+    compatibility residual exactly zero.
+    """
+    shifts = tuple(d * k for k in range(1, n + 1))
+    rng = np.random.default_rng(seed)
+    while True:
+        inner = rng.uniform(0.02 * shifts[-1], 0.98 * shifts[-1], n)
+        xs = np.unique(np.concatenate(([0.0], shifts, inner)))
+        if xs.size == 2 * n + 1 and np.min(np.diff(xs)) >= 0.1 * d:
+            break
+    ys = rng.uniform(-1.0, 1.0, xs.size)
+    ys[0] = -ys[np.searchsorted(xs, shifts)].sum()
+    return ShiftVector(shifts), PiecewiseLinear(xs, ys)
+
+
+def _tent_data(*shifts: float) -> tuple[ShiftVector, PiecewiseLinear]:
+    b = ShiftVector(shifts)
+    return b, tent_boundary(b)
+
+
+def _log_tent_data(*coefficients: int) -> tuple[ShiftVector, PiecewiseLinear]:
+    b = to_additive(normalize(coefficients))
+    return b, tent_boundary(b)
+
+
+#: name -> (shifts and boundary data, target, sha256 of breakpoints then values)
+#: captured from the strip-by-strip construction that filtered all breakpoints
+#: for every strip; the windowed construction must reproduce them bit for bit
+BITWISE_BUILDS = {
+    "int2": (lambda: _tent_data(1.0, 2.0), (-400.0, 800.0),
+             "71a54e5bdd8f2c3048851e1105689a0e373c0e52480b54c58511ab0d1571cc6e"),
+    "int5": (lambda: _tent_data(1.0, 2.0, 3.0, 4.0, 5.0), (-200.0, 400.0),
+             "9fd9a8b589fe995839a6ea8bd3fa33253566ae92ca9f25e6b39b77eba4bb77f2"),
+    "frac3": (lambda: _tent_data(0.7, 1.4, 2.1), (-100.0, 200.0),
+              "99af160e8da34a9d283e0c06f570ffd145edfeafa6e30de2dced78486f98a3d2"),
+    "zero2": (lambda: (B12, PiecewiseLinear([0.0, 1.0, 2.0], [0.0, 0.0, 0.0])), (-50.0, 100.0),
+              "cb5c80dad26f2d92c3847f6b2b733cd8164c9ed5dfd3d5019be6710df668ad95"),
+    "ln23": (lambda: _log_tent_data(2, 3), (-25.0, 50.0),
+             "38c528b99c2edeabe7d27a28418efb07654b82f4cdd0644c869ee1dd58ef3557"),
+    "ln235": (lambda: _log_tent_data(2, 3, 5), (-10.0, 22.0),
+              "85acfe9883a4926ea9c6fb5f0ec58dc13859823dc06331a3b9b704e2c4e2c89c"),
+    "ln2357": (lambda: _log_tent_data(2, 3, 5, 7), (-6.0, 12.0),
+               "a15b4c836a0faf3566e26330de0cf2e12e3599b85badf746b6047cb8b383c155"),
+    "ln357": (lambda: _log_tent_data(3, 5, 7), (-10.0, 20.0),
+              "a04c38bbf09a43d6f471befb93e3c4652c9b167c122dfd2a1af3901537b80832"),
+    "rand4": (lambda: _lattice_data(0.8, 4, 7), (-150.0, 300.0),
+              "9296fae9667732f95e533d94910c3bd6a8f173d7747f2f403e0bd99fb8e46fa7"),
+    "rand6": (lambda: _lattice_data(1.3, 6, 11), (-150.0, 300.0),
+              "ff93cae264e20e26a44748ae1a5a1a1872197ba0fc12d496273e4ae3101d1a74"),
+}
+
+
+class TestBitwise:
+    @pytest.mark.parametrize("name", sorted(BITWISE_BUILDS))
+    def test_build_is_bitwise_stable(self, name):
+        data, target, digest = BITWISE_BUILDS[name]
+        b, g = data()
+        sol = extend(g, b, target)
+        blob = sol.pieces.breakpoints.tobytes() + sol.pieces.values.tobytes()
+        assert hashlib.sha256(blob).hexdigest() == digest
+
+
+_PRIMES = (2, 3, 5, 7, 11)
+
+
+@st.composite
+def _compatible_data(draw):
+    """Random compatible data on lattice shifts d*(1..N) or on log shifts ln p."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        d = draw(st.floats(0.3, 2.0))
+        shifts = tuple(d * k for k in range(1, n + 1))
+    else:
+        primes = draw(st.lists(st.sampled_from(_PRIMES), min_size=2, max_size=3, unique=True))
+        shifts = to_additive(normalize(primes)).entries
+    b = ShiftVector(shifts)
+    b_n = b.largest
+    kinks = draw(st.lists(st.floats(0.02, 0.98), max_size=4))
+    xs = np.unique(np.concatenate(([0.0], shifts, b_n * np.array(kinks))))
+    if np.min(np.diff(xs)) < 0.05 * shifts[0]:
+        xs = np.unique(np.concatenate(([0.0], shifts)))
+    ys = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=xs.size, max_size=xs.size)))
+    ys[0] = -ys[np.searchsorted(xs, shifts)].sum()
+    step = b_n - (shifts[-2] if len(shifts) >= 2 else 0.0)
+    strips_right = draw(st.integers(0, 60))
+    strips_left = draw(st.integers(0, 60))
+    target = (-strips_left * shifts[0], b_n + strips_right * step)
+    return b, PiecewiseLinear(xs, ys), target
+
+
+class TestExtensionProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(_compatible_data())
+    def test_solves_equation_and_keeps_boundary(self, data):
+        b, g, target = data
+        sol = extend(g, b, target)
+        lo, hi = sol.covered
+        assert lo <= target[0] + 1e-9 and hi >= target[1] - 1e-9
+        assert _relative_residual(sol, b) <= 1e-8
+        np.testing.assert_array_equal(sol(g.breakpoints), g.values)
+        w = np.linspace(0.0, b.largest, 257)
+        np.testing.assert_array_equal(sol(w), g(w))
 
 
 class TestPeriodicReference:
