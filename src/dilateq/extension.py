@@ -74,13 +74,16 @@ class PiecewiseLinear:
 
     Evaluation between breakpoints interpolates linearly; evaluation outside
     the domain (beyond a relative slack of 1e-12) raises ``OutOfCoverage``.
+    ``breakpoints`` and ``values`` are read-only views of private copies, so
+    neither the caller's input nor ``f.values[i] = ...`` can change the
+    function after construction.
     """
 
-    __slots__ = ("breakpoints", "values")
+    __slots__ = ("breakpoints", "values", "_xp", "_fp")
 
     def __init__(self, breakpoints: Sequence[float], values: Sequence[float]):
-        x = np.asarray(breakpoints, dtype=float)
-        y = np.asarray(values, dtype=float)
+        x = np.array(breakpoints, dtype=float)
+        y = np.array(values, dtype=float)
         if x.ndim != 1 or y.ndim != 1 or x.size != y.size:
             raise InvalidInput("breakpoints and values must be 1-d and equal length")
         if x.size < 2:
@@ -89,8 +92,12 @@ class PiecewiseLinear:
             raise InvalidInput("breakpoints must be strictly increasing")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise InvalidInput("breakpoints and values must be finite")
-        self.breakpoints = x
-        self.values = y
+        # np.interp copies a read-only array on every call, so evaluation
+        # reads private writable arrays and callers get read-only views
+        self._xp, self._fp = x, y
+        self.breakpoints, self.values = x.view(), y.view()
+        self.breakpoints.flags.writeable = False
+        self.values.flags.writeable = False
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -108,7 +115,7 @@ class PiecewiseLinear:
             raise OutOfCoverage(
                 f"point {float(np.ravel(bad)[0]):.17g} outside [{lo:.17g}, {hi:.17g}]"
             )
-        out = np.interp(np.clip(arr, lo, hi), self.breakpoints, self.values)
+        out = np.interp(np.clip(arr, lo, hi), self._xp, self._fp)
         return float(out) if np.isscalar(w) or arr.ndim == 0 else out
 
 

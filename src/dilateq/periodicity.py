@@ -39,8 +39,13 @@ __all__ = [
 #: squared-system acceptance threshold, about 1e-8 per linear equation
 CERTIFICATE_TOL = 1e-16
 
-#: golden-section brackets are narrowed to this absolute width
+#: golden-section brackets are narrowed to this absolute width, or to one ulp
+#: of the bracket's top where that is wider (alpha >= 64)
 _REFINE_WIDTH = 1e-14
+
+#: golden-section steps never taken by a terminating call: narrowing 1 to one
+#: ulp takes about 75
+_GOLDEN_MAX_ITER = 2000
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -104,11 +109,17 @@ def system_residual(alpha, b) -> float | np.ndarray:
 
 
 def _golden_minimize(f, lo: float, hi: float, width: float) -> float:
-    """Golden-section minimum of a unimodal-enough f on [lo, hi]."""
+    """Golden-section minimum of a unimodal-enough f on [lo, hi].
+
+    Stops at width ``width`` or one ulp of ``hi``, whichever is wider: an
+    absolute width below one ulp is never reached.
+    """
     x1 = hi - _INV_GOLDEN * (hi - lo)
     x2 = lo + _INV_GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    while hi - lo > width:
+    for _ in range(_GOLDEN_MAX_ITER):
+        if hi - lo <= max(width, math.ulp(hi)):
+            break
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _INV_GOLDEN * (hi - lo)

@@ -1,8 +1,11 @@
+import hashlib
+import time
 import warnings
 from math import log, pi
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dilateq import (
     ComplexZero,
@@ -15,6 +18,7 @@ from dilateq import (
     winding_count,
     zeta_partial_sum,
 )
+from dilateq import expsums
 from dilateq.errors import BoundaryZero, IncompleteSearch, InvalidInput, InvalidRange
 from dilateq.expsums import newton_refine, power_sum_deriv, scan_modulus
 
@@ -179,3 +183,218 @@ class TestPowerSolution:
 
     def test_trivial_zero_function(self):
         assert residual_integer_equation(lambda x: 0.0 * np.asarray(x), 4, np.linspace(-2, 2, 50)) == 0.0
+
+
+RECTANGLES = {
+    "default": (-3.0, 2.0, 0.0, 30.0),
+    "tall": (-3.0, 2.0, 0.0, 45.0, 61, 361),
+    "fine": (-3.0, 2.0, 0.0, 30.0, 121, 481),
+    "wide": (-40.0, 5.0, 0.0, 30.0),
+}
+
+#: "rectangle/n" -> sha256 of the scan, sha256 of the first seeding pass's
+#: zeros, sha256 of the returned zeros, zeros returned, winding count.  The
+#: zero digests hash (re, im, residual) rows of float64.  Captured from the
+#: one-pass search with a scalar winding recursion and a per-point scan; there
+#: the wide n = 30, 100 and 200 searches stopped at the first pass (13, 16
+#: and 15 zeros) with an IncompleteSearch warning.
+BITWISE_SEARCHES = {
+    "default/2": ("35bfae24b503cbe58a52b81eba1113bb3b393c2b743db92fa9699e4dd7024d6a", "9d87b5e7fc0912d91a279e450482228c227dc051aacc143b744656dcdcbf1841", None, 3, 3),
+    "default/10": ("ab7f1a31820bbb3ac88a9ff23c0fa1e4b491d0942928d154ee2b1b0fd9399acb", "505190f6e672eac02f625b3e15410e7424be9010129b149252f5042059e0d98c", None, 10, 10),
+    "default/30": ("f656d878b17062a490ca1f832f6a57c8f5d2b12c4231ab1df0dd3164fea20ba3", "0bc7e9ef4af4e433af67927ddbb6d972ff60bedfcf12fd2e940a7d404432a982", None, 16, 16),
+    "default/100": ("9b6e3140ea2efe03e325ce9dee2f8f59fdeb37d4814dc2c112432cd8b05ae62b", "0e3a64eb531dfe10d6578ea860177663066f44bce7cf3f6cb2bb26d638fcb128", None, 21, 21),
+    "default/200": ("51a1f508a964113f21753027b457b7839174f3d836e44009780947da6637fb08", "9e47d158a06a9f3ccf3332b56bea45e08503f6a75b917772adebb6a66c62ab6c", None, 25, 25),
+    "tall/2": ("8e2711e9369928e2150f031cb5636f93af9645865fe085bf94d8a7ee5f7712d3", "dd54413890783c6d95474324fb61481604a49822b8b9cbb1e7be763c88b45d85", None, 5, 5),
+    "tall/10": ("9ea63b15823de78e88282ed92bf1777e5142b126e21146c6c3da3dee3bdb3461", "95d7fa7f1c4d1e9e79978bbc0b60240944f1e8549150968903c947144a56a82d", None, 16, 16),
+    "tall/30": ("921cf471c61610027bdc0232f5c90af43c150089d5412c0ea20d5a43fb5f062f", "addd284036c0991cdd0c1b89ebdbcc17ac14b80edc29a6e423f56e36717866ab", None, 24, 24),
+    "tall/100": ("6c6d932f1499849df0ab9345f1bf4f9c93ab51a023caee695501312683d11eda", "ec73252e4ceedcd2604fa98fdf0d5b09d65b1083d6835b3578c39ceb040c6935", None, 33, 33),
+    "tall/200": ("fb394e9d8e5f3b5e0f57705cd3dd6f03a50eb7bcf79df2bb02d23e867fc3522b", "3439053fa065aaf002e66d622fe7e12f38d9190b81f9bcad3e1fc25838c60f79", None, 38, 38),
+    "fine/2": ("5cb7e106ab4bf4438aec824a763aae9d39ad34c5cc84356609ea055938b0b342", "e9ad952a9ea4122411fdb5bc7c06a36de5f02168c65122a0d64314981a7684b4", None, 3, 3),
+    "fine/10": ("3a33fb1900c0ac5cf46e46e9962da1e02928b188b21296364b11a759bf1eef11", "bdba7a8571e20840d9f770cfb07e8b2a4f895758ab9cf09b88d3d51de43416d4", None, 10, 10),
+    "fine/30": ("aab6193243038b9e0c5fc4bc6b101020a034bb6d5f54fb7831ad5abead31fcdf", "62aa0bd8cde795a67fb4758acacaa54c2a5267f9e9465334c1d02a5bfad03425", None, 16, 16),
+    "fine/100": ("e9b74e2c26f4cd82cd711066d733528a73397d44129815608d4abb904cb317b3", "9362bf42321cce422895c0a8c917770b6ee6f0c2fda16a7aa94962838f3f368f", None, 21, 21),
+    "fine/200": ("99c88ae367332699c925f913c88442a041f2db064a779b1cd9c457bd451e6d0e", "7316e7fc1d197e53f82e6355b264aa0c48a36189bdf87886b2202d31d18ba488", None, 25, 25),
+    "wide/2": ("539fac22c273a78c70bf9af9e33eb3084f7aa1cf86f233cf5460799ae17f95df", "101c8ec301d7473de15e692ab028acf24535f297c5f253f1b11124b62f81362f", None, 3, 3),
+    "wide/10": ("f512f6e9eacbd5b611007ff887b982b0815eb13c4debc4314047928b88b69465", "b20d345abc2a460e907d81bda48f332ea83949b79d63ad314ee554771bf86f91", None, 10, 10),
+    "wide/30": ("18429ea7b1d34171eda93b9d068a8704c41761fa43c95f995b398fa8f98c0501", "b542e0d756d7cc610b9facbbf931608be02adb37d49885bb4969f8368a269b8f", "9fdf00ee93ba6a3b556988bf357f87a6ee163070c31f87f6bb88c6211706ba7d", 16, 16),
+    "wide/100": ("9c3f98cdcc5f705ec1429ca39ae37d0e949ee2087876c57d920c25ecaf3a7126", "e5cd1373a9b6ae5a3f06b0dd54867690e18d20cd4467bc3d6f392c2c76a7858a", "1cce69a8a34a306a64dba51119f98181a89405ec31ff6d0cf78dacc3710010fb", 21, 21),
+    "wide/200": ("d506bc1ba1fbab58a31a732d97d9ac448b76224f1241eec5f7a23a437be359a2", "9a7d716507e2b168c05452d90f4438c36ed79f6eff86b9e88ffb3588fe0ff47d", "3ecf9b78e3f599125b43d53975b90e3c3940f4b2b139d1c6f160040767bd4b30", 25, 25),
+}
+
+
+def _zeros_digest(zeros) -> str:
+    rows = np.array([(z.z.real, z.z.imag, z.modulus_residual) for z in zeros], dtype=float)
+    return hashlib.sha256(rows.tobytes()).hexdigest()
+
+
+def _case(name):
+    family, n = name.split("/")
+    return int(n), SearchRectangle(*RECTANGLES[family])
+
+
+class TestBitwise:
+    @pytest.mark.parametrize("name", list(BITWISE_SEARCHES))
+    def test_search_is_bitwise_stable(self, name):
+        n, rect = _case(name)
+        scan, first, final, count, turns = BITWISE_SEARCHES[name]
+        _, _, mod = scan_modulus(n, rect)
+        assert hashlib.sha256(mod.tobytes()).hexdigest() == scan
+        first_pass = expsums._verified(n, rect, expsums._seed(n, rect, []))
+        assert _zeros_digest(first_pass) == first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IncompleteSearch)
+            zeros = find_zeros(n, rect)
+        assert len(zeros) == count
+        assert _zeros_digest(zeros) == (final or first)
+        # the re-seed keeps every zero of the first pass, bit for bit
+        assert {z.z for z in first_pass} <= {z.z for z in zeros}
+        assert winding_count(n, rect) == turns
+
+
+def _adaptive_reference(f, a, b, fa, fb, tol, depth):
+    """Depth-first adaptive trapezoid rule that the breadth-first one replays."""
+    mid = 0.5 * (a + b)
+    fm = f(mid)
+    coarse = 0.5 * (fa + fb) * (b - a)
+    fine = 0.5 * (fa + fm) * (mid - a) + 0.5 * (fm + fb) * (b - mid)
+    if abs(fine - coarse) <= tol:
+        return fine
+    if depth <= 0:
+        raise BoundaryZero("no settle")
+    return _adaptive_reference(f, a, mid, fa, fm, 0.5 * tol, depth - 1) + _adaptive_reference(
+        f, mid, b, fm, fb, 0.5 * tol, depth - 1
+    )
+
+
+class TestWinding:
+    @pytest.mark.parametrize(
+        "n, rect",
+        [
+            (2, (-1.0, 1.0, 4.5323, 20.0)),
+            (3, (-3.0, 2.0, 0.0, 30.0)),
+            (30, (-3.0, 2.0, -10.0, 25.0)),
+            (200, (-3.0, 2.0, 0.0, 30.0)),
+        ],
+    )
+    def test_segments_sum_as_depth_first(self, n, rect):
+        rect = SearchRectangle(*rect)
+
+        def logderiv(z):
+            return power_sum_deriv(n, z) / power_sum(n, z)
+
+        segs = list(expsums._boundary_segments(n, rect))
+        for (a, b, fa, fb), value in zip(segs, expsums._refine(n, segs)):
+            assert fa == logderiv(a) and fb == logderiv(b)
+            ref = _adaptive_reference(logderiv, a, b, fa, fb, 1e-3, 48)
+            assert (value.real, value.imag) == (ref.real, ref.imag)
+
+    def test_one_array_call_per_level(self, monkeypatch):
+        calls = []
+        orig = expsums.power_sum
+        monkeypatch.setattr(expsums, "power_sum", lambda n, z: calls.append(np.size(z)) or orig(n, z))
+        winding_count(200, SearchRectangle(-3.0, 2.0, 0.0, 30.0, 121, 481))
+        # four sides, then one call per refinement level
+        assert 4 < len(calls) <= 4 + 49
+        assert sum(calls) > 4 * len(calls)
+
+    def test_non_finite_integrand_raises_at_once(self):
+        # exp(200 ln 200) overflows on the right edge
+        t0 = time.perf_counter()
+        with pytest.raises(BoundaryZero):
+            find_zeros(200, SearchRectangle(-3.0, 200.0, 0.0, 30.0))
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_segment_budget(self, monkeypatch):
+        # the edge passes 1e-5 below the lowest zero of 1 + 2^z, which needs deep splits
+        rect = SearchRectangle(-1.0, 1.0, pi / LN2 - 1e-5, 20.0)
+        assert winding_count(2, rect) == 2
+        monkeypatch.setattr(expsums, "_WINDING_MAX_ACTIVE", 16)
+        with pytest.raises(BoundaryZero, match="more than 16 segments"):
+            winding_count(2, rect)
+
+    def test_blocks_give_the_same_count(self, monkeypatch):
+        rect = SearchRectangle(-3.0, 2.0, 0.0, 45.0)
+        expected = winding_count(30, rect)
+        monkeypatch.setattr(expsums, "_WINDING_BLOCK", 7)
+        assert winding_count(30, rect) == expected
+
+
+class TestScanEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 300),
+        re_lo=st.floats(-1.0, 1.0),
+        re_width=st.floats(1e-3, 2.0),
+        im_lo=st.floats(-200.0, 200.0),
+        im_height=st.floats(1e-3, 100.0),
+        grid=st.tuples(st.integers(2, 25), st.integers(2, 25)),
+    )
+    def test_equals_power_sum_below_overflow(self, n, re_lo, re_width, im_lo, im_height, grid):
+        # scale the real range so that max|Re| ln n <= 700
+        scale = 700.0 / log(n) / max(abs(re_lo), abs(re_lo + re_width))
+        lo, hi = re_lo * min(scale, 1.0), (re_lo + re_width) * min(scale, 1.0)
+        if not lo < hi:
+            return
+        rect = SearchRectangle(lo, hi, im_lo, im_lo + im_height, *grid)
+        re, im, mod = scan_modulus(n, rect)
+        direct = np.abs(power_sum(n, re[None, :] + 1j * im[:, None]))
+        assert np.array_equal(mod, direct)
+
+    @pytest.mark.parametrize("n, rect", [(10, default_rectangle()), (200, SearchRectangle(-3.0, 2.0, 0.0, 30.0, 121, 481))])
+    def test_blocks_do_not_change_bits(self, n, rect, monkeypatch):
+        expected = scan_modulus(n, rect)[2]
+        monkeypatch.setattr(expsums, "_CHUNK_BYTES", 1)
+        assert np.array_equal(scan_modulus(n, rect)[2], expected)
+
+    def test_overflow_cells(self):
+        # 200^200 overflows: the same cells are non-finite, and finite cells
+        # differ at most in the last bit (exp of arguments above 709 rounds twice)
+        rect = SearchRectangle(-3.0, 200.0, 0.0, 30.0, 40, 50)
+        re, im, mod = scan_modulus(200, rect)
+        direct = np.abs(power_sum(200, re[None, :] + 1j * im[:, None]))
+        finite = np.isfinite(mod)
+        assert not finite.all()
+        assert np.array_equal(finite, np.isfinite(direct))
+        np.testing.assert_allclose(mod[finite], direct[finite], rtol=1e-15, atol=0.0)
+        below = re * log(200) <= 700.0
+        assert np.array_equal(mod[:, below], direct[:, below])
+
+
+class TestNewtonCalls:
+    def test_one_evaluation_of_each_per_step(self, monkeypatch):
+        z0 = find_zeros(10)[3].z + 0.05 - 0.05j
+        counts = {"power_sum": 0, "power_sum_deriv": 0}
+        for name in counts:
+            orig = getattr(expsums, name)
+
+            def counted(n, z, orig=orig, name=name):
+                counts[name] += 1
+                return orig(n, z)
+
+            monkeypatch.setattr(expsums, name, counted)
+        z, history = newton_refine(10, z0)
+        assert abs(power_sum(10, z)) <= 1e-10
+        # the last step may be rejected at rounding level without a history entry
+        assert counts["power_sum_deriv"] in (len(history), len(history) + 1)
+        assert counts["power_sum"] == counts["power_sum_deriv"] + 1
+
+
+class TestReseed:
+    def test_winding_probe_finds_all(self):
+        rect = SearchRectangle(-3.0, 2.0, 0.0, 60.0)
+        first = expsums._seed(100, rect, [])
+        assert len(first) == 43
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IncompleteSearch)
+            zeros = find_zeros(100, rect)
+        assert len(zeros) == 44 == winding_count(100, rect)
+        assert set(first) <= {z.z for z in zeros}
+        (new,) = {z.z for z in zeros} - set(first)
+        assert new == pytest.approx(0.1825 + 56.1197j, abs=1e-4)
+
+    def test_still_incomplete_warns(self):
+        # a 2 x 2 grid refines to 3 x 3, too coarse for 21 zeros
+        rect = SearchRectangle(-3.0, 2.0, 0.0, 30.0, 2, 2)
+        with pytest.warns(IncompleteSearch):
+            zeros = find_zeros(100, rect)
+        assert len(zeros) < winding_count(100, rect)

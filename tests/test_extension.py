@@ -72,6 +72,31 @@ class TestPiecewiseLinear:
         f = PiecewiseLinear([0.0, 1.0], [0.0, 1.0])
         assert f(np.array([])).size == 0
 
+    def test_input_arrays_are_copied(self):
+        x, y = np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 0.0])
+        f = PiecewiseLinear(x, y)
+        x[1], y[1] = 1.5, 99.0
+        assert f(1.0) == 2.0
+
+    def test_solution_pieces_are_read_only(self):
+        sol = extend(tent_boundary(B12), B12, (-4.0, 6.0))
+        lo = sol.covered[0]
+        before = sol(lo)
+        for arr in (sol.pieces.values, sol.pieces.breakpoints):
+            with pytest.raises(ValueError):
+                arr[0] = 99.0
+        assert sol(lo) == before
+
+    def test_scalar_read_does_not_copy(self):
+        # np.interp copies read-only inputs: 200 reads of 1e6 breakpoints
+        # would take seconds instead of milliseconds
+        x = np.linspace(0.0, 1.0, 1_000_000)
+        f = PiecewiseLinear(x, x)
+        t0 = time.perf_counter()
+        for w in np.linspace(0.0, 1.0, 200).tolist():
+            f(w)
+        assert time.perf_counter() - t0 < 0.5
+
 
 class TestCheckInterpolation:
     def test_tent_is_compatible(self):

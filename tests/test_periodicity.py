@@ -15,6 +15,7 @@ from dilateq import (
     system_residual,
     two_term_periodic_exists,
 )
+from dilateq import periodicity
 from dilateq.errors import (
     InvalidInput,
     InvalidRange,
@@ -118,6 +119,29 @@ class TestEquispaced:
         ]
         assert len(found) == len(expected)
         np.testing.assert_allclose(found, expected, atol=1e-10)
+
+    def test_above_alpha_64(self):
+        # one ulp of alpha exceeds 1e-14 from alpha = 64 on; the bracket still closes
+        top = 32
+        alpha_max = (top + 0.5) * 2 * pi / 3
+        found = [c.alpha for c in find_periodic_alphas((1.0, 2.0), alpha_max)]
+        expected = equispaced_alphas(2, 1.0, top)
+        assert len(found) == len(expected) == 22
+        assert max(expected) > 66.0
+        np.testing.assert_allclose(found, expected, atol=1e-13)
+
+    def test_golden_section_steps_above_64(self):
+        calls = []
+
+        def f(a):
+            calls.append(a)
+            if len(calls) > 1000:
+                raise RuntimeError("golden section does not terminate")
+            return (a - 66.0) ** 2
+
+        alpha = periodicity._golden_minimize(f, 65.9, 66.1, periodicity._REFINE_WIDTH)
+        assert abs(alpha - 66.0) <= 4 * math.ulp(66.0)
+        assert len(calls) < 100
 
 
 class TestFourierMatrix:
