@@ -21,16 +21,10 @@ import numpy as np
 from . import coefficients, expsums, extension, periodicity
 from .errors import DomainViolation, InvalidInput, Nonconvergence
 
-#: fixed default seed; reserved for sampled diagnostics, recorded for reproducibility
-DEFAULT_SEED = 1729
-
-
 @dataclass
 class RunConfig:
-    subcommand: str
     out: str | None
     tol: float | None
-    seed: int
 
 
 # -- serialization -------------------------------------------------------------
@@ -310,9 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write output to this file instead of stdout")
     common.add_argument("--tol", type=float, help="override the subcommand's tolerance")
-    common.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, help="RNG seed (reserved, recorded)"
-    )
 
     parser = argparse.ArgumentParser(
         prog="dilateq",
@@ -399,9 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(
-        subcommand=args.subcommand, out=args.out, tol=args.tol, seed=args.seed
-    )
+    cfg = RunConfig(out=args.out, tol=args.tol)
     if cfg.tol is not None and not cfg.tol > 0.0:
         sys.stderr.write("error: --tol must be positive\n")
         return 2

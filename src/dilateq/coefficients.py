@@ -64,6 +64,8 @@ class ShiftVector:
     def __post_init__(self) -> None:
         if len(self.entries) == 0:
             raise EmptyInput("shift vector must have at least one entry")
+        if not all(math.isfinite(v) for v in self.entries):
+            raise InvalidInput("shifts must be finite")
         if self.entries[0] <= 0.0:
             raise InvalidInput("shifts must be positive")
         for lo, hi in zip(self.entries, self.entries[1:]):
@@ -114,6 +116,8 @@ def normalize(raw: Sequence[float]) -> CoefficientVector:
     values = _as_floats(raw)
     if not values:
         raise EmptyInput("no coefficients given")
+    if not all(math.isfinite(v) for v in values):
+        raise InvalidInput("coefficients must be finite")
     if any(v <= 0.0 for v in values):
         raise InvalidInput("coefficients must be positive")
     if any(v == 1.0 for v in values):

@@ -73,6 +73,10 @@ class CoverageBudgetExceeded(DomainViolation):
     """Extension would exceed the breakpoint budget."""
 
 
+class GridBudgetExceeded(DomainViolation):
+    """A periodicity scan grid would exceed the grid-point budget."""
+
+
 class BoundaryZero(DomainViolation):
     """A zero lies too close to the search rectangle edge for the winding
     integral to be trusted."""

@@ -438,8 +438,7 @@ def solution_from_zero(zero: ComplexZero) -> PowerSolution:
 
 def residual_integer_equation(f: Callable, n: int, grid) -> float:
     """max over the grid of |f(x) + f(2x) + ... + f(nx)|."""
-    if n < 1:
-        raise InvalidInput("n must be >= 1")
+    _check_n(n)
     x = np.asarray(grid, dtype=float)
     total = np.zeros_like(x)
     for k in range(1, n + 1):

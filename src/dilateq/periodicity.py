@@ -11,6 +11,16 @@ side has nonnegative determinant and vanishes entrywise as soon as its
 determinant does.  The scanner minimizes that determinant (a sum of two
 squares, so zeros are double roots and sign-based bracketing is useless);
 the equispaced and two-shift families have closed forms checked exactly.
+
+The scan evaluates the residual on a grid of at most ``MAX_GRID_POINTS``
+points, checked before anything is allocated, in blocks of about 8 MiB of
+temporaries.  It then refines every interior grid minimum by golden section,
+all brackets in lockstep: each step evaluates the new points of every live
+bracket in one array call, and each bracket takes exactly the steps a scalar
+golden section would take on it alone.  The refined residuals square the
+cosine and sine sums as Python floats, which is how the scalar residual
+forms them, so the certificates are the same to the bit as a one-bracket-at-
+a-time refinement.  Non-finite shifts and frequencies are refused.
 """
 
 from __future__ import annotations
@@ -21,7 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import ShiftVector
-from .errors import InvalidInput, InvalidRange, NonPositiveScale, NotCoprime, ZeroDenominator
+from .errors import (
+    GridBudgetExceeded,
+    InvalidInput,
+    InvalidRange,
+    NonPositiveScale,
+    NotCoprime,
+    ZeroDenominator,
+)
 
 __all__ = [
     "PeriodicityCertificate",
@@ -49,6 +66,12 @@ _GOLDEN_MAX_ITER = 2000
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: scan grids with more points are refused before anything is allocated
+MAX_GRID_POINTS = 10_000_000
+
+#: bytes of (points, N) temporaries per block of the grid residual
+_BLOCK_BYTES = 8 << 20
+
 
 def _shift_array(b) -> np.ndarray:
     """Accept a ShiftVector or any sequence of positive shifts.
@@ -61,6 +84,8 @@ def _shift_array(b) -> np.ndarray:
     )
     if entries.size == 0:
         raise InvalidInput("at least one shift required")
+    if not np.all(np.isfinite(entries)):
+        raise InvalidInput("shifts must be finite")
     if np.any(entries <= 0.0):
         raise InvalidInput("shifts must be positive")
     return entries
@@ -68,17 +93,16 @@ def _shift_array(b) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PeriodicityCertificate:
-    """A frequency solving the trigonometric system, with a witness solution."""
+    """A frequency solving the trigonometric system."""
 
     alpha: float
     period: float
     system_residual: float
-    witness: tuple[float, float] = (1.0, 0.0)
 
     def witness_function(self):
-        a, c = self.witness
+        """The periodic solution cos(alpha w)."""
         alpha = self.alpha
-        return lambda w: a * np.cos(alpha * np.asarray(w)) + c * np.sin(alpha * np.asarray(w))
+        return lambda w: np.cos(alpha * np.asarray(w))
 
 
 @dataclass(frozen=True)
@@ -93,41 +117,75 @@ class FourierMatrix:
         return a * d - b * c
 
 
+def _block_sums(alphas: np.ndarray, shifts: np.ndarray):
+    """(start, 1 + sum cos(alpha b_k), sum sin(alpha b_k)) over blocks of a 1-D
+    ``alphas``, each with about 8 MiB of (alphas, N) temporaries."""
+    rows = max(1, _BLOCK_BYTES // (8 * shifts.size))
+    for i in range(0, alphas.size, rows):
+        phases = np.multiply.outer(alphas[i : i + rows], shifts)
+        yield i, 1.0 + np.cos(phases).sum(axis=-1), np.sin(phases).sum(axis=-1)
+
+
+def _row_residuals(alphas: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """The residual at each alpha of a 1-D array, as the scalar residual forms it.
+
+    The sums are those of a one-alpha call bit for bit, but the squares are
+    taken on Python floats: that is libm ``pow(x, 2)``, as for a numpy scalar,
+    where a numpy array squares by ``x * x``, and the two differ in the last
+    bit on about 0.1 % of inputs.
+    """
+    return np.array(
+        [
+            c**2 + s**2
+            for _, cos_part, sin_part in _block_sums(alphas, shifts)
+            for c, s in zip(cos_part.tolist(), sin_part.tolist())
+        ]
+    )
+
+
 def system_residual(alpha, b) -> float | np.ndarray:
     """(1 + sum cos(alpha b_k))**2 + (sum sin(alpha b_k))**2.
 
     Nonnegative; zero exactly at frequencies admitting periodic solutions.
-    Vectorized over ``alpha``.
+    Vectorized over ``alpha``, in blocks of about 8 MiB of temporaries.
     """
     shifts = _shift_array(b)
     a = np.asarray(alpha, dtype=float)
-    phases = np.multiply.outer(a, shifts)
-    cos_part = 1.0 + np.cos(phases).sum(axis=-1)
-    sin_part = np.sin(phases).sum(axis=-1)
-    out = cos_part**2 + sin_part**2
-    return float(out) if np.isscalar(alpha) or a.ndim == 0 else out
+    if a.ndim == 0:
+        return float(_row_residuals(a.reshape(1), shifts)[0])
+    out = np.empty(a.size)
+    for i, cos_part, sin_part in _block_sums(a.ravel(), shifts):
+        out[i : i + cos_part.size] = cos_part**2 + sin_part**2
+    return out.reshape(a.shape)
 
 
-def _golden_minimize(f, lo: float, hi: float, width: float) -> float:
-    """Golden-section minimum of a unimodal-enough f on [lo, hi].
+def _golden_minimize(f, lo, hi, width: float) -> np.ndarray:
+    """Golden-section minima of a unimodal-enough f on every bracket [lo, hi].
 
-    Stops at width ``width`` or one ulp of ``hi``, whichever is wider: an
-    absolute width below one ulp is never reached.
+    ``f`` maps an array of points to an array of values; each step evaluates
+    the new points of every live bracket in one call.  A bracket stops at
+    width ``width`` or one ulp of its ``hi``, whichever is wider (an absolute
+    width below one ulp is never reached), and takes exactly the steps it
+    would take alone.  Returns the midpoints of the final brackets.
     """
+    lo = np.array(lo, dtype=float, ndmin=1)
+    hi = np.array(hi, dtype=float, ndmin=1)
     x1 = hi - _INV_GOLDEN * (hi - lo)
     x2 = lo + _INV_GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
+    f1, f2 = np.split(f(np.concatenate([x1, x2])), 2)
     for _ in range(_GOLDEN_MAX_ITER):
-        if hi - lo <= max(width, math.ulp(hi)):
+        # hi > 0 throughout, so spacing(hi) is math.ulp(hi)
+        live = np.flatnonzero(hi - lo > np.maximum(width, np.spacing(hi)))
+        if live.size == 0:
             break
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_GOLDEN * (hi - lo)
-            f2 = f(x2)
+        keep_left = f1[live] <= f2[live]
+        left, right = live[keep_left], live[~keep_left]
+        hi[left], x2[left], f2[left] = x2[left], x1[left], f1[left]
+        x1[left] = hi[left] - _INV_GOLDEN * (hi[left] - lo[left])
+        lo[right], x1[right], f1[right] = x1[right], x2[right], f2[right]
+        x2[right] = lo[right] + _INV_GOLDEN * (hi[right] - lo[right])
+        fresh = f(np.concatenate([x1[left], x2[right]]))
+        f1[left], f2[right] = fresh[: left.size], fresh[left.size :]
     return 0.5 * (lo + hi)
 
 
@@ -147,12 +205,19 @@ def scan_minima(
     """
     if not (alpha_max > 0.0):
         raise InvalidRange("alpha_max must be positive")
+    if not math.isfinite(alpha_max):
+        raise InvalidRange("alpha_max must be finite")
+    shifts = _shift_array(b)
     if grid_step is None:
-        grid_step = default_grid_step(b, alpha_max)
+        grid_step = default_grid_step(shifts, alpha_max)
     if not (grid_step > 0.0):
         raise InvalidRange("grid_step must be positive")
-    shifts = _shift_array(b)
-    count = int(math.floor(alpha_max / grid_step))
+    points = alpha_max / grid_step
+    if points >= MAX_GRID_POINTS + 1:
+        raise GridBudgetExceeded(
+            f"scan grid of {points:.6g} points exceeds the budget of {MAX_GRID_POINTS}"
+        )
+    count = math.floor(points)
     grid = grid_step * np.arange(1, count + 1)
     if grid.size == 0 or grid[-1] < alpha_max:
         grid = np.append(grid, alpha_max)
@@ -163,15 +228,15 @@ def scan_minima(
     interior = np.flatnonzero(
         (res[1:-1] <= res[:-2]) & (res[1:-1] <= res[2:])
     ) + 1
+    f = lambda a: _row_residuals(a, shifts)
+    alphas = _golden_minimize(f, grid[interior - 1], grid[interior + 1], _REFINE_WIDTH)
     out: list[tuple[float, float]] = []
-    f = lambda a: system_residual(a, shifts)
-    for i in interior:
-        alpha = _golden_minimize(f, float(grid[i - 1]), float(grid[i + 1]), _REFINE_WIDTH)
+    for alpha, value in zip(alphas.tolist(), f(alphas).tolist()):
         if out and abs(alpha - out[-1][0]) < 1e-8:
-            if f(alpha) < out[-1][1]:
-                out[-1] = (alpha, float(f(alpha)))
+            if value < out[-1][1]:
+                out[-1] = (alpha, value)
             continue
-        out.append((alpha, float(f(alpha))))
+        out.append((alpha, value))
     return out
 
 

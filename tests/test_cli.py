@@ -64,6 +64,11 @@ class TestRegularity:
         code, _, _ = run(capsys, "regularity", "no_such_file.json")
         assert code == 2
 
+    def test_nan_exits_2(self, capsys):
+        code, out, err = run(capsys, "regularity", "[NaN]")
+        assert code == 2 and out == ""
+        assert "finite" in err
+
 
 class TestNormalize:
     def test_below_one(self, capsys):
@@ -72,6 +77,10 @@ class TestNormalize:
         data = json.loads(out)
         assert data["entries"] == [2, 6]
         assert data["shifts"] == pytest.approx([math.log(2), math.log(6)])
+
+    def test_infinity_exits_2(self, capsys):
+        code, out, _ = run(capsys, "normalize", "[Infinity,2]")
+        assert code == 2 and out == ""
 
 
 class TestExtend:
@@ -175,6 +184,23 @@ class TestPeriodicity:
         )
         assert all(list(c) == ["alpha", "period", "residual"] for c in certs)
 
+    def test_infinite_alpha_max_exits_2(self, capsys):
+        code, out, _ = run(capsys, "periodicity", "--shifts", "[1,2]", "--alpha-max", "inf")
+        assert code == 2 and out == ""
+
+    def test_nan_shift_exits_2(self, capsys):
+        code, out, _ = run(capsys, "periodicity", "--shifts", "[1,NaN]", "--alpha-max", 10)
+        assert code == 2 and out == ""
+
+    def test_grid_over_budget_exits_3(self, capsys, tmp_path):
+        out_file = tmp_path / "certs.json"
+        code, out, err = run(
+            capsys, "periodicity", "--shifts", "[1,2]", "--alpha-max", 10,
+            "--grid-step", 1e-12, "--out", out_file,
+        )
+        assert code == 3 and out == "" and not out_file.exists()
+        assert "10000000" in err
+
     def test_repeated_shifts_empty(self, capsys):
         code, out, _ = run(capsys, "periodicity", "--shifts", "[1,1]", "--alpha-max", 20)
         assert code == 0
@@ -272,6 +298,14 @@ class TestPopoviciu:
         )
         assert code == 3
         assert out == ""
+
+
+class TestGlobalFlags:
+    def test_seed_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["regularity", "[2,3]", "--seed", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestReproducibility:

@@ -40,6 +40,13 @@ class TestNormalize:
         with pytest.raises(InvalidInput):
             normalize([-2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite(self, bad):
+        with pytest.raises(InvalidInput, match="finite"):
+            normalize([bad])
+        with pytest.raises(InvalidInput, match="finite"):
+            normalize([2.0, bad])
+
     @given(
         st.lists(
             st.floats(min_value=0.05, max_value=30.0).filter(lambda v: abs(v - 1) > 1e-6),
@@ -174,3 +181,10 @@ class TestTypes:
     def test_shift_vector_rejects_ties(self):
         with pytest.raises(InvalidInput):
             ShiftVector((1.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_shift_vector_rejects_nonfinite(self, bad):
+        with pytest.raises(InvalidInput, match="finite"):
+            ShiftVector((bad,))
+        with pytest.raises(InvalidInput, match="finite"):
+            ShiftVector((1.0, bad))

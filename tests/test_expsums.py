@@ -184,6 +184,12 @@ class TestPowerSolution:
     def test_trivial_zero_function(self):
         assert residual_integer_equation(lambda x: 0.0 * np.asarray(x), 4, np.linspace(-2, 2, 50)) == 0.0
 
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_requires_two_terms(self, n):
+        # like power_sum: the equation needs at least f(x) + f(2x)
+        with pytest.raises(InvalidInput):
+            residual_integer_equation(lambda x: np.asarray(x), n, np.linspace(-2, 2, 5))
+
 
 RECTANGLES = {
     "default": (-3.0, 2.0, 0.0, 30.0),

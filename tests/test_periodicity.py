@@ -1,8 +1,10 @@
+import hashlib
 import math
 from math import gcd, pi
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dilateq import (
     ShiftVector,
@@ -17,6 +19,8 @@ from dilateq import (
 )
 from dilateq import periodicity
 from dilateq.errors import (
+    DomainViolation,
+    GridBudgetExceeded,
     InvalidInput,
     InvalidRange,
     NonPositiveScale,
@@ -47,6 +51,13 @@ class TestSystemResidual:
     def test_rejects_nonpositive_shift(self):
         with pytest.raises(InvalidInput):
             system_residual(1.0, [0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_shift(self, bad):
+        with pytest.raises(InvalidInput):
+            system_residual(1.0, [1.0, bad])
+        with pytest.raises(InvalidInput):
+            scan_minima([bad], 10.0)
 
 
 class TestScanner:
@@ -84,6 +95,30 @@ class TestScanner:
             find_periodic_alphas((1.0,), 10.0, grid_step=-0.1)
         with pytest.raises(InvalidRange):
             find_periodic_alphas((1.0,), 10.0, tol=0.0)
+
+    @pytest.mark.parametrize("alpha_max", [math.inf, math.nan])
+    def test_nonfinite_alpha_max(self, alpha_max):
+        with pytest.raises(InvalidRange):
+            scan_minima((1.0, 2.0), alpha_max)
+
+    @pytest.mark.parametrize(
+        "alpha_max, grid_step", [(10.0, 1e-12), (1e300, 1e-300), (1e8, None)]
+    )
+    def test_grid_budget_checked_before_allocating(self, alpha_max, grid_step):
+        with pytest.raises(GridBudgetExceeded, match=str(periodicity.MAX_GRID_POINTS)):
+            scan_minima((1.0, 2.0), alpha_max, grid_step)
+        assert issubclass(GridBudgetExceeded, DomainViolation)
+
+    def test_grid_budget_boundary(self, monkeypatch):
+        monkeypatch.setattr(periodicity, "MAX_GRID_POINTS", 1000)
+        assert len(scan_minima((1.0, 2.0), 10.0, 0.01)) == 3
+        with pytest.raises(GridBudgetExceeded):
+            scan_minima((1.0, 2.0), 10.0, 0.00999)
+
+    def test_witness_function_is_cosine(self):
+        cert = find_periodic_alphas((1.0, 2.0), 3.0)[0]
+        w = np.linspace(-5.0, 5.0, 101)
+        np.testing.assert_array_equal(cert.witness_function()(w), np.cos(cert.alpha * w))
 
 
 class TestEquispaced:
@@ -142,6 +177,151 @@ class TestEquispaced:
         alpha = periodicity._golden_minimize(f, 65.9, 66.1, periodicity._REFINE_WIDTH)
         assert abs(alpha - 66.0) <= 4 * math.ulp(66.0)
         assert len(calls) < 100
+
+
+#: name -> (shifts, alpha_max, grid_step); the CLI's two periodicity calls come first
+SCAN_FIXTURES = {
+    "cli-periodicity-0": ((1.0, 2.0), 10.0, None),
+    "cli-periodicity-1": ((0.5, 1.0, 1.5), 20.0, 0.01),
+    "two-shift-alpha-70": ((1.0, 2.0), 70.0, None),
+    "equispaced-16": (tuple(0.5 * k for k in range(1, 17)), 58.0, None),
+    "rational-5-4": ((1.2, 1.5), 40.0, None),
+    "generic-6": (
+        (0.42634086690768613, 1.254162436256363, 1.6317171478802124,
+         1.9005963295860828, 2.8405570956026294, 2.933482375981572),
+        50.0,
+        None,
+    ),
+    # unsorted; squaring the sums as arrays (x * x) changes their digests
+    "generic-2": ((3.8348618312801492, 0.47002574511576384), 6.804285714576909, None),
+    "generic-4": (
+        (3.4649785211183852, 1.007837410980788, 1.99536999010018, 2.5719429822837285),
+        57.23134354340762,
+        None,
+    ),
+    "repeated-1-1": ((1.0, 1.0), 20.0, None),
+    "single-shift": ((1.0,), 10.0, None),
+    "fine-step": ((1.0, 2.0), 10.0, 1e-4),
+    "log-2-3-5": ((math.log(2), math.log(3), math.log(5)), 30.0, None),
+}
+
+#: sha256 of repr(scan_minima(*fixture)), captured from the scan that refined
+#: one bracket at a time with scalar residual calls
+SCAN_DIGESTS = {
+    "cli-periodicity-0": "400ec78dff9bc2252a2d5e094d13fc93b590618b726dc6c6ac8f3b87c6dfbca6",
+    "cli-periodicity-1": "5a0141e1ada7ca9bdbdb4bbbbc47dc1618b0821e1bfdb509ef1a19d50421b54a",
+    "two-shift-alpha-70": "a66b44d8d3c29278888b217ac4b1cf9b646d0394e9387df146bb28d3797c4dd7",
+    "equispaced-16": "4a6f7f5e2bdb7e4cec5a24e8331a436d8c44d15e7a53137dde4ac4b2c5b14604",
+    "rational-5-4": "27aaa13c9b99bca091e51ba81b83a3447517f5c4bd47e6b247db2cb72aab7e0a",
+    "generic-6": "93b398d9e5acda38fc53cc9b0b025f50ee58cd214644622a09ce10d674817470",
+    "generic-2": "7cc706a06b89479c2b5f527196c11695e8290df6d175118e5dcc2f3c1336f00d",
+    "generic-4": "eb58b35889e5a83735d1228f7f9a10ef2c2bcea70dac530d825c3db0507b33d5",
+    "repeated-1-1": "d3f00d76c63f8b98d96263ad49359051e525dc9e6548c9973aedb5d4c9833735",
+    "single-shift": "8205feacb85fd38f68f70e430bedd2b9114bf1f27e27b72fd2f4ebf5ddbdb071",
+    "fine-step": "eced504b356fa537ff11351c5b77f6b40a57196a3ffdc7331b8fddc9b07f6d53",
+    "log-2-3-5": "15687f9fbd706b23c6479a717c012f43c49aa8d401976a0d5ca1827daeff0b62",
+}
+
+
+def _scalar_residual(alpha: float, shifts: np.ndarray) -> float:
+    phases = np.multiply.outer(np.asarray(alpha), shifts)
+    cos_part = 1.0 + np.cos(phases).sum(axis=-1)
+    sin_part = np.sin(phases).sum(axis=-1)
+    return float(cos_part**2 + sin_part**2)
+
+
+def _scalar_golden(f, lo: float, hi: float) -> float:
+    x1 = hi - periodicity._INV_GOLDEN * (hi - lo)
+    x2 = lo + periodicity._INV_GOLDEN * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(periodicity._GOLDEN_MAX_ITER):
+        if hi - lo <= max(periodicity._REFINE_WIDTH, math.ulp(hi)):
+            break
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - periodicity._INV_GOLDEN * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + periodicity._INV_GOLDEN * (hi - lo)
+            f2 = f(x2)
+    return 0.5 * (lo + hi)
+
+
+def _reference_scan(b, alpha_max: float) -> list[tuple[float, float]]:
+    """The scan refining one bracket at a time with scalar residual calls."""
+    shifts = np.asarray(b, dtype=float)
+    grid_step = min(pi / (8.0 * shifts.max()), alpha_max / 1e4)
+    grid = grid_step * np.arange(1, math.floor(alpha_max / grid_step) + 1)
+    if grid.size == 0 or grid[-1] < alpha_max:
+        grid = np.append(grid, alpha_max)
+    phases = np.multiply.outer(grid, shifts)
+    res = (1.0 + np.cos(phases).sum(axis=-1)) ** 2 + np.sin(phases).sum(axis=-1) ** 2
+    interior = np.flatnonzero((res[1:-1] <= res[:-2]) & (res[1:-1] <= res[2:])) + 1
+    f = lambda a: _scalar_residual(a, shifts)
+    out: list[tuple[float, float]] = []
+    for i in interior:
+        alpha = _scalar_golden(f, float(grid[i - 1]), float(grid[i + 1]))
+        if out and abs(alpha - out[-1][0]) < 1e-8:
+            if f(alpha) < out[-1][1]:
+                out[-1] = (alpha, f(alpha))
+            continue
+        out.append((alpha, f(alpha)))
+    return out
+
+
+class TestBitwise:
+    @pytest.mark.parametrize("name", list(SCAN_FIXTURES))
+    def test_scan_minima_digest(self, name):
+        out = scan_minima(*SCAN_FIXTURES[name])
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == SCAN_DIGESTS[name]
+
+    def test_blocks_do_not_change_bits(self, monkeypatch):
+        alphas = np.linspace(0.01, 60.0, 5001)
+        shifts = SCAN_FIXTURES["generic-6"][0]
+        whole = system_residual(alphas, shifts)
+        # blocks of 5 rows of 6 shifts, so every call spans several blocks
+        monkeypatch.setattr(periodicity, "_BLOCK_BYTES", 8 * 6 * 5)
+        assert system_residual(alphas, shifts).tobytes() == whole.tobytes()
+        assert system_residual(alphas.reshape(3, -1), shifts).shape == (3, 1667)
+        out = scan_minima(*SCAN_FIXTURES["generic-6"])
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == SCAN_DIGESTS["generic-6"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shifts=st.lists(st.floats(0.05, 4.0), min_size=1, max_size=16),
+        alpha_max=st.floats(5.0, 80.0),
+    )
+    def test_equals_scalar_reference(self, shifts, alpha_max):
+        assert scan_minima(shifts, alpha_max) == _reference_scan(shifts, alpha_max)
+
+    def test_rows_match_scalar_reference(self):
+        # squares of Python floats (libm pow) and of arrays (x * x) differ on
+        # about 1 in 1000 inputs: 20000 rows meet some of them
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            shifts = rng.uniform(0.05, 5.0, int(rng.integers(1, 17)))
+            alphas = rng.uniform(0.0, 100.0, 1000)
+            expected = [_scalar_residual(a, shifts) for a in alphas.tolist()]
+            assert periodicity._row_residuals(alphas, shifts).tolist() == expected
+            assert system_residual(float(alphas[0]), shifts) == expected[0]
+
+    def test_row_evaluations_per_golden_step(self, monkeypatch):
+        sizes = []
+        row_residuals = periodicity._row_residuals
+
+        def counted(alphas, shifts):
+            sizes.append(alphas.size)
+            return row_residuals(alphas, shifts)
+
+        monkeypatch.setattr(periodicity, "_row_residuals", counted)
+        certs = find_periodic_alphas(*SCAN_FIXTURES["equispaced-16"][:2])
+        assert len(certs) == 74
+        # one call for the first two points of every bracket, one per golden
+        # step (about 60 narrow a grid cell to 1e-14) and one for the
+        # midpoints; a bracket at a time took 4530 scalar calls here
+        assert len(sizes) <= 80
+        assert sizes[0] == 2 * 74 and max(sizes) == 2 * 74
 
 
 class TestFourierMatrix:
