@@ -4,6 +4,14 @@ Exit codes: 0 success, 2 input validation, 3 domain violation (interpolation,
 coverage, boundary zeros), 4 numerical non-convergence.  All floats are
 printed with 17 significant digits and JSON keys are emitted in a fixed
 order, so identical invocations produce byte-identical output.
+
+A process pays only for the subcommand it runs.  This module imports the
+standard library, ``coefficients``, ``closedforms`` and ``errors``, none of
+which loads numpy, so ``regularity``, ``normalize``, ``equispaced`` and
+``two-term`` run without numpy.  Every other subcommand imports numpy and
+its one engine module when it starts: ``extend``, ``residual`` and
+``popoviciu`` load ``extension``; ``periodicity`` and ``fourier-matrix``
+load ``periodicity``; ``zeros`` and ``mora-solution`` load ``expsums``.
 """
 
 from __future__ import annotations
@@ -11,15 +19,19 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import coefficients, expsums, extension, periodicity
+from . import closedforms, coefficients
 from .errors import DomainViolation, InvalidInput, Nonconvergence
+
+if TYPE_CHECKING:
+    from . import extension
+
 
 @dataclass
 class RunConfig:
@@ -32,9 +44,10 @@ class RunConfig:
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
+    # numpy registers its integer and floating scalars with these ABCs
+    if isinstance(x, numbers.Integral):
         return str(int(x))
-    if isinstance(x, (float, np.floating)):
+    if isinstance(x, numbers.Real):
         return format(float(x), ".17g")
     raise TypeError(f"cannot format {type(x)!r}")
 
@@ -53,10 +66,13 @@ def to_json(obj) -> str:
 
 
 def _csv(header: str, rows) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(format(float(v), ".17g") for v in row))
-    return "\n".join(lines) + "\n"
+    """``header`` plus one line per row, every cell with 17 significant digits.
+
+    ``rows`` yields tuples of Python floats, one cell per header column;
+    ``%.17g`` prints a float exactly as ``format(v, ".17g")`` does.
+    """
+    line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+    return header + "\n" + "".join(line % row for row in rows)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -99,6 +115,8 @@ def _parse_vector(text: str, what: str) -> list[float]:
 
 
 def _read_boundary(path: str) -> extension.PiecewiseLinear:
+    from . import extension
+
     obj = _read_json(path)
     if not isinstance(obj, dict) or "breakpoints" not in obj or "values" not in obj:
         raise InvalidInput(f"{path} must be an object with 'breakpoints' and 'values'")
@@ -110,6 +128,11 @@ def _read_boundary(path: str) -> extension.PiecewiseLinear:
 
 def _shifts(text: str) -> coefficients.ShiftVector:
     return coefficients.ShiftVector(tuple(_parse_vector(text, "shifts")))
+
+
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise InvalidInput(f"--samples must be at least 1, got {samples}")
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -141,12 +164,19 @@ def _cmd_normalize(args, cfg: RunConfig) -> None:
 
 
 def _extend_for_range(boundary, shifts, lo: float, hi: float, tol: float):
+    from . import extension
+
     b_n = shifts.largest
     target = (min(lo, 0.0), max(hi + b_n, b_n))
     return extension.extend(boundary, shifts, target, tol=tol)
 
 
 def _cmd_extend(args, cfg: RunConfig) -> None:
+    import numpy as np
+
+    from . import extension
+
+    _check_samples(args.samples)
     shifts = _shifts(args.shifts)
     boundary = _read_boundary(args.boundary)
     lo, hi = args.range
@@ -160,13 +190,18 @@ def _cmd_extend(args, cfg: RunConfig) -> None:
         "interpolation_residual": extension.check_interpolation(boundary, shifts),
         "max_additive_residual": extension.residual_additive(sol, shifts, w),
     }
-    _emit(_csv("w,value", zip(w, values)), cfg.out)
+    _emit(_csv("w,value", zip(w.tolist(), values.tolist())), cfg.out)
     sys.stderr.write(to_json(report) + "\n")
 
 
 def _cmd_residual(args, cfg: RunConfig) -> None:
+    import numpy as np
+
+    from . import extension
+
     if (args.shifts is None) == (args.coeffs is None):
         raise InvalidInput("give exactly one of --shifts or --coeffs")
+    _check_samples(args.samples)
     boundary = _read_boundary(args.boundary)
     lo, hi = args.range
     if not lo < hi:
@@ -198,6 +233,8 @@ def _cmd_residual(args, cfg: RunConfig) -> None:
 
 
 def _cmd_periodicity(args, cfg: RunConfig) -> None:
+    from . import periodicity
+
     shifts = _parse_vector(args.shifts, "shifts")
     tol = cfg.tol if cfg.tol is not None else periodicity.CERTIFICATE_TOL
     certs = periodicity.find_periodic_alphas(
@@ -216,17 +253,19 @@ def _cmd_periodicity(args, cfg: RunConfig) -> None:
 
 
 def _cmd_equispaced(args, cfg: RunConfig) -> None:
-    alphas = periodicity.equispaced_alphas(args.n, args.d, args.m_max)
+    alphas = closedforms.equispaced_alphas(args.n, args.d, args.m_max)
     _emit(to_json(alphas) + "\n", cfg.out)
 
 
 def _cmd_two_term(args, cfg: RunConfig) -> None:
-    verdict = periodicity.two_term_periodic_exists(args.p, args.q)
+    verdict = closedforms.two_term_periodic_exists(args.p, args.q)
     witness = list(verdict.witness) if verdict.witness is not None else None
     _emit(to_json({"exists": verdict.exists, "witness": witness}) + "\n", cfg.out)
 
 
 def _cmd_fourier_matrix(args, cfg: RunConfig) -> None:
+    from . import periodicity
+
     mat = periodicity.fourier_matrix(args.k, args.theta, _parse_vector(args.shifts, "shifts"))
     _emit(
         to_json({"entries": [list(r) for r in mat.entries], "det": mat.det}) + "\n",
@@ -235,6 +274,8 @@ def _cmd_fourier_matrix(args, cfg: RunConfig) -> None:
 
 
 def _cmd_zeros(args, cfg: RunConfig) -> None:
+    from . import expsums
+
     rect = expsums.SearchRectangle(
         args.re_min, args.re_max, args.im_min, args.im_max, args.grid_re, args.grid_im
     )
@@ -250,7 +291,10 @@ def _cmd_zeros(args, cfg: RunConfig) -> None:
     scan_text = None
     if args.scan_csv:
         re, im, mod = expsums.scan_modulus(args.n, rect)
-        rows = ((re[j], im[i], mod[i, j]) for i in range(im.size) for j in range(re.size))
+        re = re.tolist()
+        rows = (
+            (x, y, m) for y, mod_row in zip(im.tolist(), mod.tolist()) for x, m in zip(re, mod_row)
+        )
         scan_text = _csv("re,im,abs", rows)
     _emit(payload, cfg.out)
     if scan_text is not None:
@@ -260,9 +304,17 @@ def _cmd_zeros(args, cfg: RunConfig) -> None:
 
 
 def _cmd_mora_solution(args, cfg: RunConfig) -> None:
+    import numpy as np
+
+    from . import expsums
+
+    if not (math.isfinite(args.re) and math.isfinite(args.im)):
+        raise InvalidInput("--re and --im must be finite")
+    _check_samples(args.samples)
     alpha = complex(args.re, args.im)
     residual = abs(expsums.power_sum(args.n, alpha))
-    if residual > expsums.ZERO_RESIDUAL_TOL:
+    # written so that a NaN residual fails too
+    if not residual <= expsums.ZERO_RESIDUAL_TOL:
         raise DomainViolation(
             f"{alpha} is not a zero: |sum| = {residual:.3g} exceeds "
             f"{expsums.ZERO_RESIDUAL_TOL:.0e}"
@@ -281,11 +333,13 @@ def _cmd_mora_solution(args, cfg: RunConfig) -> None:
         "continuous_at_zero": sol.continuous_at_zero,
         "equation_residual": expsums.residual_integer_equation(sol, args.n, check),
     }
-    _emit(_csv("x,value", zip(x, sol(x))), cfg.out)
+    _emit(_csv("x,value", zip(x.tolist(), sol(x).tolist())), cfg.out)
     sys.stderr.write(to_json(report) + "\n")
 
 
 def _cmd_popoviciu(args, cfg: RunConfig) -> None:
+    from . import extension
+
     shifts = _shifts(args.shifts)
     boundary = _read_boundary(args.boundary)
     span = 2 * args.order * args.h

@@ -10,7 +10,8 @@ matrix tying the Fourier coefficients of g to those of the equation's left
 side has nonnegative determinant and vanishes entrywise as soon as its
 determinant does.  The scanner minimizes that determinant (a sum of two
 squares, so zeros are double roots and sign-based bracketing is useless);
-the equispaced and two-shift families have closed forms checked exactly.
+the equispaced and two-shift families have closed forms checked exactly,
+kept in ``closedforms`` (numpy-free) and re-exported here.
 
 The scan evaluates the residual on a grid of at most ``MAX_GRID_POINTS``
 points, checked before anything is allocated, in blocks of about 8 MiB of
@@ -20,7 +21,7 @@ bracket in one array call, and each bracket takes exactly the steps a scalar
 golden section would take on it alone.  The refined residuals square the
 cosine and sine sums as Python floats, which is how the scalar residual
 forms them, so the certificates are the same to the bit as a one-bracket-at-
-a-time refinement.  Non-finite shifts and frequencies are refused.
+a-time refinement.  Non-finite shifts, frequencies and angles are refused.
 """
 
 from __future__ import annotations
@@ -30,15 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closedforms import TwoTermVerdict, equispaced_alphas, two_term_periodic_exists
 from .coefficients import ShiftVector
-from .errors import (
-    GridBudgetExceeded,
-    InvalidInput,
-    InvalidRange,
-    NonPositiveScale,
-    NotCoprime,
-    ZeroDenominator,
-)
+from .errors import GridBudgetExceeded, InvalidInput, InvalidRange, NonPositiveScale
 
 __all__ = [
     "PeriodicityCertificate",
@@ -266,31 +261,14 @@ def find_periodic_alphas(
     return certs
 
 
-def equispaced_alphas(n: int, d: float, m_max: int) -> list[float]:
-    """Closed-form frequencies 2*m*pi/((n+1)*d) for shifts (d, 2d, ..., nd).
-
-    Indices m that are multiples of n+1 make every phase a full turn and are
-    excluded.
-    """
-    if n < 1:
-        raise InvalidInput("n must be >= 1")
-    if not (d > 0.0):
-        raise NonPositiveScale("spacing d must be positive")
-    if m_max < 1:
-        raise InvalidInput("m_max must be >= 1")
-    return [
-        2.0 * m * math.pi / ((n + 1) * d)
-        for m in range(1, m_max + 1)
-        if m % (n + 1) != 0
-    ]
-
-
 def fourier_matrix(k: int, theta: float, b) -> FourierMatrix:
     """Matrix sending harmonic-k coefficients of g to those of the equation."""
     if k < 1:
         raise InvalidInput("harmonic index k must be >= 1")
     shifts = _shift_array(b)
     phases = k * theta * shifts
+    if not np.all(np.isfinite(phases)):
+        raise InvalidInput("theta must be finite, and k * theta * b_k must not overflow")
     c = 1.0 + float(np.cos(phases).sum())
     s = float(np.sin(phases).sum())
     return FourierMatrix(entries=((c, s), (-s, c)))
@@ -303,39 +281,3 @@ def scale_shifts(b, d: float):
     if isinstance(b, ShiftVector):
         return ShiftVector(tuple(v * d for v in b.entries))
     return tuple(float(v) * d for v in b)
-
-
-@dataclass(frozen=True)
-class TwoTermVerdict:
-    """Decision for g(x) + g(x+a) + g(x+b) = 0 with a/b = p/q in lowest terms."""
-
-    exists: bool
-    witness: tuple[int, int] | None
-    reason: str
-
-    def __bool__(self) -> bool:
-        return self.exists
-
-
-def two_term_periodic_exists(p: int, q: int) -> TwoTermVerdict:
-    """Decide periodic solvability of the two-shift equation from p/q.
-
-    Solvable exactly when {p mod 3, q mod 3} == {1, 2}; then p/q equals
-    (2+3k)/(1+3m) or its reciprocal for integer k, m recovered directly from
-    the residues.  Pure integer arithmetic throughout.
-    """
-    if q == 0:
-        raise ZeroDenominator("q must be nonzero")
-    if p < 1 or q < 1:
-        raise InvalidInput("p and q must be positive integers")
-    if math.gcd(p, q) != 1:
-        raise NotCoprime(f"{p}/{q} is not in lowest terms")
-
-    residues = (p % 3, q % 3)
-    if residues == (2, 1):
-        return TwoTermVerdict(True, ((p - 2) // 3, (q - 1) // 3), "p = 2+3k, q = 1+3m")
-    if residues == (1, 2):
-        return TwoTermVerdict(True, ((q - 2) // 3, (p - 1) // 3), "p = 1+3m, q = 2+3k")
-    return TwoTermVerdict(
-        False, None, f"residues mod 3 are {residues}, need one 1 and one 2"
-    )

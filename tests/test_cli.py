@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dilateq.cli import main, to_json
+from tests.test_package import src_env
 
 TENT = '{"breakpoints": [0, 1, 2], "values": [1, 1, -2]}'
 
@@ -33,6 +34,12 @@ class TestSerializer:
 
     def test_null_and_bool(self):
         assert to_json({"x": None, "y": True}) == '{"x": null, "y": true}'
+
+    def test_numpy_scalars(self):
+        assert to_json(np.float64(0.1)) == "0.10000000000000001"
+        assert to_json(np.float32(0.5)) == "0.5"
+        assert to_json(np.int64(3)) == "3"
+        assert to_json(True) == "true"
 
 
 class TestRegularity:
@@ -320,3 +327,100 @@ class TestReproducibility:
         b = subprocess.run(cmd, capture_output=True)
         assert a.returncode == 0
         assert a.stdout == b.stdout
+
+
+class TestRefusedBeforeWork:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mora-solution", "--n", 2, "--re", "nan", "--im", 1],
+            ["mora-solution", "--n", 2, "--re", 0, "--im", "inf"],
+            ["fourier-matrix", "--k", 1, "--theta", "nan", "--shifts", "[1,2]"],
+            ["fourier-matrix", "--k", 1, "--theta", "inf", "--shifts", "[1,2]"],
+            ["equispaced", "--n", 2, "--d", "inf", "--m-max", 2],
+            ["equispaced", "--n", 2, "--d", "nan", "--m-max", 2],
+        ],
+    )
+    def test_non_finite_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "finite" in err
+
+    @pytest.mark.parametrize("samples", [-1, 0])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["extend", "{tent}", "--shifts", "[1,2]", "--range", -3, 6],
+            ["residual", "--boundary", "{tent}", "--shifts", "[1,2]", "--range", -3, 3],
+            ["mora-solution", "--n", 2, "--re", 0, "--im", math.pi / math.log(2)],
+        ],
+    )
+    def test_samples_below_one_exits_2(self, capsys, tent_file, argv, samples):
+        argv = [tent_file if a == "{tent}" else a for a in argv]
+        code, out, err = run(capsys, *argv, "--samples", samples)
+        assert code == 2 and out == ""
+        assert "--samples" in err
+
+
+ENGINES = {"numpy", "dilateq.extension", "dilateq.periodicity", "dilateq.expsums"}
+
+
+def _imports(argv, cwd):
+    """Exit code and imported module names of ``python -X importtime -m dilateq argv``.
+
+    Runs in a subprocess: this process has numpy and every engine loaded.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "dilateq", *argv],
+        cwd=cwd, env=src_env(), capture_output=True, text=True, timeout=60,
+    )
+    names = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return proc.returncode, names
+
+
+class TestImportWeight:
+    """Each subcommand imports only what it runs: a new module-level numpy or
+    engine import on the light path fails here."""
+
+    @pytest.mark.parametrize(
+        "argv, exit_code",
+        [
+            (["regularity", "[2,3]"], 0),
+            (["normalize", "[0.5,3]"], 0),
+            (["equispaced", "--n", "2", "--d", "1", "--m-max", "4"], 0),
+            (["two-term", "5", "4"], 0),
+            (["two-term", "3", "6"], 2),
+            (["regularity", "[NaN]"], 2),
+        ],
+    )
+    def test_light_subcommand_imports_no_numpy(self, tmp_path, argv, exit_code):
+        code, names = _imports(argv, tmp_path)
+        assert code == exit_code
+        assert "dilateq.cli" in names
+        assert not names & ENGINES
+
+    @pytest.mark.parametrize(
+        "argv, engine",
+        [
+            (["extend", "tent.json", "--shifts", "[1,2]", "--range", "-3", "6"], "dilateq.extension"),
+            (["residual", "--boundary", "tent.json", "--shifts", "[1,2]", "--range", "-3", "3"],
+             "dilateq.extension"),
+            (["popoviciu", "--boundary", "tent.json", "--shifts", "[1,2]",
+              "--x", "0.5", "--h", "0.3", "--order", "3"], "dilateq.extension"),
+            (["periodicity", "--shifts", "[1,2]", "--alpha-max", "10"], "dilateq.periodicity"),
+            (["fourier-matrix", "--k", "1", "--theta", "2", "--shifts", "[1,2]"],
+             "dilateq.periodicity"),
+            (["zeros", "--n", "2"], "dilateq.expsums"),
+            (["mora-solution", "--n", "2", "--re", "0", "--im", "4.532360141827194"],
+             "dilateq.expsums"),
+        ],
+    )
+    def test_heavy_subcommand_imports_its_engine_only(self, tmp_path, argv, engine):
+        (tmp_path / "tent.json").write_text(TENT)
+        code, names = _imports(argv, tmp_path)
+        assert code == 0
+        assert names & ENGINES == {"numpy", engine}

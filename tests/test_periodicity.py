@@ -134,6 +134,11 @@ class TestEquispaced:
         assert equispaced_alphas(1, 1.0, 2) == pytest.approx([pi])
         assert equispaced_alphas(1, 1.0, 3) == pytest.approx([pi, 3 * pi])
 
+    @pytest.mark.parametrize("d", [math.inf, -math.inf, math.nan])
+    def test_non_finite_spacing_refused(self, d):
+        with pytest.raises(InvalidInput, match="finite"):
+            equispaced_alphas(2, d, 2)
+
     def test_closed_form_solves_system(self):
         for n in range(1, 6):
             for d in (0.5, 1.0, math.log(2)):
@@ -333,6 +338,11 @@ class TestFourierMatrix:
     def test_full_turn(self):
         mat = fourier_matrix(1, 2 * pi, (1.0, 2.0))
         np.testing.assert_allclose(mat.entries, [[3.0, 0.0], [0.0, 3.0]], atol=1e-14)
+
+    @pytest.mark.parametrize("k, theta", [(1, math.nan), (1, math.inf), (2, -math.inf), (10**6, 1e305)])
+    def test_non_finite_phase_refused(self, k, theta):
+        with pytest.raises(InvalidInput, match="finite"):
+            fourier_matrix(k, theta, (1.0, 2.0))
 
     def test_harmonic_frequency_product(self):
         a = fourier_matrix(2, pi / 3, (1.0, 2.0))
