@@ -22,7 +22,6 @@ import math
 import numbers
 import sys
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -31,12 +30,6 @@ from .errors import DomainViolation, InvalidInput, Nonconvergence
 
 if TYPE_CHECKING:
     from . import extension
-
-
-@dataclass
-class RunConfig:
-    out: str | None
-    tol: float | None
 
 
 # -- serialization -------------------------------------------------------------
@@ -137,7 +130,7 @@ def _check_samples(samples: int) -> None:
 
 # -- subcommands ----------------------------------------------------------------
 
-def _cmd_regularity(args, cfg: RunConfig) -> None:
+def _cmd_regularity(args) -> None:
     vec = coefficients.normalize(_parse_vector(args.coeffs, "coefficients"))
     ri = coefficients.regularity_index(vec)
     _emit(
@@ -150,16 +143,16 @@ def _cmd_regularity(args, cfg: RunConfig) -> None:
             }
         )
         + "\n",
-        cfg.out,
+        args.out,
     )
 
 
-def _cmd_normalize(args, cfg: RunConfig) -> None:
+def _cmd_normalize(args) -> None:
     vec = coefficients.normalize(_parse_vector(args.coeffs, "coefficients"))
     shifts = coefficients.to_additive(vec)
     _emit(
         to_json({"entries": list(vec.entries), "shifts": list(shifts.entries)}) + "\n",
-        cfg.out,
+        args.out,
     )
 
 
@@ -171,7 +164,7 @@ def _extend_for_range(boundary, shifts, lo: float, hi: float, tol: float):
     return extension.extend(boundary, shifts, target, tol=tol)
 
 
-def _cmd_extend(args, cfg: RunConfig) -> None:
+def _cmd_extend(args) -> None:
     import numpy as np
 
     from . import extension
@@ -182,7 +175,7 @@ def _cmd_extend(args, cfg: RunConfig) -> None:
     lo, hi = args.range
     if not lo < hi:
         raise InvalidInput("range must satisfy lo < hi")
-    tol = cfg.tol if cfg.tol is not None else extension.INTERPOLATION_TOL
+    tol = args.tol if args.tol is not None else extension.INTERPOLATION_TOL
     sol = _extend_for_range(boundary, shifts, lo, hi, tol)
     w = np.linspace(lo, hi, args.samples)
     values = sol(w)
@@ -190,11 +183,11 @@ def _cmd_extend(args, cfg: RunConfig) -> None:
         "interpolation_residual": extension.check_interpolation(boundary, shifts),
         "max_additive_residual": extension.residual_additive(sol, shifts, w),
     }
-    _emit(_csv("w,value", zip(w.tolist(), values.tolist())), cfg.out)
+    _emit(_csv("w,value", zip(w.tolist(), values.tolist())), args.out)
     sys.stderr.write(to_json(report) + "\n")
 
 
-def _cmd_residual(args, cfg: RunConfig) -> None:
+def _cmd_residual(args) -> None:
     import numpy as np
 
     from . import extension
@@ -206,7 +199,7 @@ def _cmd_residual(args, cfg: RunConfig) -> None:
     lo, hi = args.range
     if not lo < hi:
         raise InvalidInput("range must satisfy lo < hi")
-    tol = cfg.tol if cfg.tol is not None else extension.INTERPOLATION_TOL
+    tol = args.tol if args.tol is not None else extension.INTERPOLATION_TOL
     if args.shifts is not None:
         shifts = _shifts(args.shifts)
         sol = _extend_for_range(boundary, shifts, lo, hi, tol)
@@ -228,15 +221,15 @@ def _cmd_residual(args, cfg: RunConfig) -> None:
             }
         )
         + "\n",
-        cfg.out,
+        args.out,
     )
 
 
-def _cmd_periodicity(args, cfg: RunConfig) -> None:
+def _cmd_periodicity(args) -> None:
     from . import periodicity
 
     shifts = _parse_vector(args.shifts, "shifts")
-    tol = cfg.tol if cfg.tol is not None else periodicity.CERTIFICATE_TOL
+    tol = args.tol if args.tol is not None else periodicity.CERTIFICATE_TOL
     certs = periodicity.find_periodic_alphas(
         shifts, args.alpha_max, grid_step=args.grid_step, tol=tol
     )
@@ -248,32 +241,32 @@ def _cmd_periodicity(args, cfg: RunConfig) -> None:
             ]
         )
         + "\n",
-        cfg.out,
+        args.out,
     )
 
 
-def _cmd_equispaced(args, cfg: RunConfig) -> None:
+def _cmd_equispaced(args) -> None:
     alphas = closedforms.equispaced_alphas(args.n, args.d, args.m_max)
-    _emit(to_json(alphas) + "\n", cfg.out)
+    _emit(to_json(alphas) + "\n", args.out)
 
 
-def _cmd_two_term(args, cfg: RunConfig) -> None:
+def _cmd_two_term(args) -> None:
     verdict = closedforms.two_term_periodic_exists(args.p, args.q)
     witness = list(verdict.witness) if verdict.witness is not None else None
-    _emit(to_json({"exists": verdict.exists, "witness": witness}) + "\n", cfg.out)
+    _emit(to_json({"exists": verdict.exists, "witness": witness}) + "\n", args.out)
 
 
-def _cmd_fourier_matrix(args, cfg: RunConfig) -> None:
+def _cmd_fourier_matrix(args) -> None:
     from . import periodicity
 
     mat = periodicity.fourier_matrix(args.k, args.theta, _parse_vector(args.shifts, "shifts"))
     _emit(
         to_json({"entries": [list(r) for r in mat.entries], "det": mat.det}) + "\n",
-        cfg.out,
+        args.out,
     )
 
 
-def _cmd_zeros(args, cfg: RunConfig) -> None:
+def _cmd_zeros(args) -> None:
     from . import expsums
 
     rect = expsums.SearchRectangle(
@@ -296,14 +289,14 @@ def _cmd_zeros(args, cfg: RunConfig) -> None:
             (x, y, m) for y, mod_row in zip(im.tolist(), mod.tolist()) for x, m in zip(re, mod_row)
         )
         scan_text = _csv("re,im,abs", rows)
-    _emit(payload, cfg.out)
+    _emit(payload, args.out)
     if scan_text is not None:
         Path(args.scan_csv).write_text(scan_text)
     for w in caught:
         sys.stderr.write(f"warning: {w.message}\n")
 
 
-def _cmd_mora_solution(args, cfg: RunConfig) -> None:
+def _cmd_mora_solution(args) -> None:
     import numpy as np
 
     from . import expsums
@@ -333,23 +326,23 @@ def _cmd_mora_solution(args, cfg: RunConfig) -> None:
         "continuous_at_zero": sol.continuous_at_zero,
         "equation_residual": expsums.residual_integer_equation(sol, args.n, check),
     }
-    _emit(_csv("x,value", zip(x.tolist(), sol(x).tolist())), cfg.out)
+    _emit(_csv("x,value", zip(x.tolist(), sol(x).tolist())), args.out)
     sys.stderr.write(to_json(report) + "\n")
 
 
-def _cmd_popoviciu(args, cfg: RunConfig) -> None:
+def _cmd_popoviciu(args) -> None:
     from . import extension
 
     shifts = _shifts(args.shifts)
     boundary = _read_boundary(args.boundary)
     span = 2 * args.order * args.h
     lo, hi = min(args.x, args.x + span), max(args.x, args.x + span)
-    tol = cfg.tol if cfg.tol is not None else extension.INTERPOLATION_TOL
+    tol = args.tol if args.tol is not None else extension.INTERPOLATION_TOL
     sol = extension.extend(
         boundary, shifts, (min(lo, 0.0), max(hi, shifts.largest)), tol=tol
     )
     det = extension.popoviciu_determinant(sol, args.x, args.h, args.order)
-    _emit(to_json({"det": det}) + "\n", cfg.out)
+    _emit(to_json({"det": det}) + "\n", args.out)
 
 
 # -- parser ----------------------------------------------------------------------
@@ -444,12 +437,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(out=args.out, tol=args.tol)
-    if cfg.tol is not None and not cfg.tol > 0.0:
+    if args.tol is not None and not args.tol > 0.0:
         sys.stderr.write("error: --tol must be positive\n")
         return 2
     try:
-        args.func(args, cfg)
+        args.func(args)
     except InvalidInput as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

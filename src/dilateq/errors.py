@@ -74,12 +74,13 @@ class CoverageBudgetExceeded(DomainViolation):
 
 
 class GridBudgetExceeded(DomainViolation):
-    """A periodicity scan grid would exceed the grid-point budget."""
+    """A periodicity or zero-search scan grid would exceed its point budget."""
 
 
 class BoundaryZero(DomainViolation):
-    """A zero lies too close to the search rectangle edge for the winding
-    integral to be trusted."""
+    """The winding count cannot be certified: the power sum is not finite or
+    nearly zero on the rectangle edge, or the boundary needs more samples than
+    the budget allows."""
 
 
 # -- nonconvergence -----------------------------------------------------------

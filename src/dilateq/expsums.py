@@ -22,23 +22,19 @@ The engine keeps transcendental calls few:
   raises ``BoundaryZero``.
 - ``newton_refine`` reuses the value from each step's residual check as the
   next step's ``g``: one ``power_sum`` and one ``power_sum_deriv`` per step.
-- ``winding_count`` evaluates each side's nodes in one array call and then
-  refines breadth first, one array call per level for the midpoints of every
-  unsettled segment.  Tolerances, depth, Python complex arithmetic and the
-  tree order of the sums are those of the depth-first adaptive trapezoid
-  rule, so the integral is the same to the bit.  A non-finite integrand
-  raises ``BoundaryZero`` at once, and so does a level of more than
-  ``_WINDING_MAX_ACTIVE`` segments.
+- ``winding_count`` tracks arg G along the boundary on samples close
+  enough that it provably moves by less than pi between neighbours (see its
+  docstring), bisecting every uncertified step in one array pass per level.
+  The principal angles of the steps then sum to 2 pi times the count, up to
+  rounding, on at most ``_WINDING_MAX_SAMPLES`` samples.
 - ``find_zeros`` seeds once more on the grid with every cell halved when
   the winding count exceeds the zeros found, keeping the zeros it has.
 """
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -46,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BoundaryZero, IncompleteSearch, InvalidInput, InvalidRange
+from .errors import BoundaryZero, GridBudgetExceeded, IncompleteSearch, InvalidInput, InvalidRange
 
 __all__ = [
     "ComplexZero",
@@ -75,17 +71,14 @@ _EDGE_MARGIN = 1e-6
 
 _NEWTON_MAX_ITER = 60
 
-#: bytes of complex temporaries per block of the scan and per winding call
+#: bytes of complex temporaries per block of the scan and of winding samples
 _CHUNK_BYTES = 8 << 20
 
-#: adaptive winding refinement: first tolerance, halved per level, and depth
-_WINDING_TOL = 1e-3
-_WINDING_DEPTH = 48
+#: most points one modulus scan grid may hold
+_MAX_SCAN_POINTS = 1 << 22
 
-#: initial boundary segments refined together, and the most segments one
-#: refinement level of such a block may hold
-_WINDING_BLOCK = 4096
-_WINDING_MAX_ACTIVE = 1 << 16
+#: most boundary samples one winding count may evaluate
+_WINDING_MAX_SAMPLES = 1 << 18
 
 
 @functools.lru_cache(maxsize=None)
@@ -135,6 +128,9 @@ class SearchRectangle:
     grid_im: int = 241
 
     def __post_init__(self) -> None:
+        bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
+        if not all(math.isfinite(v) for v in bounds):
+            raise InvalidRange("rectangle bounds must be finite")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise InvalidRange("rectangle must have positive width and height")
         if self.grid_re < 2 or self.grid_im < 2:
@@ -221,8 +217,15 @@ def scan_modulus(n: int, rect: SearchRectangle) -> tuple[np.ndarray, np.ndarray,
     Each term is the product of a radial factor exp(x ln k) and a phase
     exp(iy ln k), both exponentiated as complex numbers so that they match
     exp((x + iy) ln k) bit for bit; see the module docstring for the range.
+    A grid of more than ``_MAX_SCAN_POINTS`` points raises GridBudgetExceeded
+    before anything is allocated.
     """
     _check_n(n)
+    if rect.grid_re * rect.grid_im > _MAX_SCAN_POINTS:
+        raise GridBudgetExceeded(
+            f"scan grid of {rect.grid_re} x {rect.grid_im} points exceeds the budget "
+            f"of {_MAX_SCAN_POINTS}"
+        )
     re = np.linspace(rect.re_min, rect.re_max, rect.grid_re)
     im = np.linspace(rect.im_min, rect.im_max, rect.grid_im)
     logs = _log_table(n)
@@ -249,97 +252,84 @@ def _local_minima(a: np.ndarray) -> list[tuple[int, int]]:
     return [(int(i), int(j)) for i, j in zip(*np.nonzero(mask))]
 
 
-def _logderiv(n: int, zs: list[complex]) -> list[complex]:
-    """G'/G at the points zs, in array calls of about ``_CHUNK_BYTES`` each.
+def _boundary_samples(n: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G at z and the bound sum(ln k * k^(Re z), k=2..n) on |G'| left of Re z.
 
-    The quotient is taken in Python complex arithmetic, as a scalar call
-    would; a modulus below 1e-9 or a non-finite quotient raises BoundaryZero.
+    Evaluated in blocks of about ``_CHUNK_BYTES``; a non-finite G or bound,
+    or a modulus below 1e-9, raises BoundaryZero.
     """
-    out: list[complex] = []
+    logs = _log_table(n)[1:]
+    g = np.empty(z.shape, dtype=complex)
+    bound = np.empty(z.shape)
     step = max(1, _CHUNK_BYTES // (16 * n))
-    for lo in range(0, len(zs), step):
-        z = np.array(zs[lo : lo + step], dtype=complex)
-        g = power_sum(n, z)
-        small = np.abs(g) < 1e-9
-        if small.any():
-            k = int(np.argmax(small))
-            raise BoundaryZero(f"modulus {abs(g[k]):.3g} on the boundary at {z[k]:.6g}")
-        d = power_sum_deriv(n, z)
-        for zk, dk, gk in zip(z.tolist(), d.tolist(), g.tolist()):
-            out.append(dk / gk)
-            if not cmath.isfinite(out[-1]):
-                raise BoundaryZero(f"winding integrand is not finite at {zk:.6g}")
-    return out
-
-
-def _refine(n: int, segs: list) -> list[complex]:
-    """Adaptive trapezoid integrals of G'/G over segments (a, b, f(a), f(b)).
-
-    A segment whose one-step refinement moves the integral by more than its
-    tolerance (1e-3, halved per level) is split, at most 48 levels deep.  The
-    levels are evaluated breadth first, one array call each, and every split
-    segment's value is the sum of its halves, as in the depth-first rule.
-    """
-    levels: list[tuple[list[complex], list[int]]] = []
-    tol, depth = _WINDING_TOL, _WINDING_DEPTH
-    while segs:
-        mids = [0.5 * (a + b) for a, b, _, _ in segs]
-        fms = _logderiv(n, mids)
-        fine, split, children = [], [], []
-        for i, ((a, b, fa, fb), mid, fm) in enumerate(zip(segs, mids, fms)):
-            coarse = 0.5 * (fa + fb) * (b - a)
-            fine.append(0.5 * (fa + fm) * (mid - a) + 0.5 * (fm + fb) * (b - mid))
-            if not abs(fine[-1] - coarse) <= tol:
-                split.append(i)
-                children += [(a, mid, fa, fm), (mid, b, fm, fb)]
-        levels.append((fine, split))
-        if split and depth <= 0:
-            raise BoundaryZero(
-                f"winding integrand will not settle near {mids[split[0]]:.6g}; "
-                "zero close to the edge?"
-            )
-        if len(children) > _WINDING_MAX_ACTIVE:
-            raise BoundaryZero(
-                f"winding refinement needs more than {_WINDING_MAX_ACTIVE} segments "
-                f"at level {len(levels) + 1}; zero close to the edge?"
-            )
-        segs, tol, depth = children, 0.5 * tol, depth - 1
-    below: list[complex] = []
-    for fine, split in reversed(levels):
-        for j, i in enumerate(split):
-            fine[i] = below[2 * j] + below[2 * j + 1]
-        below = fine
-    return below
-
-
-def _boundary_segments(n: int, rect: SearchRectangle):
-    """Initial trapezoid segments (a, b, f(a), f(b)) side by side, counterclockwise."""
-    corners = rect.corners
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        pieces = max(8, int(math.ceil(abs(b - a) * max(1.0, math.log(n)))))
-        zs = [a + (b - a) * k / pieces for k in range(pieces + 1)]
-        fs = _logderiv(n, zs)
-        yield from zip(zs, zs[1:], fs, fs[1:])
+    for lo in range(0, z.size, step):
+        part = z[lo : lo + step]
+        g[lo : lo + step] = power_sum(n, part)
+        with np.errstate(over="ignore"):
+            radial = np.exp(np.multiply.outer(part.real, logs))
+            bound[lo : lo + step] = (logs * radial).sum(axis=-1)
+    bad = ~(np.isfinite(g) & np.isfinite(bound))
+    if bad.any():
+        raise BoundaryZero(f"power sum or its slope is not finite at {z[np.argmax(bad)]:.6g}")
+    small = np.abs(g) < 1e-9
+    if small.any():
+        k = int(np.argmax(small))
+        raise BoundaryZero(f"modulus {abs(g[k]):.3g} on the boundary at {z[k]:.6g}")
+    return g, bound
 
 
 def winding_count(n: int, rect: SearchRectangle) -> int:
     """Number of zeros inside the rectangle by the argument principle.
 
-    Trapezoid rule on (d/dz log) of the power sum along the boundary, with
-    per-segment adaptive subdivision (``_refine``) over blocks of at most
-    ``_WINDING_BLOCK`` initial segments; raises BoundaryZero when the
-    integral is ill-conditioned or lands too far from an integer.
+    Certified phase tracking (Ying and Katz, Numer. Math. 53, 1988).  A step
+    [a, b] of the boundary is accepted when |b - a| * M < |G(a)| + |G(b)|,
+    where M = sum(ln k * k^x, k=2..n) bounds |G'| up to x, the larger real
+    part of a and b.  G then maps the step into an ellipse with foci G(a) and
+    G(b) that excludes 0, so arg G moves by less than pi and the principal
+    angle of G(b)/G(a) is its exact change.  Every rejected step is bisected,
+    one array pass per level.  Raises BoundaryZero when G or M is not finite,
+    or |G| is below 1e-9, on a sample, when the samples would exceed
+    ``_WINDING_MAX_SAMPLES`` (checked before they are allocated), or when the
+    angle sum is not near an integer multiple of 2 pi.
     """
     _check_n(n)
-    segments = _boundary_segments(n, rect)
-    total = 0.0j
-    while block := list(itertools.islice(segments, _WINDING_BLOCK)):
-        for value in _refine(n, block):
-            total += value
-    turns = total.imag / (2.0 * math.pi)
+    corners = rect.corners
+    sides = list(zip(corners, corners[1:] + corners[:1]))
+    lengths = [abs(b - a) * max(1.0, math.log(n)) for a, b in sides]
+    if sum(max(8.0, length) for length in lengths) > _WINDING_MAX_SAMPLES:
+        raise BoundaryZero(
+            f"winding count needs more than {_WINDING_MAX_SAMPLES} samples on the boundary"
+        )
+    z = np.concatenate(
+        [
+            np.linspace(a, b, max(8, math.ceil(length)), endpoint=False)
+            for (a, b), length in zip(sides, lengths)
+        ]
+    )
+    g, bound = _boundary_samples(n, z)
+    while True:
+        # step j runs from sample j to sample j + 1, the last one back to the first
+        z_next, g_next = np.roll(z, -1), np.roll(g, -1)
+        slope = np.maximum(bound, np.roll(bound, -1))
+        with np.errstate(over="ignore"):
+            split = np.abs(z_next - z) * slope >= np.abs(g) + np.abs(g_next)
+        if not split.any():
+            break
+        if z.size + np.count_nonzero(split) > _WINDING_MAX_SAMPLES:
+            k = int(np.argmax(split))
+            raise BoundaryZero(
+                f"winding count needs more than {_WINDING_MAX_SAMPLES} samples near "
+                f"{z[k]:.6g}; zero close to the edge?"
+            )
+        mid = 0.5 * (z[split] + z_next[split])
+        g_mid, bound_mid = _boundary_samples(n, mid)
+        at = np.flatnonzero(split) + 1
+        z, g = np.insert(z, at, mid), np.insert(g, at, g_mid)
+        bound = np.insert(bound, at, bound_mid)
+    turns = float(np.angle(np.roll(g, -1) / g).sum()) / (2.0 * math.pi)
     nearest = round(turns)
     if abs(turns - nearest) > 0.2:
-        raise BoundaryZero(f"winding integral {turns:.6g} is not close to an integer")
+        raise BoundaryZero(f"winding sum {turns:.6g} is not close to an integer")
     return int(nearest)
 
 

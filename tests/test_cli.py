@@ -2,9 +2,13 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dilateq.cli import main, to_json
 from tests.test_package import src_env
@@ -265,6 +269,63 @@ class TestZeros:
         lines = scan.read_text().strip().splitlines()
         assert lines[0] == "re,im,abs" and len(lines) == 17
 
+    @pytest.mark.parametrize(
+        "bound", ["--im-max=inf", "--re-min=-inf", "--im-min=-inf", "--re-max=nan"]
+    )
+    def test_non_finite_bound_exits_2(self, capsys, bound):
+        code, out, err = run(capsys, "zeros", "--n", 3, bound)
+        assert (code, out) == (2, "")
+        assert err == "error: rectangle bounds must be finite\n"
+
+    @pytest.mark.parametrize("bound", ["--im-max=1e300", "--re-max=1e300", "--re-min=-1e300"])
+    def test_huge_bound_exits_3(self, capsys, bound):
+        # the winding count refuses a boundary too long to sample before sampling it
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "zeros", "--n", 3, bound)
+        assert (code, out) == (3, "")
+        assert "samples on the boundary" in err
+        assert time.perf_counter() - t0 < 5.0
+
+    def test_grid_over_budget_exits_3(self, capsys, tmp_path):
+        out_file = tmp_path / "zeros.json"
+        code, out, err = run(
+            capsys, "zeros", "--n", 2, "--grid-re", 100000, "--grid-im", 100000,
+            "--out", out_file,
+        )
+        assert (code, out) == (3, "")
+        assert "exceeds the budget" in err
+        assert not out_file.exists()
+
+
+ADVERSARIAL = st.one_of(
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, 2.2e-308]
+    ),
+    st.floats(-40.0, 40.0),
+)
+
+
+class TestZerosFuzz:
+    @settings(max_examples=60, deadline=5000)
+    @given(
+        n=st.integers(2, 30),
+        bounds=st.tuples(ADVERSARIAL, ADVERSARIAL, ADVERSARIAL, ADVERSARIAL),
+        grid=st.tuples(st.integers(2, 8), st.integers(2, 8)),
+    )
+    def test_exit_code_and_no_partial_files(self, n, bounds, grid):
+        names = ("--re-min", "--re-max", "--im-min", "--im-max")
+        argv = ["zeros", "--n", str(n), "--grid-re", str(grid[0]), "--grid-im", str(grid[1])]
+        argv += [f"{name}={value!r}" for name, value in zip(names, bounds)]
+        with tempfile.TemporaryDirectory() as tmp:
+            out, scan = Path(tmp, "zeros.json"), Path(tmp, "scan.csv")
+            code = main(argv + ["--out", str(out), "--scan-csv", str(scan)])
+            assert code in (0, 2, 3, 4)
+            if code == 0:
+                assert json.loads(out.read_text()) is not None
+                assert len(scan.read_text().splitlines()) == 1 + grid[0] * grid[1]
+            else:
+                assert not out.exists() and not scan.exists()
+
 
 class TestMoraSolution:
     def test_known_zero(self, capsys):
@@ -313,6 +374,11 @@ class TestGlobalFlags:
             main(["regularity", "[2,3]", "--seed", "1"])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_tol_must_be_positive(self, capsys, tol):
+        code, out, err = run(capsys, "regularity", "[2,3]", "--tol", tol)
+        assert (code, out, err) == (2, "", "error: --tol must be positive\n")
 
 
 class TestReproducibility:

@@ -1,11 +1,12 @@
 import hashlib
+import math
 import time
 import warnings
 from math import log, pi
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dilateq import (
     ComplexZero,
@@ -19,7 +20,13 @@ from dilateq import (
     zeta_partial_sum,
 )
 from dilateq import expsums
-from dilateq.errors import BoundaryZero, IncompleteSearch, InvalidInput, InvalidRange
+from dilateq.errors import (
+    BoundaryZero,
+    GridBudgetExceeded,
+    IncompleteSearch,
+    InvalidInput,
+    InvalidRange,
+)
 from dilateq.expsums import newton_refine, power_sum_deriv, scan_modulus
 
 LN2 = log(2.0)
@@ -64,6 +71,26 @@ class TestRectangle:
     def test_rejects_coarse_grid(self):
         with pytest.raises(InvalidRange):
             SearchRectangle(0.0, 1.0, 0.0, 1.0, grid_re=1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", range(4))
+    def test_rejects_non_finite(self, bad, field):
+        bounds = [-1.0, 1.0, 0.0, 1.0]
+        bounds[field] = bad
+        with pytest.raises(InvalidRange, match="finite"):
+            SearchRectangle(*bounds)
+
+    def test_grid_over_budget(self, monkeypatch):
+        monkeypatch.setattr(expsums, "_MAX_SCAN_POINTS", 100)
+        with pytest.raises(GridBudgetExceeded, match="11 x 10"):
+            scan_modulus(2, SearchRectangle(-1.0, 1.0, 0.0, 20.0, 11, 10))
+        assert scan_modulus(2, SearchRectangle(-1.0, 1.0, 0.0, 20.0, 10, 10))[2].shape == (10, 10)
+
+    def test_reseed_grid_over_budget(self, monkeypatch):
+        # the 2 x 2 grid misses zeros; its 3 x 3 re-seed grid is over the budget
+        monkeypatch.setattr(expsums, "_MAX_SCAN_POINTS", 8)
+        with pytest.raises(GridBudgetExceeded, match="3 x 3"):
+            find_zeros(100, SearchRectangle(-3.0, 2.0, 0.0, 30.0, 2, 2))
 
 
 class TestFindZeros:
@@ -257,19 +284,22 @@ class TestBitwise:
         assert winding_count(n, rect) == turns
 
 
-def _adaptive_reference(f, a, b, fa, fb, tol, depth):
-    """Depth-first adaptive trapezoid rule that the breadth-first one replays."""
-    mid = 0.5 * (a + b)
-    fm = f(mid)
-    coarse = 0.5 * (fa + fb) * (b - a)
-    fine = 0.5 * (fa + fm) * (mid - a) + 0.5 * (fm + fb) * (b - mid)
-    if abs(fine - coarse) <= tol:
-        return fine
-    if depth <= 0:
-        raise BoundaryZero("no settle")
-    return _adaptive_reference(f, a, mid, fa, fm, 0.5 * tol, depth - 1) + _adaptive_reference(
-        f, mid, b, fm, fb, 0.5 * tol, depth - 1
-    )
+def _boundary_position(rect, z):
+    """Distance from the lower left corner counterclockwise along the boundary."""
+    width, height = rect.re_max - rect.re_min, rect.im_max - rect.im_min
+    if z.imag == rect.im_min:
+        return z.real - rect.re_min
+    if z.real == rect.re_max:
+        return width + z.imag - rect.im_min
+    if z.imag == rect.im_max:
+        return width + height + rect.re_max - z.real
+    assert z.real == rect.re_min
+    return 2 * width + height + rect.im_max - z.imag
+
+
+def _n2_zeros_between(lo, hi):
+    """Number of zeros (2m + 1) pi / ln 2 of 1 + 2^z with lo < Im < hi."""
+    return max(0, math.floor((hi * LN2 / pi - 1) / 2) - math.ceil((lo * LN2 / pi - 1) / 2) + 1)
 
 
 class TestWinding:
@@ -282,47 +312,108 @@ class TestWinding:
             (200, (-3.0, 2.0, 0.0, 30.0)),
         ],
     )
-    def test_segments_sum_as_depth_first(self, n, rect):
+    def test_every_step_is_certified(self, n, rect, monkeypatch):
+        # neighbouring samples around the boundary pass the Ying-Katz test
+        # with the bound on |G'| recomputed here, so no step hides a turn
         rect = SearchRectangle(*rect)
-
-        def logderiv(z):
-            return power_sum_deriv(n, z) / power_sum(n, z)
-
-        segs = list(expsums._boundary_segments(n, rect))
-        for (a, b, fa, fb), value in zip(segs, expsums._refine(n, segs)):
-            assert fa == logderiv(a) and fb == logderiv(b)
-            ref = _adaptive_reference(logderiv, a, b, fa, fb, 1e-3, 48)
-            assert (value.real, value.imag) == (ref.real, ref.imag)
+        seen = []
+        orig = expsums.power_sum
+        monkeypatch.setattr(expsums, "power_sum", lambda n, z: seen.extend(z) or orig(n, z))
+        winding_count(n, rect)
+        z = np.array(sorted(set(seen), key=lambda w: _boundary_position(rect, w)))
+        assert len(z) == len(seen)
+        z_next = np.roll(z, -1)
+        g, g_next = orig(n, z), orig(n, z_next)
+        k = np.arange(2, n + 1)
+        x = np.maximum(z.real, z_next.real)
+        slope = (np.log(k) * k ** x[:, None]).sum(axis=1)
+        assert np.all(np.abs(z_next - z) * slope < np.abs(g) + np.abs(g_next))
 
     def test_one_array_call_per_level(self, monkeypatch):
         calls = []
         orig = expsums.power_sum
-        monkeypatch.setattr(expsums, "power_sum", lambda n, z: calls.append(np.size(z)) or orig(n, z))
+        monkeypatch.setattr(expsums, "power_sum", lambda n, z: calls.append(z) or orig(n, z))
         winding_count(200, SearchRectangle(-3.0, 2.0, 0.0, 30.0, 121, 481))
-        # four sides, then one call per refinement level
-        assert 4 < len(calls) <= 4 + 49
-        assert sum(calls) > 4 * len(calls)
+        # the initial samples of all four sides in one call, then one call
+        # per pass for the midpoints of every rejected step, none evaluated twice
+        assert 2 < len(calls) <= 12
+        assert len(set(np.concatenate(calls).tolist())) == sum(map(len, calls))
+        assert all(len(later) < len(calls[0]) for later in calls[1:])
 
     def test_non_finite_integrand_raises_at_once(self):
         # exp(200 ln 200) overflows on the right edge
         t0 = time.perf_counter()
-        with pytest.raises(BoundaryZero):
+        with pytest.raises(BoundaryZero, match="not finite"):
             find_zeros(200, SearchRectangle(-3.0, 200.0, 0.0, 30.0))
         assert time.perf_counter() - t0 < 1.0
 
+    def test_overflowing_slope_raises_at_once(self):
+        # |G| stays finite at Re z = 133.8, but the bound on |G'| overflows
+        assert math.isfinite(abs(power_sum(200, 133.8)))
+        t0 = time.perf_counter()
+        with pytest.raises(BoundaryZero, match="slope is not finite"):
+            winding_count(200, SearchRectangle(-3.0, 133.8, 0.0, 30.0))
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_sample_on_a_zero_raises(self):
+        # the bottom edge's samples include 0 + i pi / ln 2, a zero of 1 + 2^z
+        with pytest.raises(BoundaryZero, match="modulus"):
+            winding_count(2, SearchRectangle(-1.0, 1.0, pi / LN2, 20.0))
+
     def test_segment_budget(self, monkeypatch):
-        # the edge passes 1e-5 below the lowest zero of 1 + 2^z, which needs deep splits
+        # the edge passes 1e-5 below the lowest zero of 1 + 2^z: 48 initial
+        # samples, then six passes that each split the two steps next to it
         rect = SearchRectangle(-1.0, 1.0, pi / LN2 - 1e-5, 20.0)
         assert winding_count(2, rect) == 2
-        monkeypatch.setattr(expsums, "_WINDING_MAX_ACTIVE", 16)
-        with pytest.raises(BoundaryZero, match="more than 16 segments"):
+        monkeypatch.setattr(expsums, "_WINDING_MAX_SAMPLES", 60)
+        assert winding_count(2, rect) == 2
+        monkeypatch.setattr(expsums, "_WINDING_MAX_SAMPLES", 59)
+        with pytest.raises(BoundaryZero, match="more than 59 samples near"):
             winding_count(2, rect)
+
+    def test_long_side_refused_before_sampling(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(expsums, "power_sum", lambda n, z: calls.append(z))
+        # the width of the last one overflows to inf
+        for rect in [(-3.0, 2.0, 0.0, 1e300), (-1e300, 1e300, 0.0, 1.0), (-1e308, 1e308, 0.0, 1.0)]:
+            with pytest.raises(BoundaryZero, match="samples on the boundary"):
+                winding_count(3, SearchRectangle(*rect))
+        assert calls == []
 
     def test_blocks_give_the_same_count(self, monkeypatch):
         rect = SearchRectangle(-3.0, 2.0, 0.0, 45.0)
         expected = winding_count(30, rect)
-        monkeypatch.setattr(expsums, "_WINDING_BLOCK", 7)
+        calls = []
+        orig = expsums.power_sum
+        monkeypatch.setattr(expsums, "power_sum", lambda n, z: calls.append(z.size) or orig(n, z))
+        monkeypatch.setattr(expsums, "_CHUNK_BYTES", 16 * 30 * 7)
         assert winding_count(30, rect) == expected
+        assert max(calls) == 7
+
+    def test_tall_n2_rectangle(self):
+        # every zero of 1 + 2^z lies on Re z = 0, 2 pi / ln 2 apart
+        t0 = time.perf_counter()
+        count = winding_count(2, SearchRectangle(-3.0, 2.0, 0.0, 1e5))
+        assert count == 11032 == round(1e5 * LN2 / (2 * pi))
+        assert time.perf_counter() - t0 < 1.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        re_min=st.floats(-20.0, 20.0),
+        re_width=st.floats(1e-3, 20.0),
+        im_min=st.floats(-300.0, 300.0),
+        height=st.floats(1e-3, 300.0),
+    )
+    def test_n2_matches_closed_form(self, re_min, re_width, im_min, height):
+        rect = SearchRectangle(re_min, re_min + re_width, im_min, im_min + height)
+        # keep every edge 1e-3 away from the zeros
+        assume(min(abs(rect.re_min), abs(rect.re_max)) >= 1e-3)
+        for y in (rect.im_min, rect.im_max):
+            nearest = (2 * round((y * LN2 / pi - 1) / 2) + 1) * pi / LN2
+            assume(abs(y - nearest) >= 1e-3)
+        inside = rect.re_min < 0.0 < rect.re_max
+        expected = _n2_zeros_between(rect.im_min, rect.im_max) if inside else 0
+        assert winding_count(2, rect) == expected
 
 
 class TestScanEquivalence:
