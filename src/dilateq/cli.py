@@ -1,9 +1,11 @@
 """Command-line front end: every operation as a subcommand with JSON/CSV output.
 
-Exit codes: 0 success, 2 input validation, 3 domain violation (interpolation,
-coverage, boundary zeros), 4 numerical non-convergence.  All floats are
-printed with 17 significant digits and JSON keys are emitted in a fixed
-order, so identical invocations produce byte-identical output.
+Exit codes: 0 success, 1 internal error (any other exception, reported on one
+line as ``error: internal: <Type>: <message>``), 2 input validation, 3 domain
+violation (interpolation, coverage, boundary zeros), 4 numerical
+non-convergence.  All floats are printed with 17 significant digits and JSON
+keys are emitted in a fixed order, so identical invocations produce
+byte-identical output.
 
 A process pays only for the subcommand it runs.  This module imports the
 standard library, ``coefficients``, ``closedforms`` and ``errors``, none of
@@ -451,6 +453,11 @@ def main(argv=None) -> int:
     except Nonconvergence as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 4
+    except Exception as exc:
+        # a defect, or a resource such as memory running out: one line, no traceback
+        message = " ".join(str(exc).split())
+        sys.stderr.write(f"error: internal: {type(exc).__name__}: {message}\n")
+        return 1
     return 0
 
 

@@ -3,16 +3,17 @@
 Two families of the additive equation g(w) + sum g(w + b_k) = 0 have their
 periodic frequencies in closed form: equispaced shifts (d, 2d, ..., nd), and
 two shifts whose ratio is a rational p/q.  Neither needs numpy, so this
-module imports only ``math`` and the error types, and the command-line
-subcommands built on it start without loading numpy.  ``periodicity``
-re-exports every name defined here.
+module imports only ``math``, the error types and the ``_frozen`` record
+base, and the command-line subcommands built on it start without loading
+numpy or ``dataclasses``.  ``periodicity`` re-exports every name defined
+here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._frozen import Frozen
 from .errors import InvalidInput, NonPositiveScale, NotCoprime, ZeroDenominator
 
 __all__ = [
@@ -43,10 +44,10 @@ def equispaced_alphas(n: int, d: float, m_max: int) -> list[float]:
     ]
 
 
-@dataclass(frozen=True)
-class TwoTermVerdict:
+class TwoTermVerdict(Frozen):
     """Decision for g(x) + g(x+a) + g(x+b) = 0 with a/b = p/q in lowest terms."""
 
+    __slots__ = ("exists", "witness", "reason")
     exists: bool
     witness: tuple[int, int] | None
     reason: str

@@ -10,9 +10,9 @@ smoothness of nonzero solutions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._frozen import Frozen
 from .errors import (
     DuplicateEntry,
     EmptyInput,
@@ -31,13 +31,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CoefficientVector:
+class CoefficientVector(Frozen):
     """Normalized dilation factors 1 < a1 < ... < aN (a0 = 1 is implicit)."""
 
+    __slots__ = ("entries",)
     entries: tuple[float, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: tuple[float, ...]) -> None:
+        super().__init__(entries)
         if len(self.entries) == 0:
             raise EmptyInput("coefficient vector must have at least one entry")
         if self.entries[0] <= 1.0:
@@ -55,13 +56,14 @@ class CoefficientVector:
         return iter(self.entries)
 
 
-@dataclass(frozen=True)
-class ShiftVector:
+class ShiftVector(Frozen):
     """Additive shifts 0 < b1 < ... < bN (b0 = 0 is implicit)."""
 
+    __slots__ = ("entries",)
     entries: tuple[float, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: tuple[float, ...]) -> None:
+        super().__init__(entries)
         if len(self.entries) == 0:
             raise EmptyInput("shift vector must have at least one entry")
         if not all(math.isfinite(v) for v in self.entries):
@@ -83,8 +85,7 @@ class ShiftVector:
         return self.entries[-1]
 
 
-@dataclass(frozen=True)
-class RegularityIndex:
+class RegularityIndex(Frozen):
     """Least m with sum((a_k/aN)**m, k=0..N-1) < 1, plus dissection bounds.
 
     ``contraction`` stores that sum at the minimizing m; ``lower_bound`` and
@@ -92,6 +93,7 @@ class RegularityIndex:
     gaps of (1, a1, ..., aN), reported unclamped.
     """
 
+    __slots__ = ("m", "contraction", "lower_bound", "upper_bound")
     m: int
     contraction: float
     lower_bound: float

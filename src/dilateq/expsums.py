@@ -11,7 +11,7 @@ The engine keeps transcendental calls few:
 - ``scan_modulus`` splits ``k^(x+iy) = k^x * e^(iy ln k)``.  It takes
   ``(grid_re + grid_im) * n`` complex exponentials for a radial and a phase
   table instead of one per grid point and term, multiplies the tables for a
-  block of rows at a time (temporaries stay near ``_CHUNK_BYTES``, 8 MiB)
+  block of rows at a time (temporaries stay near ``_CHUNK_BYTES``, 1 MiB)
   and sums each row's terms in the same pairwise order as ``power_sum``.
   While ``max|Re z| * ln n <= 700`` every cell equals
   ``abs(power_sum(n, z))`` bit for bit.  Above 709 the complex exponential
@@ -27,8 +27,10 @@ The engine keeps transcendental calls few:
   docstring), bisecting every uncertified step in one array pass per level.
   The principal angles of the steps then sum to 2 pi times the count, up to
   rounding, on at most ``_WINDING_MAX_SAMPLES`` samples.
-- ``find_zeros`` seeds once more on the grid with every cell halved when
-  the winding count exceeds the zeros found, keeping the zeros it has.
+- ``find_zeros`` takes the winding count before it scans, so a rectangle
+  the count refuses costs no Newton start.  It seeds once more on the grid
+  with every cell halved when the count exceeds the zeros found, keeping
+  the zeros it has.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ _EDGE_MARGIN = 1e-6
 _NEWTON_MAX_ITER = 60
 
 #: bytes of complex temporaries per block of the scan and of winding samples
-_CHUNK_BYTES = 8 << 20
+_CHUNK_BYTES = 1 << 20
 
 #: most points one modulus scan grid may hold
 _MAX_SCAN_POINTS = 1 << 22
@@ -211,6 +213,14 @@ def newton_refine(n: int, z0: complex) -> tuple[complex, list[float]] | None:
     return None
 
 
+def _check_grid(rect: SearchRectangle) -> None:
+    if rect.grid_re * rect.grid_im > _MAX_SCAN_POINTS:
+        raise GridBudgetExceeded(
+            f"scan grid of {rect.grid_re} x {rect.grid_im} points exceeds the budget "
+            f"of {_MAX_SCAN_POINTS}"
+        )
+
+
 def scan_modulus(n: int, rect: SearchRectangle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Modulus of the power sum on the rectangle grid (re axis, im axis, |G|).
 
@@ -219,13 +229,14 @@ def scan_modulus(n: int, rect: SearchRectangle) -> tuple[np.ndarray, np.ndarray,
     exp((x + iy) ln k) bit for bit; see the module docstring for the range.
     A grid of more than ``_MAX_SCAN_POINTS`` points raises GridBudgetExceeded
     before anything is allocated.
+
+    The im rows are taken in blocks of about ``_CHUNK_BYTES`` (1 MiB) of
+    complex temporaries, small enough to stay in a core's L2 cache.  A cell
+    is computed by the same operations whatever its block, so the block size
+    does not change a bit of the result.
     """
     _check_n(n)
-    if rect.grid_re * rect.grid_im > _MAX_SCAN_POINTS:
-        raise GridBudgetExceeded(
-            f"scan grid of {rect.grid_re} x {rect.grid_im} points exceeds the budget "
-            f"of {_MAX_SCAN_POINTS}"
-        )
+    _check_grid(rect)
     re = np.linspace(rect.re_min, rect.re_max, rect.grid_re)
     im = np.linspace(rect.im_min, rect.im_max, rect.grid_im)
     logs = _log_table(n)
@@ -365,19 +376,24 @@ def _verified(n: int, rect: SearchRectangle, found: list[complex]) -> list[Compl
 def find_zeros(n: int, rect: SearchRectangle | None = None) -> list[ComplexZero]:
     """Locate the zeros of the power sum inside a rectangle.
 
-    Grid minima of the modulus seed Newton refinement; converged zeros are
-    deduplicated, filtered to the rectangle and checked against the winding
-    count.  When the count exceeds the zeros found, the search is seeded once
-    more on the grid (2 grid_re - 1) x (2 grid_im - 1), which keeps every old
-    node, and only new zeros are added; an ``IncompleteSearch`` warning flags
-    any mismatch left.  Zeros within 1e-6 of the boundary raise BoundaryZero
-    instead of silently corrupting the audit.
+    The audit comes first: the scan grid's budget, then the winding count,
+    so a rectangle either refuses with GridBudgetExceeded or BoundaryZero
+    before any scan or Newton start.  Grid minima of the modulus then seed
+    Newton refinement; converged zeros are deduplicated, filtered to the
+    rectangle and checked against the count.  When the count exceeds the
+    zeros found, the search is seeded once more on the grid
+    (2 grid_re - 1) x (2 grid_im - 1), which keeps every old node, and only
+    new zeros are added; an ``IncompleteSearch`` warning flags any mismatch
+    left.  Zeros within 1e-6 of the boundary raise BoundaryZero instead of
+    silently corrupting the audit.
     """
     if rect is None:
         rect = default_rectangle()
+    _check_n(n)
+    _check_grid(rect)
+    turns = winding_count(n, rect)
     found = _seed(n, rect, [])
     zeros = _verified(n, rect, found)
-    turns = winding_count(n, rect)
     if turns > len(zeros):
         finer = dataclasses.replace(
             rect, grid_re=2 * rect.grid_re - 1, grid_im=2 * rect.grid_im - 1

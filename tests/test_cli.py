@@ -381,6 +381,42 @@ class TestGlobalFlags:
         assert (code, out, err) == (2, "", "error: --tol must be positive\n")
 
 
+class TestInternalError:
+    """Any exception outside the contract's three exits 1 with one stderr line."""
+
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (
+                RuntimeError("engine broke\n  on two lines"),
+                "error: internal: RuntimeError: engine broke on two lines\n",
+            ),
+            (MemoryError(), "error: internal: MemoryError: \n"),
+        ],
+    )
+    def test_exits_1_without_traceback(self, capsys, monkeypatch, tmp_path, exc, line):
+        from dilateq import cli
+
+        def broken(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_regularity", broken)
+        out_file = tmp_path / "out.json"
+        code, out, err = run(capsys, "regularity", "[2,3]", "--out", out_file)
+        assert (code, out, err) == (1, "", line)
+        assert not out_file.exists()
+
+    def test_interrupt_is_not_caught(self, monkeypatch):
+        from dilateq import cli
+
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_cmd_regularity", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["regularity", "[2,3]"])
+
+
 class TestReproducibility:
     def test_byte_identical_runs(self, capsys):
         first = run(capsys, "periodicity", "--shifts", "[1,2]", "--alpha-max", 10)
@@ -468,6 +504,7 @@ class TestImportWeight:
         assert code == exit_code
         assert "dilateq.cli" in names
         assert not names & ENGINES
+        assert not names & {"dataclasses", "inspect"}
 
     @pytest.mark.parametrize(
         "argv, engine",

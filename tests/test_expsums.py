@@ -149,6 +149,21 @@ class TestFindZeros:
             assert all(b <= a for a, b in zip(tail, tail[1:]))
         assert accepted > 0
 
+    def test_refused_before_any_newton_start(self, monkeypatch):
+        # the winding count refuses the 1e300-wide boundary before the scan
+        calls = []
+        monkeypatch.setattr(expsums, "newton_refine", lambda n, z: calls.append(z))
+        monkeypatch.setattr(expsums, "scan_modulus", lambda n, rect: calls.append(rect))
+        with pytest.raises(BoundaryZero, match="samples on the boundary"):
+            find_zeros(3, SearchRectangle(-1e300, 2.0, 0.0, 30.0))
+        assert calls == []
+
+    def test_grid_budget_checked_before_the_winding_count(self, monkeypatch):
+        monkeypatch.setattr(expsums, "_MAX_SCAN_POINTS", 100)
+        monkeypatch.setattr(expsums, "winding_count", lambda n, rect: pytest.fail("counted"))
+        with pytest.raises(GridBudgetExceeded, match="11 x 10"):
+            find_zeros(3, SearchRectangle(-3.0, 2.0, 0.0, 30.0, 11, 10))
+
     def test_boundary_zero_raises(self):
         # bottom edge passes within 1e-6 of the lowest zero of 1 + 2^z
         rect = SearchRectangle(-1.0, 1.0, 4.53236, 20.0)
@@ -442,6 +457,27 @@ class TestScanEquivalence:
         expected = scan_modulus(n, rect)[2]
         monkeypatch.setattr(expsums, "_CHUNK_BYTES", 1)
         assert np.array_equal(scan_modulus(n, rect)[2], expected)
+
+    # odd row counts, none a multiple of the rows per 1 MiB block
+    @pytest.mark.parametrize(
+        "n, rect",
+        [
+            (200, SearchRectangle(-3.0, 2.0, 0.0, 30.0, 121, 481)),
+            (30, SearchRectangle(-3.0, 2.0, -5.0, 40.0, 37, 211)),
+            (50, SearchRectangle(-1.0, 1.0, 0.0, 12.0, 9, 23)),
+        ],
+    )
+    def test_same_bytes_for_any_block_size(self, n, rect, monkeypatch):
+        rows = max(1, expsums._CHUNK_BYTES // (16 * rect.grid_re * n))
+        assert rect.grid_im % 2 == 1 and rect.grid_im % rows != 0
+        re = np.linspace(rect.re_min, rect.re_max, rect.grid_re)
+        im = np.linspace(rect.im_min, rect.im_max, rect.grid_im)
+        # bit for bit against power_sum, so a row no block fills shows
+        direct = np.abs(power_sum(n, re[None, :] + 1j * im[:, None])).tobytes()
+        # 1 MiB, the former 8 MiB, and one row per block
+        for chunk in (1 << 20, 8 << 20, 1):
+            monkeypatch.setattr(expsums, "_CHUNK_BYTES", chunk)
+            assert scan_modulus(n, rect)[2].tobytes() == direct, chunk
 
     def test_overflow_cells(self):
         # 200^200 overflows: the same cells are non-finite, and finite cells

@@ -71,6 +71,21 @@ def test_bare_import_loads_no_engine():
     assert not loaded & {"numpy", "dilateq.extension", "dilateq.periodicity", "dilateq.expsums"}
 
 
+def test_light_modules_load_no_dataclasses():
+    # what the numpy-free subcommands import; dataclasses would bring inspect
+    code = (
+        "import sys, dilateq.cli, dilateq.coefficients, dilateq.closedforms; "
+        "print(' '.join(sorted(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    loaded = set(proc.stdout.split())
+    assert "dilateq.closedforms" in loaded
+    assert not loaded & {"numpy", "dataclasses", "inspect"}
+
+
 def test_all_is_pinned():
     assert dilateq.__all__ == EXPORTS
 

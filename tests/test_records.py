@@ -1,0 +1,121 @@
+"""The numpy-free records behave as the frozen dataclasses they replace."""
+
+import copy
+import dataclasses
+import pickle
+
+import pytest
+
+from dilateq.closedforms import TwoTermVerdict, two_term_periodic_exists
+from dilateq.coefficients import (
+    CoefficientVector,
+    RegularityIndex,
+    ShiftVector,
+    normalize,
+    regularity_index,
+)
+from dilateq.errors import EmptyInput, InvalidInput
+
+#: record, an equal copy built apart, a record of the same class that differs
+CASES = {
+    "CoefficientVector": (
+        normalize([2, 3]),
+        CoefficientVector((2.0, 3.0)),
+        CoefficientVector((2.0, 5.0)),
+    ),
+    "ShiftVector": (ShiftVector((0.5, 1.0)), ShiftVector((0.5, 1.0)), ShiftVector((0.5,))),
+    "RegularityIndex": (
+        regularity_index(normalize([2, 3])),
+        RegularityIndex(m=2, contraction=5 / 9, lower_bound=0.5, upper_bound=3.0),
+        RegularityIndex(2, 5 / 9, 0.5, 4.0),
+    ),
+    "TwoTermVerdict": (
+        two_term_periodic_exists(5, 4),
+        TwoTermVerdict(True, (1, 1), "p = 2+3k, q = 1+3m"),
+        two_term_periodic_exists(3, 5),
+    ),
+}
+
+
+def _dataclass_twin(record):
+    """A frozen dataclass of the same name and fields holding the same values."""
+    cls = type(record)
+    twin = dataclasses.make_dataclass(cls.__name__, cls.__slots__, frozen=True)
+    return twin(*(getattr(record, name) for name in cls.__slots__))
+
+
+@pytest.mark.parametrize("name", list(CASES))
+class TestFrozenRecord:
+    def test_equality(self, name):
+        record, same, other = CASES[name]
+        assert record == same and not record != same
+        assert record != other
+        # like a dataclass: never equal to a plain tuple of its fields
+        assert record != record._fields()
+
+    def test_hash(self, name):
+        record, same, _ = CASES[name]
+        assert hash(record) == hash(same)
+        assert len({record, same}) == 1
+
+    def test_matches_a_frozen_dataclass(self, name):
+        record = CASES[name][0]
+        twin = _dataclass_twin(record)
+        assert repr(record) == repr(twin)
+        assert hash(record) == hash(twin)
+
+    def test_fields_cannot_change(self, name):
+        record, same, _ = CASES[name]
+        for field in type(record).__slots__:
+            with pytest.raises(AttributeError, match="cannot assign"):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError, match="cannot delete"):
+                delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert record == same
+
+    def test_pickle_and_copy(self, name):
+        record = CASES[name][0]
+        for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+            assert type(clone) is type(record)
+            assert clone == record
+
+
+def test_class_mismatch_is_not_equal():
+    # same field values, different record types
+    assert CoefficientVector((2.0, 3.0)) != ShiftVector((2.0, 3.0))
+
+
+def test_validation_still_runs_on_construction():
+    with pytest.raises(InvalidInput, match="increasing"):
+        CoefficientVector((3.0, 2.0))
+    with pytest.raises(EmptyInput):
+        ShiftVector(())
+
+
+def test_exact_repr():
+    assert repr(normalize([2, 3])) == "CoefficientVector(entries=(2.0, 3.0))"
+    assert repr(two_term_periodic_exists(5, 4)) == (
+        "TwoTermVerdict(exists=True, witness=(1, 1), reason='p = 2+3k, q = 1+3m')"
+    )
+
+
+def test_fields_by_position_or_name():
+    assert RegularityIndex(2, 0.5, lower_bound=0.25, upper_bound=3.0) == RegularityIndex(
+        upper_bound=3.0, lower_bound=0.25, contraction=0.5, m=2
+    )
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        ((True, None), {}),  # a field missing
+        ((True, None, "r", "extra"), {}),  # a value too many
+        ((True, None, "r"), {"exists": False}),  # a field given twice
+        ((True, None, "r"), {"note": ""}),  # an unknown field
+    ],
+)
+def test_wrong_fields_raise_type_error(args, named):
+    with pytest.raises(TypeError, match="takes the fields exists, witness, reason"):
+        TwoTermVerdict(*args, **named)
