@@ -1,9 +1,11 @@
-"""Immutable value records without ``dataclasses``.
+"""The package's record base.
 
-``dataclasses`` imports ``inspect``, several milliseconds of start-up that
-the numpy-free subcommands (``regularity``, ``normalize``, ``equispaced``,
-``two-term``) would pay on every call.  ``coefficients`` and ``closedforms``
-build their records on ``Frozen`` instead.
+Every value dilateq returns as a record (coefficient and shift vectors,
+regularity indices, periodicity certificates, search rectangles, zeros,
+power and extended solutions) is a ``Frozen`` subclass: fields are slots,
+validation runs in ``__init__`` after the fields are set, and a derived
+value is a property.  The base needs nothing beyond the language, so no
+subcommand imports ``dataclasses``, or the ``inspect`` module it brings.
 """
 
 from __future__ import annotations

@@ -51,8 +51,6 @@ def to_json(obj) -> str:
     """Minimal JSON emitter with deterministic 17-digit float formatting."""
     if obj is None:
         return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
     if isinstance(obj, dict):
         return "{" + ", ".join(f"{json.dumps(k)}: {to_json(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
@@ -352,7 +350,9 @@ def _cmd_popoviciu(args) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write output to this file instead of stdout")
-    common.add_argument("--tol", type=float, help="override the subcommand's tolerance")
+    # only the subcommands that read a tolerance accept one
+    tolerant = argparse.ArgumentParser(add_help=False, parents=[common])
+    tolerant.add_argument("--tol", type=float, help="override the subcommand's tolerance")
 
     parser = argparse.ArgumentParser(
         prog="dilateq",
@@ -368,14 +368,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("coeffs")
     p.set_defaults(func=_cmd_normalize)
 
-    p = sub.add_parser("extend", parents=[common], help="extend boundary data, dump CSV")
+    p = sub.add_parser("extend", parents=[tolerant], help="extend boundary data, dump CSV")
     p.add_argument("boundary", help="JSON file with breakpoints/values on [0, bN]")
     p.add_argument("--shifts", required=True, help="JSON array of shifts (inline or path)")
     p.add_argument("--range", nargs=2, type=float, required=True, metavar=("LO", "HI"))
     p.add_argument("--samples", type=int, default=1001)
     p.set_defaults(func=_cmd_extend)
 
-    p = sub.add_parser("residual", parents=[common], help="max equation residual on a grid")
+    p = sub.add_parser("residual", parents=[tolerant], help="max equation residual on a grid")
     p.add_argument("--boundary", required=True)
     p.add_argument("--shifts", help="additive form: JSON array of shifts")
     p.add_argument("--coeffs", help="multiplicative form: JSON array of factors")
@@ -383,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=10001)
     p.set_defaults(func=_cmd_residual)
 
-    p = sub.add_parser("periodicity", parents=[common], help="periodic-solution certificates")
+    p = sub.add_parser("periodicity", parents=[tolerant], help="periodic-solution certificates")
     p.add_argument("--shifts", required=True)
     p.add_argument("--alpha-max", type=float, required=True)
     p.add_argument("--grid-step", type=float, default=None)
@@ -425,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1001)
     p.set_defaults(func=_cmd_mora_solution)
 
-    p = sub.add_parser("popoviciu", parents=[common], help="Hankel determinant of an extension")
+    p = sub.add_parser("popoviciu", parents=[tolerant], help="Hankel determinant of an extension")
     p.add_argument("--boundary", required=True)
     p.add_argument("--shifts", required=True)
     p.add_argument("--x", type=float, required=True)
@@ -439,7 +439,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.tol is not None and not args.tol > 0.0:
+    tol = getattr(args, "tol", None)
+    if tol is not None and not tol > 0.0:
         sys.stderr.write("error: --tol must be positive\n")
         return 2
     try:

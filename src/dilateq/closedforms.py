@@ -3,10 +3,9 @@
 Two families of the additive equation g(w) + sum g(w + b_k) = 0 have their
 periodic frequencies in closed form: equispaced shifts (d, 2d, ..., nd), and
 two shifts whose ratio is a rational p/q.  Neither needs numpy, so this
-module imports only ``math``, the error types and the ``_frozen`` record
-base, and the command-line subcommands built on it start without loading
-numpy or ``dataclasses``.  ``periodicity`` re-exports every name defined
-here.
+module imports only ``math``, the error types and the package's record
+base ``Frozen``, and the command-line subcommands built on it start without
+loading numpy.  ``periodicity`` re-exports every name defined here.
 """
 
 from __future__ import annotations

@@ -29,21 +29,20 @@ The engine keeps transcendental calls few:
   rounding, on at most ``_WINDING_MAX_SAMPLES`` samples.
 - ``find_zeros`` takes the winding count before it scans, so a rectangle
   the count refuses costs no Newton start.  It seeds once more on the grid
-  with every cell halved when the count exceeds the zeros found, keeping
-  the zeros it has.
+  with every cell halved when the count exceeds the zeros found and that
+  grid is within the budget, keeping the zeros it has.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from ._frozen import Frozen
 from .errors import BoundaryZero, GridBudgetExceeded, IncompleteSearch, InvalidInput, InvalidRange
 
 __all__ = [
@@ -118,18 +117,27 @@ def power_sum_deriv(n: int, z) -> complex | np.ndarray:
     return complex(out) if zz.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class SearchRectangle:
+class SearchRectangle(Frozen):
     """Axis-aligned scan region with grid resolution for seeding Newton."""
 
+    __slots__ = ("re_min", "re_max", "im_min", "im_max", "grid_re", "grid_im")
     re_min: float
     re_max: float
     im_min: float
     im_max: float
-    grid_re: int = 61
-    grid_im: int = 241
+    grid_re: int
+    grid_im: int
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        re_min: float,
+        re_max: float,
+        im_min: float,
+        im_max: float,
+        grid_re: int = 61,
+        grid_im: int = 241,
+    ) -> None:
+        super().__init__(re_min, re_max, im_min, im_max, grid_re, grid_im)
         bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
         if not all(math.isfinite(v) for v in bounds):
             raise InvalidRange("rectangle bounds must be finite")
@@ -167,20 +175,22 @@ def default_rectangle() -> SearchRectangle:
     return SearchRectangle(-3.0, 2.0, 0.0, 30.0)
 
 
-@dataclass(frozen=True)
-class ComplexZero:
+class ComplexZero(Frozen):
     """A verified zero of the order-n power sum."""
 
+    __slots__ = ("z", "modulus_residual", "n")
     z: complex
     modulus_residual: float
     n: int
 
-    def __post_init__(self) -> None:
-        if self.modulus_residual > ZERO_RESIDUAL_TOL:
+    def __init__(self, z: complex, modulus_residual: float, n: int) -> None:
+        super().__init__(z, modulus_residual, n)
+        # both checks are written so that NaN fails them
+        if not self.modulus_residual <= ZERO_RESIDUAL_TOL:
             raise InvalidInput(
                 f"residual {self.modulus_residual:.3g} exceeds {ZERO_RESIDUAL_TOL:.0e}"
             )
-        if abs(self.z.imag) <= _EDGE_MARGIN:
+        if not abs(self.z.imag) > _EDGE_MARGIN:
             raise InvalidInput("the power sum is positive on the real axis")
 
 
@@ -383,9 +393,10 @@ def find_zeros(n: int, rect: SearchRectangle | None = None) -> list[ComplexZero]
     rectangle and checked against the count.  When the count exceeds the
     zeros found, the search is seeded once more on the grid
     (2 grid_re - 1) x (2 grid_im - 1), which keeps every old node, and only
-    new zeros are added; an ``IncompleteSearch`` warning flags any mismatch
-    left.  Zeros within 1e-6 of the boundary raise BoundaryZero instead of
-    silently corrupting the audit.
+    new zeros are added; that grid is skipped when it is over the budget.
+    An ``IncompleteSearch`` warning flags any mismatch left.  Zeros within
+    1e-6 of the boundary raise BoundaryZero instead of silently corrupting
+    the audit.
     """
     if rect is None:
         rect = default_rectangle()
@@ -394,9 +405,10 @@ def find_zeros(n: int, rect: SearchRectangle | None = None) -> list[ComplexZero]
     turns = winding_count(n, rect)
     found = _seed(n, rect, [])
     zeros = _verified(n, rect, found)
-    if turns > len(zeros):
-        finer = dataclasses.replace(
-            rect, grid_re=2 * rect.grid_re - 1, grid_im=2 * rect.grid_im - 1
+    grid_re, grid_im = 2 * rect.grid_re - 1, 2 * rect.grid_im - 1
+    if turns > len(zeros) and grid_re * grid_im <= _MAX_SCAN_POINTS:
+        finer = SearchRectangle(
+            rect.re_min, rect.re_max, rect.im_min, rect.im_max, grid_re, grid_im
         )
         zeros = _verified(n, rect, _seed(n, finer, found))
     if turns != len(zeros):
@@ -409,21 +421,22 @@ def find_zeros(n: int, rect: SearchRectangle | None = None) -> list[ComplexZero]
     return zeros
 
 
-@dataclass(frozen=True)
-class PowerSolution:
+class PowerSolution(Frozen):
     """One-sided solution Re(|x|^alpha) on x < 0, zero on x >= 0.
 
     Solves f(x) + f(2x) + ... + f(nx) = 0 pointwise for x != 0; continuous
     at 0 only when Re(alpha) > 0 (the modulus blows up or oscillates without
-    settling otherwise), recorded in ``continuous_at_zero``.
+    settling otherwise), reported by ``continuous_at_zero``.
     """
 
+    __slots__ = ("alpha", "n")
     alpha: complex
     n: int
-    continuous_at_zero: bool = field(init=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "continuous_at_zero", self.alpha.real > 0.0)
+    @property
+    def continuous_at_zero(self) -> bool:
+        # derived, not a field: pickle and copy rebuild a record from its fields
+        return self.alpha.real > 0.0
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)

@@ -27,11 +27,11 @@ the read positions times the local slopes (or to 1e-9 relative).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ._frozen import Frozen
 from .coefficients import CoefficientVector, ShiftVector
 from .errors import (
     CoverageBudgetExceeded,
@@ -169,8 +169,7 @@ def periodic_reference(n: int) -> PiecewiseLinear:
     )
 
 
-@dataclass(frozen=True)
-class ExtendedSolution:
+class ExtendedSolution(Frozen):
     """Constructed global solution: boundary data plus covered interval.
 
     ``pieces`` restricted to [0, bN] reproduces ``boundary``; on any w with
@@ -178,6 +177,7 @@ class ExtendedSolution:
     to rounding.  Immutable after construction; evaluation is thread-safe.
     """
 
+    __slots__ = ("shifts", "boundary", "covered", "pieces")
     shifts: ShiftVector
     boundary: PiecewiseLinear
     covered: tuple[float, float]

@@ -27,10 +27,10 @@ a-time refinement.  Non-finite shifts, frequencies and angles are refused.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import Frozen
 from .closedforms import TwoTermVerdict, equispaced_alphas, two_term_periodic_exists
 from .coefficients import ShiftVector
 from .errors import GridBudgetExceeded, InvalidInput, InvalidRange, NonPositiveScale
@@ -86,10 +86,10 @@ def _shift_array(b) -> np.ndarray:
     return entries
 
 
-@dataclass(frozen=True)
-class PeriodicityCertificate:
+class PeriodicityCertificate(Frozen):
     """A frequency solving the trigonometric system."""
 
+    __slots__ = ("alpha", "period", "system_residual")
     alpha: float
     period: float
     system_residual: float
@@ -100,10 +100,10 @@ class PeriodicityCertificate:
         return lambda w: np.cos(alpha * np.asarray(w))
 
 
-@dataclass(frozen=True)
-class FourierMatrix:
+class FourierMatrix(Frozen):
     """2x2 matrix acting on the (cos, sin) coefficients of harmonic k."""
 
+    __slots__ = ("entries",)
     entries: tuple[tuple[float, float], tuple[float, float]]
 
     @property

@@ -119,6 +119,21 @@ class TestExtend:
         assert code == 3
         assert "residual" in err
 
+    def test_seam_mismatch_exits_4(self, capsys, tmp_path):
+        # --tol lets the incompatible data through; the first left strip
+        # then disagrees with the boundary where they join
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"breakpoints": [0, 1, 2], "values": [1, 1, -1.9]}')
+        out_path = tmp_path / "dump.csv"
+        code, out, err = run(
+            capsys, "extend", str(bad), "--shifts", "[1,2]", "--range", -3, 6,
+            "--tol", 0.2, "--out", str(out_path),
+        )
+        assert (code, out) == (4, "")
+        assert err.startswith("error: strip value -2 disagrees")
+        assert err.count("\n") == 1
+        assert not out_path.exists()
+
     def test_zero_boundary(self, capsys, tmp_path):
         path = tmp_path / "zero.json"
         path.write_text('{"breakpoints": [0, 2], "values": [0, 0]}')
@@ -377,8 +392,16 @@ class TestGlobalFlags:
 
     @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
     def test_tol_must_be_positive(self, capsys, tol):
-        code, out, err = run(capsys, "regularity", "[2,3]", "--tol", tol)
+        code, out, err = run(
+            capsys, "periodicity", "--shifts", "[1,2]", "--alpha-max", "10", "--tol", tol
+        )
         assert (code, out, err) == (2, "", "error: --tol must be positive\n")
+
+    def test_tol_is_refused_where_it_is_not_read(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["regularity", "[2,3]", "--tol", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestInternalError:
@@ -527,3 +550,5 @@ class TestImportWeight:
         code, names = _imports(argv, tmp_path)
         assert code == 0
         assert names & ENGINES == {"numpy", engine}
+        # every record is a Frozen subclass; numpy itself brings inspect
+        assert "dataclasses" not in names

@@ -87,10 +87,13 @@ class TestRectangle:
         assert scan_modulus(2, SearchRectangle(-1.0, 1.0, 0.0, 20.0, 10, 10))[2].shape == (10, 10)
 
     def test_reseed_grid_over_budget(self, monkeypatch):
-        # the 2 x 2 grid misses zeros; its 3 x 3 re-seed grid is over the budget
-        monkeypatch.setattr(expsums, "_MAX_SCAN_POINTS", 8)
-        with pytest.raises(GridBudgetExceeded, match="3 x 3"):
-            find_zeros(100, SearchRectangle(-3.0, 2.0, 0.0, 30.0, 2, 2))
+        # the first grid is exactly the budget and finds 43 of the 44 zeros;
+        # the 121 x 481 re-seed grid is over it, so the first pass is kept
+        monkeypatch.setattr(expsums, "_MAX_SCAN_POINTS", 61 * 241)
+        with pytest.warns(IncompleteSearch, match="winding count 44 != 43") as caught:
+            zeros = find_zeros(100, SearchRectangle(-3.0, 2.0, 0.0, 60.0))
+        assert len(zeros) == 43
+        assert len(caught) == 1
 
 
 class TestFindZeros:
@@ -185,6 +188,14 @@ class TestComplexZero:
     def test_rejects_real_axis(self):
         with pytest.raises(InvalidInput):
             ComplexZero(z=0.5 + 0j, modulus_residual=0.0, n=2)
+
+    def test_rejects_nan_residual(self):
+        with pytest.raises(InvalidInput, match="residual nan"):
+            ComplexZero(z=1j, modulus_residual=math.nan, n=2)
+
+    def test_rejects_nan_imaginary_part(self):
+        with pytest.raises(InvalidInput, match="real axis"):
+            ComplexZero(z=complex(0.0, math.nan), modulus_residual=0.0, n=2)
 
 
 class TestPowerSolution:

@@ -221,6 +221,18 @@ class TestExtend:
         with pytest.raises(CoverageBudgetExceeded):
             extend(tent_boundary(B12), B12, (-20.0, 20.0))
 
+    @pytest.mark.parametrize(
+        "target, breakpoints", [((0.0, 12.0), 458), ((-6.0, math.log(5.0)), 91)]
+    )
+    def test_budget_checked_strip_by_strip(self, monkeypatch, target, breakpoints):
+        # the up-front estimate passes; the last strip on one side goes over
+        shifts = [math.log(2.0), math.log(3.0), math.log(5.0)]
+        boundary = tent_boundary(shifts)
+        assert extend(boundary, shifts, target).pieces.breakpoints.size == breakpoints
+        monkeypatch.setattr(extension, "MAX_BREAKPOINTS", breakpoints - 1)
+        with pytest.raises(CoverageBudgetExceeded, match=f"{breakpoints} breakpoints exceed"):
+            extend(boundary, shifts, target)
+
     def test_budget_checked_before_building(self):
         for target in [(0.0, 2.5e6), (0.0, math.inf), (-math.inf, 2.0)]:
             start = time.perf_counter()

@@ -115,6 +115,13 @@ class TestScanner:
         with pytest.raises(GridBudgetExceeded):
             scan_minima((1.0, 2.0), 10.0, 0.00999)
 
+    def test_grid_of_fewer_than_three_points(self):
+        # the grid {2, 3} is too short to hold an interior minimum: the scan
+        # falls back to four points and still certifies 2 pi / 3
+        certs = find_periodic_alphas([1, 2], 3.0, grid_step=2.0)
+        assert len(certs) == 1
+        assert certs[0].alpha == pytest.approx(2 * pi / 3, abs=1e-10)
+
     def test_witness_function_is_cosine(self):
         cert = find_periodic_alphas((1.0, 2.0), 3.0)[0]
         w = np.linspace(-5.0, 5.0, 101)

@@ -1,9 +1,11 @@
-"""The numpy-free records behave as the frozen dataclasses they replace."""
+"""Every dilateq record behaves as the frozen dataclass it replaced."""
 
 import copy
 import dataclasses
+import math
 import pickle
 
+import numpy as np
 import pytest
 
 from dilateq.closedforms import TwoTermVerdict, two_term_periodic_exists
@@ -15,6 +17,27 @@ from dilateq.coefficients import (
     regularity_index,
 )
 from dilateq.errors import EmptyInput, InvalidInput
+from dilateq.expsums import (
+    ComplexZero,
+    PowerSolution,
+    SearchRectangle,
+    default_rectangle,
+    find_zeros,
+    solution_from_zero,
+)
+from dilateq.extension import ExtendedSolution, extend, tent_boundary
+from dilateq.periodicity import (
+    FourierMatrix,
+    PeriodicityCertificate,
+    find_periodic_alphas,
+    fourier_matrix,
+)
+
+B12 = ShiftVector((1.0, 2.0))
+ZERO, ZERO_2 = find_zeros(2)[:2]
+CERT, CERT_2 = find_periodic_alphas([1, 2], 10)[:2]
+MATRIX = fourier_matrix(1, 2 * math.pi / 3, [1, 2])
+SOLUTION = extend(tent_boundary(B12), B12, (-3.0, 6.0))
 
 #: record, an equal copy built apart, a record of the same class that differs
 CASES = {
@@ -33,6 +56,37 @@ CASES = {
         two_term_periodic_exists(5, 4),
         TwoTermVerdict(True, (1, 1), "p = 2+3k, q = 1+3m"),
         two_term_periodic_exists(3, 5),
+    ),
+    "SearchRectangle": (
+        default_rectangle(),
+        SearchRectangle(-3.0, 2.0, 0.0, 30.0, 61, 241),
+        SearchRectangle(-3.0, 2.0, 0.0, 30.0, grid_im=121),
+    ),
+    "ComplexZero": (
+        ZERO,
+        ComplexZero(z=ZERO.z, modulus_residual=ZERO.modulus_residual, n=2),
+        ZERO_2,
+    ),
+    "PowerSolution": (
+        solution_from_zero(ZERO),
+        PowerSolution(alpha=ZERO.z, n=2),
+        solution_from_zero(ZERO_2),
+    ),
+    "PeriodicityCertificate": (
+        CERT,
+        PeriodicityCertificate(CERT.alpha, CERT.period, CERT.system_residual),
+        CERT_2,
+    ),
+    "FourierMatrix": (
+        MATRIX,
+        FourierMatrix(entries=MATRIX.entries),
+        fourier_matrix(1, 0.5, [1, 2]),
+    ),
+    # PiecewiseLinear compares by identity: the equal copy shares the pieces
+    "ExtendedSolution": (
+        SOLUTION,
+        ExtendedSolution(SOLUTION.shifts, SOLUTION.boundary, SOLUTION.covered, SOLUTION.pieces),
+        extend(tent_boundary(B12), B12, (-3.0, 6.0)),
     ),
 }
 
@@ -79,7 +133,13 @@ class TestFrozenRecord:
         record = CASES[name][0]
         for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
             assert type(clone) is type(record)
-            assert clone == record
+            if name == "ExtendedSolution":
+                # a cloned PiecewiseLinear is a new object: compare what it computes
+                w = np.linspace(-3.0, 6.0, 91)
+                np.testing.assert_array_equal(clone(w), record(w))
+                assert (clone.shifts, clone.covered) == (record.shifts, record.covered)
+            else:
+                assert clone == record
 
 
 def test_class_mismatch_is_not_equal():
@@ -99,6 +159,21 @@ def test_exact_repr():
     assert repr(two_term_periodic_exists(5, 4)) == (
         "TwoTermVerdict(exists=True, witness=(1, 1), reason='p = 2+3k, q = 1+3m')"
     )
+    assert repr(default_rectangle()) == (
+        "SearchRectangle(re_min=-3.0, re_max=2.0, im_min=0.0, im_max=30.0, "
+        "grid_re=61, grid_im=241)"
+    )
+    # continuous_at_zero is derived from alpha, so it is not printed
+    assert repr(PowerSolution(alpha=1 + 2j, n=2)) == "PowerSolution(alpha=(1+2j), n=2)"
+
+
+@pytest.mark.parametrize("alpha, continuous", [(1 + 2j, True), (2j, False), (-1 + 2j, False)])
+def test_continuity_at_zero_is_derived(alpha, continuous):
+    solution = PowerSolution(alpha, 2)
+    assert solution.continuous_at_zero is continuous
+    assert pickle.loads(pickle.dumps(solution)).continuous_at_zero is continuous
+    with pytest.raises(AttributeError):
+        solution.continuous_at_zero = not continuous
 
 
 def test_fields_by_position_or_name():
