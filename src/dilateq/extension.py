@@ -15,13 +15,13 @@ restrictions of the already-built function, so it is represented exactly by
 its values on the union of the shifted breakpoints.  That makes the equation
 hold identically (up to float rounding) instead of only at sample points.
 
-Construction cost is linear in the number of strips: a strip reads only the
-window of breakpoints within bN of it, found by one binary search, and its
-new breakpoints are appended (or prepended) to a buffer that doubles when it
-fills.  All N shifted reads of a strip are one interpolation call.  The
-breakpoint budget is checked against the target before any strip is built,
-and where strips join, the two values must agree to within the rounding of
-the read positions times the local slopes (or to 1e-9 relative).
+One loop builds the strips of both sides, at a cost linear in their number:
+a strip reads only the breakpoints within bN of it (one binary search), makes
+one interpolation call for all N shifted reads, and writes its new nodes
+straight into a buffer that doubles when a side fills.  The breakpoint
+budget is checked before any strip is built and as each is written.  Where
+strips join, the two values must agree to within the rounding of the read
+positions times the local slopes (or to 1e-9 relative).
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class PiecewiseLinear:
     the domain (beyond a relative slack of 1e-12) raises ``OutOfCoverage``.
     ``breakpoints`` and ``values`` are read-only views of private copies, so
     neither the caller's input nor ``f.values[i] = ...`` can change the
-    function after construction.
+    function after construction, nor that of a pickled or copied one.
     """
 
     __slots__ = ("breakpoints", "values", "_xp", "_fp")
@@ -98,6 +98,10 @@ class PiecewiseLinear:
         self.breakpoints, self.values = x.view(), y.view()
         self.breakpoints.flags.writeable = False
         self.values.flags.writeable = False
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, read-only views included
+        return (PiecewiseLinear, (self._xp, self._fp))
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -191,7 +195,7 @@ class _Breakpoints:
     """Breakpoints and values of the function built so far, in growing buffers.
 
     The live data is ``bx[head:tail]`` (breakpoints) and ``by[head:tail]``
-    (values).  Right strips append at ``tail`` and left strips prepend before
+    (values).  Right strips are written at ``tail`` and left strips before
     ``head``; when a side runs out of room both buffers are reallocated at
     twice the live size plus the request, with all the free room on that
     side.  Two arrays rather than one two-row block halve the size of the
@@ -219,17 +223,6 @@ class _Breakpoints:
     def ys(self) -> np.ndarray:
         return self.by[self.head : self.tail]
 
-    def window(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-        """Views of the breakpoints in [lo, hi] plus two on either side.
-
-        The margin keeps every bracketing interval of a point in [lo, hi] in
-        the window, so ``np.interp`` on it returns the same bits as on all of
-        the data.
-        """
-        i, j = self.xs.searchsorted((lo, hi))
-        i, j = self.head + max(int(i) - 2, 0), min(self.head + int(j) + 2, self.tail)
-        return self.bx[i:j], self.by[i:j]
-
     def _regrow(self, room: int, right: bool) -> None:
         live = self.size
         cap = 2 * (live + room)
@@ -239,46 +232,19 @@ class _Breakpoints:
         by[head : head + live] = self.ys
         self.bx, self.by, self.head, self.tail = bx, by, head, head + live
 
-    def append(self, xs: np.ndarray, ys: np.ndarray) -> None:
-        if self.tail + xs.size > self.bx.size:
-            self._regrow(xs.size, right=True)
-        self.bx[self.tail : self.tail + xs.size] = xs
-        self.by[self.tail : self.tail + xs.size] = ys
-        self.tail += xs.size
-
-    def prepend(self, xs: np.ndarray, ys: np.ndarray) -> None:
-        if self.head < xs.size:
-            self._regrow(xs.size, right=False)
-        self.bx[self.head - xs.size : self.head] = xs
-        self.by[self.head - xs.size : self.head] = ys
-        self.head -= xs.size
-
-
-def _dedupe(nodes: np.ndarray) -> np.ndarray:
-    """Sort ``nodes`` in place; drop each node within merge range of the one before."""
-    nodes.sort()
-    keep = np.empty(nodes.size, dtype=bool)
-    keep[0] = True
-    eps = _MERGE_EPS * np.maximum(1.0, np.abs(nodes[1:]))
-    np.greater(nodes[1:] - nodes[:-1], eps, out=keep[1:])
-    return nodes[keep]
-
-
-def _strip(xs: np.ndarray, ys: np.ndarray, reads: np.ndarray, lo: float, hi: float):
-    """The strip g(y) = -sum_j g(y + reads[j]) on [lo, hi], g given by (xs, ys).
-
-    ``reads`` is an (N, 1) column.  The strip's breakpoints are the ends plus
-    every kink xs - reads[j] inside (lo, hi).  Returns the nodes, their
-    values, and the (N, nodes) arrays of read positions and read values.
-    """
-    kinks = xs - reads
-    nodes = _dedupe(np.concatenate(([lo, hi], kinks[(kinks > lo) & (kinks < hi)])))
-    # keep the exact endpoints even if a shifted kink landed within merge range
-    nodes[0], nodes[-1] = lo, hi
-    points = nodes + reads
-    terms = np.interp(points, xs, ys)
-    # rows in order, starting from +0.0 like the builtin sum
-    return nodes, -np.add.reduce(terms, axis=0, initial=0.0), points, terms
+    def claim(self, count: int, right: bool) -> int:
+        """Start of ``count`` new slots past the tail or before the head, within budget."""
+        if self.size + count > MAX_BREAKPOINTS:
+            raise CoverageBudgetExceeded(f"{self.size + count} breakpoints exceed the budget")
+        if right:
+            if self.tail + count > self.bx.size:
+                self._regrow(count, right=True)
+            self.tail += count
+            return self.tail - count
+        if self.head < count:
+            self._regrow(count, right=False)
+        self.head -= count
+        return self.head
 
 
 def _seam_check(
@@ -314,6 +280,58 @@ def _seam_check(
         raise InternalInconsistency(
             f"strip value {incoming:.17g} disagrees with {existing:.17g} at w = {where:.17g}"
         )
+
+
+def _grow(built: _Breakpoints, reads, edge: float, step: float, stop: float, right: bool):
+    """Add strips of width ``step`` at ``edge`` until ``edge`` passes ``stop``.
+
+    The strip on [lo, hi] is g(y) = -sum_j g(y + reads[j]), ``reads`` an
+    (N, 1) column reaching back to -bN (right) or forward to bN (left).  Its
+    nodes are the exact ends plus every kink xs - reads[j] inside (lo, hi),
+    less each within merge range of the one before.  It reads the breakpoints
+    within bN of ``edge`` plus two, so ``np.interp`` on that window brackets
+    every read as all of the data would; the window's near end is the live
+    end of the buffer, its far end one binary search.
+    """
+    reach = float(reads[0, 0] if right else reads[-1, 0])
+    # 1e-12 * max(1, |w|) is the one multiply +-1e-12 * w where the strip has |w| >= 1
+    scale = _MERGE_EPS if right else -_MERGE_EPS
+    # the seam: the stored value at ``edge`` (last or first) and the strip's node there
+    end, seam = (-1, 0) if right else (0, -1)
+    new = slice(1, None) if right else slice(None, -1)
+    while edge < stop if right else edge > stop:
+        lo, hi = (edge, edge + step) if right else (edge - step, edge)
+        head, tail = built.head, built.tail
+        k = int(built.bx[head:tail].searchsorted(edge + reach))
+        i, j = (head + max(k - 2, 0), tail) if right else (head, min(head + k + 2, tail))
+        xs, ys = built.bx[i:j], built.by[i:j]
+        kinks = xs - reads
+        inner = kinks[(kinks > lo) & (kinks < hi)]
+        nodes = np.empty(inner.size + 2)
+        nodes[0], nodes[1], nodes[2:] = lo, hi, inner
+        nodes.sort()
+        if lo >= 1.0 if right else hi <= -1.0:
+            eps = nodes[1:] * scale
+        else:
+            eps = _MERGE_EPS * np.maximum(1.0, np.abs(nodes[1:]))
+        keep = np.empty(nodes.size, dtype=bool)
+        keep[0] = True
+        np.greater(nodes[1:] - nodes[:-1], eps, out=keep[1:])
+        nodes = nodes[keep]
+        # lo is first and kept; keep hi exact even if a kink landed within merge range
+        nodes[-1] = hi
+        points = nodes + reads
+        terms = np.interp(points, xs, ys)
+        # rows in order, starting from +0.0 like the builtin sum: minus the strip's values
+        sums = np.add.reduce(terms, axis=0, initial=0.0)
+        existing, incoming = float(ys[end]), -float(sums[seam])
+        if existing != incoming:
+            _seam_check(existing, incoming, edge, points[:, seam], terms[:, seam], xs, ys)
+        count = nodes.size - 1
+        at = built.claim(count, right)
+        built.bx[at : at + count] = nodes[new]
+        np.negative(sums[new], out=built.by[at : at + count])
+        edge = hi if right else lo
 
 
 def extend(
@@ -367,26 +385,8 @@ def extend(
     # a left strip reads g(x + b1), ..., g(x + bN): all within bN to its right
     fwd_shifts = np.array(shifts)[:, None]
     built = _Breakpoints(boundary.breakpoints, boundary.values)
-
-    while hi < w_hi - eps:
-        lo_s, hi_s = hi, hi + step_right
-        xs, ys = built.window(lo_s - b_n, lo_s)  # ends at the last breakpoint, lo_s
-        nodes, vals, points, terms = _strip(xs, ys, back_shifts, lo_s, hi_s)
-        _seam_check(float(ys[-1]), float(vals[0]), lo_s, points[:, 0], terms[:, 0], xs, ys)
-        built.append(nodes[1:], vals[1:])
-        if built.size > MAX_BREAKPOINTS:
-            raise CoverageBudgetExceeded(f"{built.size} breakpoints exceed the budget")
-        hi = hi_s
-
-    while lo > w_lo + eps:
-        lo_s, hi_s = lo - step_left, lo
-        xs, ys = built.window(hi_s, hi_s + b_n)  # starts at the first breakpoint, hi_s
-        nodes, vals, points, terms = _strip(xs, ys, fwd_shifts, lo_s, hi_s)
-        _seam_check(float(ys[0]), float(vals[-1]), hi_s, points[:, -1], terms[:, -1], xs, ys)
-        built.prepend(nodes[:-1], vals[:-1])
-        if built.size > MAX_BREAKPOINTS:
-            raise CoverageBudgetExceeded(f"{built.size} breakpoints exceed the budget")
-        lo = lo_s
+    _grow(built, back_shifts, hi, step_right, w_hi - eps, right=True)
+    _grow(built, fwd_shifts, lo, step_left, w_lo + eps, right=False)
 
     # views into the buffer: copying them out would free a large block, which
     # raises glibc's mmap threshold and moves later large arrays onto the heap

@@ -342,6 +342,78 @@ class TestZerosFuzz:
                 assert not out.exists() and not scan.exists()
 
 
+def _arg(value: float) -> str:
+    """``value`` as argparse reads it: a negative number only in plain decimal.
+
+    argparse takes ``-1e+300`` or ``-5e-324`` for an option; 400 decimals
+    give back every finite double.  ``-inf`` stays and is refused (exit 2).
+    """
+    return f"{value:.400f}" if math.isfinite(value) and value < 0.0 else repr(value)
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse refuses the arguments
+        return exc.code
+
+
+#: a --range pair: adversarial, or ordinary around the origin
+RANGE = st.one_of(
+    st.tuples(ADVERSARIAL, ADVERSARIAL).map(sorted),
+    st.tuples(st.floats(-40.0, -0.5), st.floats(0.5, 40.0)),
+)
+
+
+class TestExtensionFuzz:
+    """extend, residual and popoviciu on adversarial numbers: a contract exit, no stray file.
+
+    Ranges stay within a few hundred strips, or the breakpoint budget refuses
+    them before any strip is built.
+    """
+
+    @staticmethod
+    def _check(argv, boundary) -> None:
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp, "boundary.json"), Path(tmp, "out.txt")
+            path.write_text(json.dumps(boundary))
+            argv = [str(path) if a == "{boundary}" else a for a in argv]
+            code = _exit_code(argv + ["--out", str(out)])
+            assert code in (0, 2, 3, 4)
+            assert out.exists() == (code == 0)
+
+    @settings(max_examples=60, deadline=5000)
+    @given(
+        ends=RANGE, samples=st.integers(-1, 40),
+        tol=st.one_of(st.none(), ADVERSARIAL), last=st.one_of(st.just(-2.0), ADVERSARIAL),
+    )
+    def test_extend(self, ends, samples, tol, last):
+        argv = ["extend", "{boundary}", "--shifts", "[1,2]", "--range", *map(_arg, ends),
+                "--samples", str(samples)]
+        argv += [] if tol is None else [f"--tol={tol!r}"]
+        self._check(argv, {"breakpoints": [0.0, 1.0, 2.0], "values": [1.0, 1.0, last]})
+
+    @settings(max_examples=60, deadline=5000)
+    @given(
+        ends=RANGE, samples=st.integers(-1, 40),
+        multiplicative=st.booleans(), last=st.one_of(st.just(-2.0), ADVERSARIAL),
+    )
+    def test_residual(self, ends, samples, multiplicative, last):
+        # the coefficients (2, 4) have the lattice shifts (ln 2, ln 4)
+        mode = ["--coeffs", "[2,4]"] if multiplicative else ["--shifts", "[1,2]"]
+        knots = (math.log(2.0), math.log(4.0)) if multiplicative else (1.0, 2.0)
+        argv = ["residual", "--boundary", "{boundary}", *mode, "--range", *map(_arg, ends),
+                "--samples", str(samples)]
+        self._check(argv, {"breakpoints": [0.0, *knots], "values": [1.0, 1.0, last]})
+
+    @settings(max_examples=60, deadline=5000)
+    @given(x=ADVERSARIAL, h=ADVERSARIAL, order=st.integers(-1, 5))
+    def test_popoviciu(self, x, h, order):
+        argv = ["popoviciu", "--boundary", "{boundary}", "--shifts", "[1,2]",
+                f"--x={x!r}", f"--h={h!r}", "--order", str(order)]
+        self._check(argv, {"breakpoints": [0.0, 1.0, 2.0], "values": [1.0, 1.0, -2.0]})
+
+
 class TestMoraSolution:
     def test_known_zero(self, capsys):
         code, out, err = run(

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import math
+import pickle
 import time
 from fractions import Fraction
 
@@ -37,6 +39,9 @@ B12 = ShiftVector((1.0, 2.0))
 
 def tent_solution(target=(-3.0, 6.0)):
     return extend(tent_boundary(B12), B12, target)
+
+
+CLONES = [lambda f: pickle.loads(pickle.dumps(f)), copy.deepcopy]
 
 
 class TestPiecewiseLinear:
@@ -86,6 +91,27 @@ class TestPiecewiseLinear:
             with pytest.raises(ValueError):
                 arr[0] = 99.0
         assert sol(lo) == before
+
+    @pytest.mark.parametrize("clone", CLONES, ids=["pickle", "deepcopy"])
+    def test_copies_stay_read_only(self, clone):
+        g = clone(PiecewiseLinear([0.0, 1.0, 2.0], [1.0, 1.0, -2.0]))
+        for arr in (g.breakpoints, g.values):
+            with pytest.raises(ValueError):
+                arr[2] = 100.0
+        assert g(1.5) == -0.5
+        with pytest.raises(OutOfCoverage):
+            g(50.0)
+
+    @pytest.mark.parametrize("clone", CLONES, ids=["pickle", "deepcopy"])
+    def test_copied_solution_pieces_stay_read_only(self, clone):
+        sol = tent_solution()
+        twin = clone(sol)
+        assert twin.covered == sol.covered
+        np.testing.assert_array_equal(twin.pieces.values, sol.pieces.values)
+        for arr in (twin.pieces.breakpoints, twin.pieces.values):
+            with pytest.raises(ValueError):
+                arr[0] = 99.0
+        assert twin(0.0) == sol(0.0)
 
     def test_scalar_read_does_not_copy(self):
         # np.interp copies read-only inputs: 200 reads of 1e6 breakpoints
@@ -400,6 +426,135 @@ class TestExtensionProperty:
         np.testing.assert_array_equal(sol(g.breakpoints), g.values)
         w = np.linspace(0.0, b.largest, 257)
         np.testing.assert_array_equal(sol(w), g(w))
+
+
+# -- reference: the strip construction as two loops, one per side ------------------
+
+
+def _window(xs, ys, lo, hi):
+    """Views of the breakpoints in [lo, hi] plus two on either side."""
+    i, j = xs.searchsorted((lo, hi))
+    i, j = max(int(i) - 2, 0), min(int(j) + 2, xs.size)
+    return xs[i:j], ys[i:j]
+
+
+def _dedupe(nodes):
+    """Sort ``nodes`` in place; drop each node within merge range of the one before."""
+    nodes.sort()
+    keep = np.empty(nodes.size, dtype=bool)
+    keep[0] = True
+    eps = 1e-12 * np.maximum(1.0, np.abs(nodes[1:]))
+    np.greater(nodes[1:] - nodes[:-1], eps, out=keep[1:])
+    return nodes[keep]
+
+
+def _strip(xs, ys, reads, lo, hi):
+    """The strip g(y) = -sum_j g(y + reads[j]) on [lo, hi], g given by (xs, ys)."""
+    kinks = xs - reads
+    nodes = _dedupe(np.concatenate(([lo, hi], kinks[(kinks > lo) & (kinks < hi)])))
+    nodes[0], nodes[-1] = lo, hi
+    points = nodes + reads
+    terms = np.interp(points, xs, ys)
+    return nodes, -np.add.reduce(terms, axis=0, initial=0.0), points, terms
+
+
+def _reference_build(g: PiecewiseLinear, b: ShiftVector, target) -> bytes:
+    """Breakpoint then value bytes of the extension, one loop per side."""
+    shifts, b_n = b.entries, b.largest
+    w_lo, w_hi = target
+    step_right = b_n - (shifts[-2] if len(shifts) >= 2 else 0.0)
+    eps = 1e-12 * max(1.0, abs(w_lo), abs(w_hi))
+    back = np.array([-b_n] + [s - b_n for s in shifts[:-1]])[:, None]
+    fwd = np.array(shifts)[:, None]
+    xs, ys = g.breakpoints.copy(), g.values.copy()
+    lo, hi = g.domain
+    while hi < w_hi - eps:
+        lo_s, hi_s = hi, hi + step_right
+        wx, wy = _window(xs, ys, lo_s - b_n, lo_s)
+        nodes, vals, points, terms = _strip(wx, wy, back, lo_s, hi_s)
+        extension._seam_check(
+            float(wy[-1]), float(vals[0]), lo_s, points[:, 0], terms[:, 0], wx, wy
+        )
+        xs, ys = np.concatenate((xs, nodes[1:])), np.concatenate((ys, vals[1:]))
+        hi = hi_s
+    while lo > w_lo + eps:
+        lo_s, hi_s = lo - shifts[0], lo
+        wx, wy = _window(xs, ys, hi_s, hi_s + b_n)
+        nodes, vals, points, terms = _strip(wx, wy, fwd, lo_s, hi_s)
+        extension._seam_check(
+            float(wy[0]), float(vals[-1]), hi_s, points[:, -1], terms[:, -1], wx, wy
+        )
+        xs, ys = np.concatenate((nodes[:-1], xs)), np.concatenate((vals[:-1], ys))
+        lo = lo_s
+    return xs.tobytes() + ys.tobytes()
+
+
+def _build_bytes(g: PiecewiseLinear, b: ShiftVector, target) -> bytes:
+    sol = extend(g, b, target)
+    return sol.pieces.breakpoints.tobytes() + sol.pieces.values.tobytes()
+
+
+#: breakpoints and values of steep data on d*(1..6), d = 1.5139675249445483,
+#: whose left strips pass w = -1024
+STEEP_LATTICE = (
+    [0.0, 0.6312537231659452, 0.9285657159816115, 1.5139675249445483,
+     3.0279350498890967, 4.541853606108534, 4.541902574833645, 6.055870099778193,
+     7.569837624722742, 8.179267449666211, 8.534120503046235, 9.08380514966729],
+    [0.27702372491045946, 0.8807057653966217, -0.2743839100013914,
+     0.1502663749286448, 0.012547354998434734, 0.2675528655348316,
+     -0.49963095014133274, -0.17228089520791134, 0.271089201155325,
+     0.5068436814832613, 0.6655033434745663, -0.03901481064361989],
+)
+
+
+def _steep_lattice_data() -> tuple[ShiftVector, PiecewiseLinear]:
+    d = STEEP_LATTICE[0][3]
+    return ShiftVector(tuple(d * k for k in range(1, 7))), PiecewiseLinear(*STEEP_LATTICE)
+
+
+def _near_pair_data() -> tuple[ShiftVector, PiecewiseLinear]:
+    """Breakpoint pairs 0.7e-12 and 0.99e-12 apart, which reach strips with |w| < 1.
+
+    There 1e-12 * max(1, |w|) merges each pair and 1e-12 * |w| would keep
+    some: kinks 0.27 + 0.7 and 0.3 - 0.95 land in the strips starting at
+    0.95 and ending at -0.5.
+    """
+    b = ShiftVector((0.25, 0.95))
+    xs = np.array([0.0, 0.1, 0.1 + 7e-13, 0.25, 0.27, 0.27 + 9.9e-13, 0.3, 0.3 + 9.9e-13,
+                   0.6, 0.6 + 7e-13, 0.95])
+    ys = np.array([0.0, 0.3, -0.2, 0.5, 0.1, -0.4, 0.7, -0.6, 0.2, 0.9, 0.6])
+    ys[0] = -(ys[3] + ys[-1])
+    return b, PiecewiseLinear(xs, ys)
+
+
+#: name -> (shifts and boundary data, target): strips whose ends cross |w| = 1,
+#: where the merge tolerance changes formula, seams past w = -1024, and a
+#: wide window of about 43k breakpoints
+REFERENCE_BUILDS = {
+    "near_pairs": (_near_pair_data, (-3.0, 4.0)),
+    "quarter": (lambda: _tent_data(0.25, 0.5), (-3.0, 3.5)),
+    "lattice0.3": (lambda: _lattice_data(0.3, 3, 5), (-4.0, 4.0)),
+    "lattice0.1": (lambda: _lattice_data(0.1, 4, 3), (-2.5, 2.5)),
+    "ln23": (lambda: _log_tent_data(2, 3), (-4.0, 4.0)),
+    "steep": (_steep_lattice_data, (-1030.0, 9.08380514966729)),
+    "ln2357": (lambda: _log_tent_data(2, 3, 5, 7), (-14.0, 28.0)),
+}
+
+
+class TestReferenceLoop:
+    """One strip loop for both sides gives the bytes of the two-loop construction."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_BUILDS))
+    def test_pinned_build(self, name):
+        data, target = REFERENCE_BUILDS[name]
+        b, g = data()
+        assert _build_bytes(g, b, target) == _reference_build(g, b, target)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_compatible_data())
+    def test_same_bytes_as_reference(self, data):
+        b, g, target = data
+        assert _build_bytes(g, b, target) == _reference_build(g, b, target)
 
 
 class TestPeriodicReference:
