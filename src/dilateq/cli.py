@@ -274,7 +274,8 @@ def _cmd_zeros(args) -> None:
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        zeros = expsums.find_zeros(args.n, rect)
+        # the CSV is the search's own first scan, not a second one
+        zeros, (re, im, mod) = expsums._find_zeros(args.n, rect)
     payload = to_json(
         [
             {"re": z.z.real, "im": z.z.imag, "residual": z.modulus_residual, "N": z.n}
@@ -283,7 +284,6 @@ def _cmd_zeros(args) -> None:
     ) + "\n"
     scan_text = None
     if args.scan_csv:
-        re, im, mod = expsums.scan_modulus(args.n, rect)
         re = re.tolist()
         rows = (
             (x, y, m) for y, mod_row in zip(im.tolist(), mod.tolist()) for x, m in zip(re, mod_row)
@@ -316,6 +316,8 @@ def _cmd_mora_solution(args) -> None:
         expsums.ComplexZero(z=alpha, modulus_residual=residual, n=args.n)
     )
     lo, hi = args.range
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidInput("--range must be finite")
     if not lo < hi:
         raise InvalidInput("range must satisfy lo < hi")
     x = np.linspace(lo, hi, args.samples)
@@ -347,6 +349,23 @@ def _cmd_popoviciu(args) -> None:
 
 # -- parser ----------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads every float literal as a value.
+
+    Plain argparse takes ``-1e1`` or ``-inf`` for an option, so
+    ``--range -1e1 5`` fails with "expected 2 arguments" while ``--range -10 5``
+    works.  No option here looks like a number, so a token that ``float``
+    parses is always a value.  Subparsers inherit the class.
+    """
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write output to this file instead of stdout")
@@ -354,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tolerant = argparse.ArgumentParser(add_help=False, parents=[common])
     tolerant.add_argument("--tol", type=float, help="override the subcommand's tolerance")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dilateq",
         description="Solutions of f(x) + f(a1 x) + ... + f(aN x) = 0 from the shell.",
     )

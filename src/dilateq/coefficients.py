@@ -131,6 +131,9 @@ def normalize(raw: Sequence[float]) -> CoefficientVector:
     smallest = values[0]
     if smallest < 1.0:
         values = sorted([v / smallest for v in values[1:]] + [1.0 / smallest])
+        # a subnormal smallest factor sends 1 / smallest past the largest float
+        if not math.isfinite(values[-1]):
+            raise InvalidInput("coefficients overflow when divided by the smallest one")
     return CoefficientVector(tuple(values))
 
 

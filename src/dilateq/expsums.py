@@ -354,13 +354,19 @@ def winding_count(n: int, rect: SearchRectangle) -> int:
     return int(nearest)
 
 
-def _seed(n: int, rect: SearchRectangle, found: list[complex]) -> list[complex]:
+def _seed(
+    n: int,
+    rect: SearchRectangle,
+    found: list[complex],
+    scan: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> list[complex]:
     """Add to ``found`` the zeros Newton reaches from the grid minima of |G|.
 
     A converged zero is kept when its residual is at most ZERO_RESIDUAL_TOL,
     it lies in the rectangle, and no kept zero is within _DEDUPE_DIST of it.
+    The grid is ``scan``, or else ``scan_modulus(n, rect)``.
     """
-    re, im, mod = scan_modulus(n, rect)
+    re, im, mod = scan_modulus(n, rect) if scan is None else scan
     for i, j in _local_minima(mod):
         refined = newton_refine(n, complex(re[j], im[i]))
         if refined is None:
@@ -398,12 +404,20 @@ def find_zeros(n: int, rect: SearchRectangle | None = None) -> list[ComplexZero]
     1e-6 of the boundary raise BoundaryZero instead of silently corrupting
     the audit.
     """
+    return _find_zeros(n, rect)[0]
+
+
+def _find_zeros(
+    n: int, rect: SearchRectangle | None
+) -> tuple[list[ComplexZero], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``find_zeros`` plus the scan ``(re, im, |G|)`` of its first pass on ``rect``."""
     if rect is None:
         rect = default_rectangle()
     _check_n(n)
     _check_grid(rect)
     turns = winding_count(n, rect)
-    found = _seed(n, rect, [])
+    scan = scan_modulus(n, rect)
+    found = _seed(n, rect, [], scan)
     zeros = _verified(n, rect, found)
     grid_re, grid_im = 2 * rect.grid_re - 1, 2 * rect.grid_im - 1
     if turns > len(zeros) and grid_re * grid_im <= _MAX_SCAN_POINTS:
@@ -418,7 +432,7 @@ def find_zeros(n: int, rect: SearchRectangle | None = None) -> list[ComplexZero]
                 "refine the grid or shrink the rectangle"
             )
         )
-    return zeros
+    return zeros, scan
 
 
 class PowerSolution(Frozen):

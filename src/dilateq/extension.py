@@ -72,14 +72,19 @@ _MERGE_VALUE_TOL = 1e-9
 class PiecewiseLinear:
     """Continuous piecewise-linear function on [breakpoints[0], breakpoints[-1]].
 
-    Evaluation between breakpoints interpolates linearly; evaluation outside
-    the domain (beyond a relative slack of 1e-12) raises ``OutOfCoverage``.
-    ``breakpoints`` and ``values`` are read-only views of private copies, so
-    neither the caller's input nor ``f.values[i] = ...`` can change the
-    function after construction, nor that of a pickled or copied one.
+    Evaluation between breakpoints interpolates linearly.  A point within a
+    relative slack of 1e-12 outside the domain reads the value at the nearer
+    end; a point beyond it raises ``OutOfCoverage``, and NaN raises
+    ``InvalidInput``.  A read is one ``np.interp`` pass that marks points
+    outside the domain NaN; only when a NaN shows up does a second pass sort
+    them into ends, refusals and NaN reads.  A Python or numpy float within
+    the slack skips the array handling.  ``breakpoints`` and ``values`` are
+    read-only views of private copies, so neither the caller's input nor
+    ``f.values[i] = ...`` can change the function after construction, nor
+    that of a pickled or copied one.
     """
 
-    __slots__ = ("breakpoints", "values", "_xp", "_fp")
+    __slots__ = ("breakpoints", "values", "_xp", "_fp", "_lo", "_hi")
 
     def __init__(self, breakpoints: Sequence[float], values: Sequence[float]):
         x = np.array(breakpoints, dtype=float)
@@ -98,6 +103,9 @@ class PiecewiseLinear:
         self.breakpoints, self.values = x.view(), y.view()
         self.breakpoints.flags.writeable = False
         self.values.flags.writeable = False
+        # the readable interval, domain plus slack, as Python floats
+        slack = _MERGE_EPS * max(1.0, abs(x[0]), abs(x[-1]))
+        self._lo, self._hi = float(x[0] - slack), float(x[-1] + slack)
 
     def __reduce__(self):
         # pickle and copy rebuild through the constructor, read-only views included
@@ -108,18 +116,24 @@ class PiecewiseLinear:
         return float(self.breakpoints[0]), float(self.breakpoints[-1])
 
     def __call__(self, w):
+        # np.interp answers fp[0] and fp[-1] at and beyond the ends, as at the
+        # clamped point, so a read within the slack needs no clamping
+        if isinstance(w, float) and self._lo <= w <= self._hi:
+            return float(np.interp(w, self._xp, self._fp))
         arr = np.asarray(w, dtype=float)
-        lo, hi = self.breakpoints[0], self.breakpoints[-1]
-        slack = _MERGE_EPS * max(1.0, abs(lo), abs(hi))
-        # min and max propagate NaN, and every comparison with NaN is false
-        if arr.size and not (arr.min() >= lo - slack and arr.max() <= hi + slack):
+        out = np.interp(arr, self._xp, self._fp, left=math.nan, right=math.nan)
+        # min propagates NaN: one test finds a point outside the domain or a NaN
+        if out.size and np.isnan(out.min()):
             if np.isnan(arr).any():
                 raise InvalidInput("evaluation point is NaN")
-            bad = arr[(arr < lo - slack) | (arr > hi + slack)]
-            raise OutOfCoverage(
-                f"point {float(np.ravel(bad)[0]):.17g} outside [{lo:.17g}, {hi:.17g}]"
-            )
-        out = np.interp(np.clip(arr, lo, hi), self._xp, self._fp)
+            bad = arr[(arr < self._lo) | (arr > self._hi)]
+            if bad.size:
+                lo, hi = self.domain
+                raise OutOfCoverage(
+                    f"point {float(np.ravel(bad)[0]):.17g} outside [{lo:.17g}, {hi:.17g}]"
+                )
+            # points within the slack, or a NaN that interpolation itself made
+            out = np.interp(arr, self._xp, self._fp)
         return float(out) if np.isscalar(w) or arr.ndim == 0 else out
 
 
@@ -268,7 +282,7 @@ def _seam_check(
     if gap <= _MERGE_VALUE_TOL * max(1.0, abs(existing), abs(incoming)):
         return
     # steeper of the two segments next to each read position
-    k = np.clip(np.searchsorted(xs, points), 1, xs.size - 1)
+    k = np.minimum(np.maximum(np.searchsorted(xs, points), 1), xs.size - 1)
     m = np.minimum(k, xs.size - 2)
     left = np.abs((ys[k] - ys[k - 1]) / (xs[k] - xs[k - 1]))
     right = np.abs((ys[m + 1] - ys[m]) / (xs[m + 1] - xs[m]))
@@ -345,7 +359,9 @@ def extend(
     ``target`` must contain [0, bN].  The result covers at least ``target``
     (coverage grows in whole strips).  Boundary data must satisfy the
     compatibility condition to within ``tol``.  A target needing more than
-    ``MAX_BREAKPOINTS`` breakpoints is refused before any strip is built.
+    ``MAX_BREAKPOINTS`` breakpoints, or strips on a side no wider than twice
+    the merge range 1e-12 * max(1, |w|) at that side's far end, is refused
+    with ``CoverageBudgetExceeded`` before any strip is built.
     """
     shifts = _shift_entries(b)
     n = len(shifts)
@@ -367,6 +383,17 @@ def extend(
     step_left = shifts[0]
     eps = _MERGE_EPS * max(1.0, abs(w_lo), abs(w_hi))
     lo, hi = boundary.domain
+    # a strip no wider than the merge range at its far end keeps no new node,
+    # so coverage would stop growing or end short; twice that range leaves
+    # room for a last strip past the target and for rounding of its ends
+    for side, step, far, needed in (
+        ("right", step_right, w_hi, hi < w_hi - eps),
+        ("left", step_left, w_lo, lo > w_lo + eps),
+    ):
+        if needed and not step > 2.0 * _MERGE_EPS * max(1.0, abs(far)):
+            raise CoverageBudgetExceeded(
+                f"{side} strips of width {step:.6g} vanish in the merge range at w = {far:.17g}"
+            )
     # every strip adds a breakpoint; one strip less per side absorbs rounding
     # in the strip positions, so this refuses only targets the loops below
     # would refuse too

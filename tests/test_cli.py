@@ -1,5 +1,8 @@
+import contextlib
+import hashlib
 import json
 import math
+import signal
 import subprocess
 import sys
 import tempfile
@@ -79,6 +82,12 @@ class TestRegularity:
         code, out, err = run(capsys, "regularity", "[NaN]")
         assert code == 2 and out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize("coeffs", ["[5e-324]", "[1e-310, 2]", "[1e-10, 1e300]"])
+    def test_overflowing_normalization_exits_2(self, capsys, coeffs):
+        code, out, err = run(capsys, "regularity", coeffs)
+        assert (code, out) == (2, "")
+        assert "overflow" in err
 
 
 class TestNormalize:
@@ -284,6 +293,39 @@ class TestZeros:
         lines = scan.read_text().strip().splitlines()
         assert lines[0] == "re,im,abs" and len(lines) == 17
 
+    def test_scan_csv_scans_once(self, capsys, tmp_path, monkeypatch):
+        from dilateq import expsums
+
+        calls = []
+        scan = expsums.scan_modulus
+
+        def counted(n, rect):
+            calls.append((n, rect.grid_re, rect.grid_im))
+            return scan(n, rect)
+
+        monkeypatch.setattr(expsums, "scan_modulus", counted)
+        code, _, _ = run(capsys, "zeros", "--n", 2, "--scan-csv", tmp_path / "scan.csv")
+        assert code == 0
+        assert calls == [(2, 61, 241)]
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            # the default rectangle
+            (["--n", 2], "755daf909fcc70d1db634694e02de33918795a2c7546e11df3c6575d507282ce"),
+            # a search that seeds twice: the CSV holds the first, 9 x 31 grid
+            (
+                ["--n", 30, "--grid-re", 9, "--grid-im", 31],
+                "0c8673439da989f043dbe77bef0430714c7bdc7d3962e9e41f4d3d6f4e88970c",
+            ),
+        ],
+    )
+    def test_scan_csv_bytes(self, capsys, tmp_path, argv, digest):
+        scan = tmp_path / "scan.csv"
+        code, _, _ = run(capsys, "zeros", *argv, "--scan-csv", scan)
+        assert code == 0
+        assert hashlib.sha256(scan.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize(
         "bound", ["--im-max=inf", "--re-min=-inf", "--im-min=-inf", "--re-max=nan"]
     )
@@ -343,10 +385,10 @@ class TestZerosFuzz:
 
 
 def _arg(value: float) -> str:
-    """``value`` as argparse reads it: a negative number only in plain decimal.
+    """``value`` as a command-line token, a negative finite number in plain decimal.
 
-    argparse takes ``-1e+300`` or ``-5e-324`` for an option; 400 decimals
-    give back every finite double.  ``-inf`` stays and is refused (exit 2).
+    400 decimals give back every finite double; ``TestNegativeRange`` checks
+    that the exponent forms read the same.
     """
     return f"{value:.400f}" if math.isfinite(value) and value < 0.0 else repr(value)
 
@@ -412,6 +454,132 @@ class TestExtensionFuzz:
         argv = ["popoviciu", "--boundary", "{boundary}", "--shifts", "[1,2]",
                 f"--x={x!r}", f"--h={h!r}", "--order", str(order)]
         self._check(argv, {"breakpoints": [0.0, 1.0, 2.0], "values": [1.0, 1.0, -2.0]})
+
+
+#: subcommands with ``--range LO HI``, each followed by the range
+RANGED = {
+    "extend": ["extend", "{tent}", "--shifts", "[1,2]", "--samples", "7"],
+    "residual": ["residual", "--boundary", "{tent}", "--shifts", "[1,2]", "--samples", "7"],
+    "mora-solution": [
+        "mora-solution", "--n", "2", "--re", "0", "--im", repr(math.pi / math.log(2)),
+        "--samples", "7",
+    ],
+}
+
+
+class TestNegativeRange:
+    """``--range`` reads a negative number in any float syntax as a value."""
+
+    @pytest.mark.parametrize("name", sorted(RANGED))
+    @pytest.mark.parametrize("lo", ["-1e1", "-1E+1", "-1.0e1", "-.1e2"])
+    def test_exponent_form_reads_like_decimal(self, capsys, tent_file, name, lo):
+        argv = [tent_file if a == "{tent}" else a for a in RANGED[name]]
+        plain = run(capsys, *argv, "--range", "-10", "5")
+        assert plain[0] == 0
+        assert run(capsys, *argv, "--range", lo, "5") == plain
+
+    @pytest.mark.parametrize(
+        "name, code, message",
+        [
+            ("extend", 3, "an infinite target needs unboundedly many breakpoints"),
+            ("residual", 3, "an infinite target needs unboundedly many breakpoints"),
+            ("mora-solution", 2, "--range must be finite"),
+        ],
+    )
+    def test_minus_inf_reaches_validation(self, capsys, tent_file, name, code, message):
+        argv = [tent_file if a == "{tent}" else a for a in RANGED[name]]
+        assert run(capsys, *argv, "--range", "-inf", "5") == (code, "", f"error: {message}\n")
+
+
+class _Overtime(BaseException):
+    """Raised by the alarm; ``main`` catches only ``Exception``, so this gets through."""
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Fail a call still running after ``seconds`` instead of waiting on it."""
+
+    def ring(signum, frame):
+        raise _Overtime(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, ring)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+#: a JSON array of adversarial numbers; Python's json reads NaN and Infinity
+VECTOR = st.lists(ADVERSARIAL, max_size=4).map(json.dumps)
+
+#: an integer argument: small, huge, or not an integer at all
+INTEGER = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(["0", "-0", str(10**30), str(-(10**30)), "1e3", "nan", "-inf", "2.5"]),
+)
+
+
+class TestSubcommandFuzz:
+    """The other seven subcommands on adversarial numbers: a contract exit, no stray file.
+
+    Grids stay small: the frequency scan's step is at least 0.01 or a step
+    its budget refuses, and ``--m-max`` lists at most a dozen frequencies.
+    """
+
+    @staticmethod
+    def _check(argv) -> None:
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp, "out.txt")
+            with _deadline(10.0):
+                code = _exit_code(argv + ["--out", str(out)])
+            assert code in (0, 2, 3, 4)
+            assert out.exists() == (code == 0)
+
+    @settings(max_examples=60, deadline=5000)
+    @given(
+        shifts=VECTOR, alpha_max=ADVERSARIAL,
+        step=st.one_of(st.none(), ADVERSARIAL.filter(lambda v: not 0.0 < v < 0.01)),
+        tol=st.one_of(st.none(), ADVERSARIAL),
+    )
+    def test_periodicity(self, shifts, alpha_max, step, tol):
+        argv = ["periodicity", "--shifts", shifts, f"--alpha-max={alpha_max!r}"]
+        argv += [] if step is None else [f"--grid-step={step!r}"]
+        argv += [] if tol is None else [f"--tol={tol!r}"]
+        self._check(argv)
+
+    @settings(max_examples=60, deadline=5000)
+    @given(
+        n=st.integers(-1, 12),
+        z=st.one_of(st.tuples(ADVERSARIAL, ADVERSARIAL), st.just((0.0, math.pi / math.log(2)))),
+        ends=RANGE, samples=st.integers(-1, 40),
+    )
+    def test_mora_solution(self, n, z, ends, samples):
+        argv = ["mora-solution", "--n", str(n), f"--re={z[0]!r}", f"--im={z[1]!r}",
+                "--range", *map(repr, ends), "--samples", str(samples)]
+        self._check(argv)
+
+    @settings(max_examples=60, deadline=5000)
+    @given(k=INTEGER, theta=ADVERSARIAL, shifts=VECTOR)
+    def test_fourier_matrix(self, k, theta, shifts):
+        self._check(["fourier-matrix", "--k", k, f"--theta={theta!r}", "--shifts", shifts])
+
+    @settings(max_examples=60, deadline=5000)
+    @given(n=INTEGER, d=ADVERSARIAL, m_max=INTEGER.filter(lambda v: len(v) < 4))
+    def test_equispaced(self, n, d, m_max):
+        # the frequency list is m_max long
+        self._check(["equispaced", "--n", n, f"--d={d!r}", "--m-max", m_max])
+
+    @settings(max_examples=60, deadline=5000)
+    @given(name=st.sampled_from(["regularity", "normalize"]), coeffs=VECTOR)
+    def test_coefficients(self, name, coeffs):
+        self._check([name, coeffs])
+
+    @settings(max_examples=60, deadline=5000)
+    @given(p=INTEGER, q=INTEGER)
+    def test_two_term(self, p, q):
+        self._check(["two-term", p, q])
 
 
 class TestMoraSolution:

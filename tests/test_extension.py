@@ -2,12 +2,16 @@ import copy
 import hashlib
 import math
 import pickle
+import subprocess
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dilateq import (
     PiecewiseLinear,
@@ -23,6 +27,7 @@ from dilateq import (
     to_additive,
 )
 from dilateq import extension
+from tests.test_package import src_env
 from dilateq.errors import (
     CoverageBudgetExceeded,
     DomainMismatch,
@@ -122,6 +127,156 @@ class TestPiecewiseLinear:
         for w in np.linspace(0.0, 1.0, 200).tolist():
             f(w)
         assert time.perf_counter() - t0 < 0.5
+
+
+# -- reference: the read as two range scans, a clamped copy and one interpolation --
+
+
+def _clip_read(f: PiecewiseLinear, w):
+    """``f(w)`` by scanning the range, clamping a copy into the domain, interpolating."""
+    arr = np.asarray(w, dtype=float)
+    lo, hi = f.breakpoints[0], f.breakpoints[-1]
+    slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+    if arr.size and not (arr.min() >= lo - slack and arr.max() <= hi + slack):
+        if np.isnan(arr).any():
+            raise InvalidInput("evaluation point is NaN")
+        bad = arr[(arr < lo - slack) | (arr > hi + slack)]
+        raise OutOfCoverage(
+            f"point {float(np.ravel(bad)[0]):.17g} outside [{lo:.17g}, {hi:.17g}]"
+        )
+    out = np.interp(np.clip(arr, lo, hi), f.breakpoints.copy(), f.values.copy())
+    return float(out) if np.isscalar(w) or arr.ndim == 0 else out
+
+
+def _outcome(read, f, w):
+    """What a read gives: type, shape and bytes, or exception type and message."""
+    try:
+        out = read(f, w)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(out), np.shape(out), np.asarray(out).dtype, np.asarray(out).tobytes()
+
+
+#: functions whose slopes overflow to inf, or to nan where the breakpoints span
+#: more than the largest float, so interpolation itself gives inf or nan
+EXTREME = [
+    ([-1.5e308, 1.5e308], [-1.5e308, 1.5e308]),
+    ([0.0, 1e-300, 1.0], [-1e308, 1e308, 0.0]),
+    ([-1e300, 0.0, 1e-300], [1.0, -0.0, 1e300]),
+]
+
+
+def _extreme(xs, ys) -> PiecewiseLinear:
+    with np.errstate(over="ignore"):  # the constructor's np.diff of the breakpoints
+        return PiecewiseLinear(xs, ys)
+
+
+@st.composite
+def _function(draw):
+    if draw(st.integers(0, 5)) == 0:
+        return _extreme(*draw(st.sampled_from(EXTREME)))
+    xs = sorted(draw(st.lists(
+        st.floats(-1e6, 1e6, allow_subnormal=True), min_size=2, max_size=6, unique=True
+    )))
+    assume(all(b > a for a, b in zip(xs, xs[1:])))
+    ys = draw(st.lists(st.floats(-1e6, 1e6), min_size=len(xs), max_size=len(xs)))
+    return PiecewiseLinear(xs, ys)
+
+
+@st.composite
+def _point(draw, f: PiecewiseLinear):
+    """Inside, at the ends, within the slack, just past it, far out, or NaN."""
+    lo, hi = f.domain
+    slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+    edges = [lo, hi, lo - slack, hi + slack, lo - 0.5 * slack, hi + 0.5 * slack]
+    edges += [np.nextafter(lo - slack, -math.inf), np.nextafter(hi + slack, math.inf)]
+    return draw(st.one_of(
+        st.floats(lo, hi),
+        st.sampled_from(edges).map(float),
+        st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, -1e300]),
+        st.floats(allow_nan=False),
+    ))
+
+
+@st.composite
+def _read_input(draw):
+    """A function and an input in any of the forms a caller may pass."""
+    f = draw(_function())
+    point = _point(f)
+    form = draw(st.sampled_from(
+        ["float", "float64", "float32", "int", "list", "0-d", "array", "empty"]
+    ))
+    if form == "float":
+        w = draw(point)
+    elif form == "float64":
+        w = np.float64(draw(point))
+    elif form == "float32":
+        w = np.float32(draw(point.filter(lambda v: not abs(v) > 3e38)))
+    elif form == "int":
+        w = draw(st.integers(-(10**6), 10**6))
+    elif form == "list":
+        w = draw(st.lists(st.one_of(point, st.integers(-3, 3)), max_size=5))
+    elif form == "0-d":
+        w = np.array(draw(point))
+    elif form == "array":
+        shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=4))
+        w = draw(hnp.arrays(np.float64, shape, elements=point))
+    else:
+        w = np.empty(draw(st.sampled_from([(0,), (2, 0), (0, 3, 1)])))
+    return f, w
+
+
+class TestOnePassRead:
+    """One interpolation pass gives what scanning, clamping and interpolating gave."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_read_input())
+    def test_same_as_clamped_read(self, data):
+        f, w = data
+        assert _outcome(PiecewiseLinear.__call__, f, w) == _outcome(_clip_read, f, w)
+
+    @pytest.mark.parametrize("xs, ys", EXTREME)
+    def test_overflowing_slopes(self, xs, ys):
+        f = _extreme(xs, ys)
+        # the breakpoints, the midpoints and the quarter points of each piece
+        t = np.linspace(0.0, 1.0, 5)[:, None]
+        w = np.sort(((1.0 - t) * xs[:-1] + t * xs[1:]).ravel())
+        out = f(w)
+        assert not np.isfinite(out).all()
+        assert _outcome(PiecewiseLinear.__call__, f, w) == _outcome(_clip_read, f, w)
+        for x in w.tolist():
+            assert _outcome(PiecewiseLinear.__call__, f, x) == _outcome(_clip_read, f, x)
+
+    @pytest.mark.parametrize("scalar", [float, np.float64, np.array])
+    @pytest.mark.parametrize("domain", [(0.0, 2.0), (-3e5, -2.5e5), (-1.0, 7e8)])
+    def test_points_at_the_edges(self, scalar, domain):
+        lo, hi = domain
+        f = PiecewiseLinear([lo, 0.5 * (lo + hi), hi], [1.0, -3.0, 2.0])
+        slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+        for end, out in ((lo, -math.inf), (hi, math.inf)):
+            past = np.nextafter(end + math.copysign(slack, out), out)
+            for x in (end, end + 0.5 * math.copysign(slack, out), past, np.nextafter(past, out)):
+                w = scalar(x)
+                assert _outcome(PiecewiseLinear.__call__, f, w) == _outcome(_clip_read, f, w)
+
+    @pytest.mark.parametrize("w", [[0.0, -1e-12], np.array([2.0 + 2e-12, 1.0, math.nan])])
+    def test_slack_and_nan_in_one_array(self, w):
+        f = PiecewiseLinear([0.0, 1.0, 2.0], [1.0, 1.0, -2.0])
+        assert _outcome(PiecewiseLinear.__call__, f, w) == _outcome(_clip_read, f, w)
+
+    def test_read_allocates_one_output_array(self):
+        f = PiecewiseLinear(np.linspace(0.0, 1.0, 1000), np.linspace(0.0, 1.0, 1000) ** 2)
+        w = np.linspace(0.0, 1.0, 1_000_000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = f(w)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == w.nbytes == 8_000_000
+        # the output, and no clamped copy of the input beside it
+        assert peak < 1.25 * w.nbytes
 
 
 class TestCheckInterpolation:
@@ -271,6 +426,54 @@ class TestExtend:
         assert sol(0.0) == tent_boundary(B12)(0.0)
         with pytest.raises(OutOfCoverage):
             sol(100.0)
+
+
+#: shifts and target of builds whose strips are narrower than the merge range:
+#: hi + step rounds back to hi (never ends), or every strip merges into one
+#: node (ends short of the target)
+NARROW = {
+    "never_ends": "b = (2 - 2**-52, 2.0); target = (0.0, 2 + 3e-12)",
+    "ends_short": "b = (1.0, 1 + 2**-52); target = (0.0, b[1] + 2e-12)",
+}
+
+
+class TestNarrowStrips:
+    """A side whose strips vanish in the merge range is refused before any is built."""
+
+    @pytest.mark.parametrize("name", sorted(NARROW))
+    def test_refused_in_bounded_time(self, name):
+        # in a subprocess, so that a build that never ends fails the test
+        code = (
+            "from dilateq import extend, tent_boundary\n"
+            "from dilateq.errors import CoverageBudgetExceeded\n"
+            f"{NARROW[name]}\n"
+            "try:\n"
+            "    print(extend(tent_boundary(b), b, target).covered)\n"
+            "except CoverageBudgetExceeded as exc:\n"
+            "    print('refused:', exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.stdout.startswith("refused: right strips of width 2.22045e-16")
+
+    def test_left_side(self):
+        b = ShiftVector((1e-13, 2.0))
+        with pytest.raises(CoverageBudgetExceeded, match="left strips"):
+            extend(tent_boundary(b), b, (-1e-11, 2.0))
+
+    def test_side_without_strips_is_not_refused(self):
+        b = ShiftVector((1.0, 1.0 + 2.0**-52))
+        assert extend(tent_boundary(b), b, (-3.0, b.largest)).covered[1] == b.largest
+
+    @pytest.mark.parametrize("step", [1e-10, 3e-12, 2.5e-12])
+    def test_steps_past_twice_the_merge_range_reach_the_target(self, step):
+        right = ShiftVector((1.0, 1.0 + step))
+        target = (0.0, right.largest + 7 * step)
+        assert extend(tent_boundary(right), right, target).covered[1] >= target[1] - 1e-12
+        left = ShiftVector((step, 2.0))
+        assert extend(tent_boundary(left), left, (-7 * step, 2.0)).covered[0] <= -7 * step + 2e-12
 
 
 class TestSeamTolerance:
