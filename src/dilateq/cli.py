@@ -304,6 +304,8 @@ def _cmd_mora_solution(args) -> None:
     if not (math.isfinite(args.re) and math.isfinite(args.im)):
         raise InvalidInput("--re and --im must be finite")
     _check_samples(args.samples)
+    # n terms per sum, and n per sample of the residual, before any is evaluated
+    expsums._check_terms(args.n, args.samples)
     alpha = complex(args.re, args.im)
     residual = abs(expsums.power_sum(args.n, alpha))
     # written so that a NaN residual fails too

@@ -13,7 +13,13 @@ from __future__ import annotations
 import math
 
 from ._frozen import Frozen
-from .errors import InvalidInput, NonPositiveScale, NotCoprime, ZeroDenominator
+from .errors import (
+    GridBudgetExceeded,
+    InvalidInput,
+    NonPositiveScale,
+    NotCoprime,
+    ZeroDenominator,
+)
 
 __all__ = [
     "equispaced_alphas",
@@ -21,12 +27,18 @@ __all__ = [
     "TwoTermVerdict",
 ]
 
+#: longest frequency list, in m_max, checked before the list is built
+MAX_FREQUENCIES = 1_000_000
+
 
 def equispaced_alphas(n: int, d: float, m_max: int) -> list[float]:
     """Closed-form frequencies 2*m*pi/((n+1)*d) for shifts (d, 2d, ..., nd).
 
     Indices m that are multiples of n+1 make every phase a full turn and are
-    excluded.
+    excluded.  An ``m_max`` above ``MAX_FREQUENCIES`` raises
+    GridBudgetExceeded before the list is built.  An n + 1 too large for a
+    float, and frequencies that overflow (a subnormal d) or underflow to 0
+    (an infinite (n+1)*d), raise InvalidInput.
     """
     if n < 1:
         raise InvalidInput("n must be >= 1")
@@ -36,11 +48,20 @@ def equispaced_alphas(n: int, d: float, m_max: int) -> list[float]:
         raise NonPositiveScale("spacing d must be positive")
     if m_max < 1:
         raise InvalidInput("m_max must be >= 1")
-    return [
-        2.0 * m * math.pi / ((n + 1) * d)
-        for m in range(1, m_max + 1)
-        if m % (n + 1) != 0
-    ]
+    if m_max > MAX_FREQUENCIES:
+        raise GridBudgetExceeded(
+            f"m_max = {m_max} exceeds the budget of {MAX_FREQUENCIES} frequencies"
+        )
+    try:
+        span = (n + 1) * d
+    except OverflowError as exc:
+        raise InvalidInput("n + 1 is too large for a float") from exc
+    if not math.isfinite(span):
+        raise InvalidInput("(n + 1) * d overflows, so every frequency would read 0")
+    alphas = [2.0 * m * math.pi / span for m in range(1, m_max + 1) if m % (n + 1) != 0]
+    if alphas and not math.isfinite(alphas[-1]):
+        raise InvalidInput("the frequencies overflow: the spacing d is too small")
+    return alphas
 
 
 class TwoTermVerdict(Frozen):

@@ -74,7 +74,8 @@ class CoverageBudgetExceeded(DomainViolation):
 
 
 class GridBudgetExceeded(DomainViolation):
-    """A periodicity or zero-search scan grid would exceed its point budget."""
+    """A scan grid, the term tables or work of a zero search, or a frequency
+    list would exceed its budget."""
 
 
 class BoundaryZero(DomainViolation):

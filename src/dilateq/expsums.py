@@ -20,8 +20,8 @@ The engine keeps transcendental calls few:
   read ``inf`` in one and ``nan`` in the other.  ``find_zeros`` never gets
   that far: the rectangle's right edge overflows too, and the winding count
   raises ``BoundaryZero``.
-- ``newton_refine`` reuses the value from each step's residual check as the
-  next step's ``g``: one ``power_sum`` and one ``power_sum_deriv`` per step.
+- ``newton_refine`` takes ``g`` and ``g'`` of each iterate from one table of
+  terms ``exp(z ln k)``: one exponential pass per step.
 - ``winding_count`` tracks arg G along the boundary on samples close
   enough that it provably moves by less than pi between neighbours (see its
   docstring), bisecting every uncertified step in one array pass per level.
@@ -30,7 +30,9 @@ The engine keeps transcendental calls few:
 - ``find_zeros`` takes the winding count before it scans, so a rectangle
   the count refuses costs no Newton start.  It seeds once more on the grid
   with every cell halved when the count exceeds the zeros found and that
-  grid is within the budget, keeping the zeros it has.
+  grid is within the budgets, keeping the zeros it has.  The budgets grow
+  with n: grid points, table entries ``(grid_re + grid_im) * n`` and terms
+  summed ``points * n`` are checked before anything is allocated.
 """
 
 from __future__ import annotations
@@ -78,6 +80,14 @@ _CHUNK_BYTES = 1 << 20
 #: most points one modulus scan grid may hold
 _MAX_SCAN_POINTS = 1 << 22
 
+#: most entries of one scan's radial and phase tables, (grid_re + grid_im) * n,
+#: and of one power sum at a point, n
+_MAX_TABLE_TERMS = 1 << 22
+
+#: most terms one scan may sum, grid points * n, and one equation residual may
+#: evaluate, samples * n
+_MAX_TERMS = 1 << 26
+
 #: most boundary samples one winding count may evaluate
 _WINDING_MAX_SAMPLES = 1 << 18
 
@@ -92,13 +102,18 @@ def _check_n(n: int) -> None:
         raise InvalidInput("the exponential sum needs n >= 2")
 
 
+def _terms(n: int, zz: np.ndarray) -> np.ndarray:
+    """exp(z ln k), k = 1..n, on a new last axis.  Callers ignore overflow and
+    invalid: inf from wildly divergent Newton iterates is discarded."""
+    _check_n(n)
+    return np.exp(np.multiply.outer(zz, _log_table(n)))
+
+
 def power_sum(n: int, z) -> complex | np.ndarray:
     """1 + 2^z + ... + n^z, each term computed as exp(z ln k)."""
-    _check_n(n)
     zz = np.asarray(z, dtype=complex)
-    # overflow for wildly divergent Newton iterates is fine: inf is discarded
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.exp(np.multiply.outer(zz, _log_table(n))).sum(axis=-1)
+        out = _terms(n, zz).sum(axis=-1)
     return complex(out) if zz.ndim == 0 else out
 
 
@@ -109,11 +124,9 @@ def zeta_partial_sum(n: int, z) -> complex | np.ndarray:
 
 def power_sum_deriv(n: int, z) -> complex | np.ndarray:
     """d/dz of the power sum: sum(ln(k) * k^z, k=2..n)."""
-    _check_n(n)
     zz = np.asarray(z, dtype=complex)
-    logs = _log_table(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = (logs * np.exp(np.multiply.outer(zz, logs))).sum(axis=-1)
+        out = (_log_table(n) * _terms(n, zz)).sum(axis=-1)
     return complex(out) if zz.ndim == 0 else out
 
 
@@ -201,33 +214,60 @@ def newton_refine(n: int, z0: complex) -> tuple[complex, list[float]] | None:
     iteration stalls, diverges or runs out of steps.
     """
     z = complex(z0)
-    g = power_sum(n, z)
+    g, gp = _value_and_slope(n, z)
     history: list[float] = []
     for _ in range(_NEWTON_MAX_ITER):
-        gp = power_sum_deriv(n, z)
         if gp == 0 or not (math.isfinite(gp.real) and math.isfinite(gp.imag)):
             return None
         dz = g / gp
         z_next = z - dz
         if not (math.isfinite(z_next.real) and math.isfinite(z_next.imag)):
             return None
-        g_next = power_sum(n, z_next)
+        g_next, gp_next = _value_and_slope(n, z_next)
         res_next = abs(g_next)
         if history and history[-1] <= 1e-12 and res_next >= history[-1]:
             # at rounding level another step cannot improve; keep the best iterate
             return z, history
-        z, g = z_next, g_next
+        z, g, gp = z_next, g_next, gp_next
         history.append(res_next)
         if abs(dz) <= 1e-13 * (1.0 + abs(z)):
             return z, history
     return None
 
 
-def _check_grid(rect: SearchRectangle) -> None:
-    if rect.grid_re * rect.grid_im > _MAX_SCAN_POINTS:
+def _value_and_slope(n: int, z: complex) -> tuple[complex, complex]:
+    """``power_sum(n, z)`` and ``power_sum_deriv(n, z)`` from one term table."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _terms(n, np.asarray(z, dtype=complex))
+        return complex(terms.sum(axis=-1)), complex((_log_table(n) * terms).sum(axis=-1))
+
+
+def _grid_refusal(n: int, grid_re: int, grid_im: int) -> str | None:
+    """Why a scan of n terms on this grid is over budget, or None."""
+    points = grid_re * grid_im
+    if points > _MAX_SCAN_POINTS:
+        return (
+            f"scan grid of {grid_re} x {grid_im} points exceeds the budget of {_MAX_SCAN_POINTS}"
+        )
+    if (grid_re + grid_im) * n > _MAX_TABLE_TERMS:
+        return f"scan tables of ({grid_re} + {grid_im}) x {n} terms exceed {_MAX_TABLE_TERMS}"
+    if points * n > _MAX_TERMS:
+        return f"scan of {points} points x {n} terms exceeds the budget of {_MAX_TERMS}"
+    return None
+
+
+def _check_grid(n: int, rect: SearchRectangle) -> None:
+    refusal = _grid_refusal(n, rect.grid_re, rect.grid_im)
+    if refusal is not None:
+        raise GridBudgetExceeded(refusal)
+
+
+def _check_terms(n: int, samples: int) -> None:
+    """Refuse an n over ``_MAX_TABLE_TERMS``, or samples * n over ``_MAX_TERMS``."""
+    if n > _MAX_TABLE_TERMS or samples * n > _MAX_TERMS:
         raise GridBudgetExceeded(
-            f"scan grid of {rect.grid_re} x {rect.grid_im} points exceeds the budget "
-            f"of {_MAX_SCAN_POINTS}"
+            f"{samples} samples x {n} terms exceed the budget of {_MAX_TERMS} terms, "
+            f"or n exceeds {_MAX_TABLE_TERMS}"
         )
 
 
@@ -237,7 +277,8 @@ def scan_modulus(n: int, rect: SearchRectangle) -> tuple[np.ndarray, np.ndarray,
     Each term is the product of a radial factor exp(x ln k) and a phase
     exp(iy ln k), both exponentiated as complex numbers so that they match
     exp((x + iy) ln k) bit for bit; see the module docstring for the range.
-    A grid of more than ``_MAX_SCAN_POINTS`` points raises GridBudgetExceeded
+    A grid of more than ``_MAX_SCAN_POINTS`` points, or over the n-aware
+    budgets ``_MAX_TABLE_TERMS`` and ``_MAX_TERMS``, raises GridBudgetExceeded
     before anything is allocated.
 
     The im rows are taken in blocks of about ``_CHUNK_BYTES`` (1 MiB) of
@@ -246,7 +287,7 @@ def scan_modulus(n: int, rect: SearchRectangle) -> tuple[np.ndarray, np.ndarray,
     does not change a bit of the result.
     """
     _check_n(n)
-    _check_grid(rect)
+    _check_grid(n, rect)
     re = np.linspace(rect.re_min, rect.re_max, rect.grid_re)
     im = np.linspace(rect.im_min, rect.im_max, rect.grid_im)
     logs = _log_table(n)
@@ -414,13 +455,13 @@ def _find_zeros(
     if rect is None:
         rect = default_rectangle()
     _check_n(n)
-    _check_grid(rect)
+    _check_grid(n, rect)
     turns = winding_count(n, rect)
     scan = scan_modulus(n, rect)
     found = _seed(n, rect, [], scan)
     zeros = _verified(n, rect, found)
     grid_re, grid_im = 2 * rect.grid_re - 1, 2 * rect.grid_im - 1
-    if turns > len(zeros) and grid_re * grid_im <= _MAX_SCAN_POINTS:
+    if turns > len(zeros) and _grid_refusal(n, grid_re, grid_im) is None:
         finer = SearchRectangle(
             rect.re_min, rect.re_max, rect.im_min, rect.im_max, grid_re, grid_im
         )
@@ -470,9 +511,14 @@ def solution_from_zero(zero: ComplexZero) -> PowerSolution:
 
 
 def residual_integer_equation(f: Callable, n: int, grid) -> float:
-    """max over the grid of |f(x) + f(2x) + ... + f(nx)|."""
+    """max over the grid of |f(x) + f(2x) + ... + f(nx)|.
+
+    A grid whose size times n exceeds ``_MAX_TERMS`` raises GridBudgetExceeded
+    before f is called.
+    """
     _check_n(n)
     x = np.asarray(grid, dtype=float)
+    _check_terms(n, x.size)
     total = np.zeros_like(x)
     for k in range(1, n + 1):
         vals = f(k * x)

@@ -81,7 +81,8 @@ class PiecewiseLinear:
     the slack skips the array handling.  ``breakpoints`` and ``values`` are
     read-only views of private copies, so neither the caller's input nor
     ``f.values[i] = ...`` can change the function after construction, nor
-    that of a pickled or copied one.
+    that of a pickled or copied one.  Breakpoint or value differences that
+    overflow a float, whose slopes would read NaN, raise ``InvalidInput``.
     """
 
     __slots__ = ("breakpoints", "values", "_xp", "_fp", "_lo", "_hi")
@@ -93,10 +94,15 @@ class PiecewiseLinear:
             raise InvalidInput("breakpoints and values must be 1-d and equal length")
         if x.size < 2:
             raise InvalidInput("need at least two breakpoints")
-        if not np.all(np.diff(x) > 0):
+        with np.errstate(over="ignore", invalid="ignore"):
+            dx, dy = np.diff(x), np.diff(y)
+        if not np.all(dx > 0):
             raise InvalidInput("breakpoints must be strictly increasing")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise InvalidInput("breakpoints and values must be finite")
+        # a difference past the largest float makes a slope inf, or NaN (inf / inf)
+        if not (np.isfinite(dx).all() and np.isfinite(dy).all()):
+            raise InvalidInput("breakpoint or value differences overflow a float")
         # np.interp copies a read-only array on every call, so evaluation
         # reads private writable arrays and callers get read-only views
         self._xp, self._fp = x, y

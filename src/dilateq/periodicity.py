@@ -19,9 +19,9 @@ temporaries.  It then refines every interior grid minimum by golden section,
 all brackets in lockstep: each step evaluates the new points of every live
 bracket in one array call, and each bracket takes exactly the steps a scalar
 golden section would take on it alone.  The refined residuals square the
-cosine and sine sums as Python floats, which is how the scalar residual
-forms them, so the certificates are the same to the bit as a one-bracket-at-
-a-time refinement.  Non-finite shifts, frequencies and angles are refused.
+cosine and sine sums by libm ``pow`` (``np.float_power``), as the scalar
+residual does, so the certificates are the same to the bit as refining one
+bracket at a time.  Non-finite shifts, frequencies and angles are refused.
 """
 
 from __future__ import annotations
@@ -112,46 +112,37 @@ class FourierMatrix(Frozen):
         return a * d - b * c
 
 
-def _block_sums(alphas: np.ndarray, shifts: np.ndarray):
-    """(start, 1 + sum cos(alpha b_k), sum sin(alpha b_k)) over blocks of a 1-D
-    ``alphas``, each with about 8 MiB of (alphas, N) temporaries."""
+def _residuals(alphas: np.ndarray, shifts: np.ndarray, square) -> np.ndarray:
+    """square(1 + sum cos(alpha b_k)) + square(sum sin(alpha b_k)) at each alpha
+    of a 1-D ``alphas``, in blocks with about 8 MiB of (alphas, N) temporaries."""
+    out = np.empty(alphas.size)
     rows = max(1, _BLOCK_BYTES // (8 * shifts.size))
     for i in range(0, alphas.size, rows):
         phases = np.multiply.outer(alphas[i : i + rows], shifts)
-        yield i, 1.0 + np.cos(phases).sum(axis=-1), np.sin(phases).sum(axis=-1)
+        cos_part = 1.0 + np.cos(phases).sum(axis=-1)
+        out[i : i + rows] = square(cos_part) + square(np.sin(phases).sum(axis=-1))
+    return out
 
 
 def _row_residuals(alphas: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """The residual at each alpha of a 1-D array, as the scalar residual forms it.
-
-    The sums are those of a one-alpha call bit for bit, but the squares are
-    taken on Python floats: that is libm ``pow(x, 2)``, as for a numpy scalar,
-    where a numpy array squares by ``x * x``, and the two differ in the last
-    bit on about 0.1 % of inputs.
-    """
-    return np.array(
-        [
-            c**2 + s**2
-            for _, cos_part, sin_part in _block_sums(alphas, shifts)
-            for c, s in zip(cos_part.tolist(), sin_part.tolist())
-        ]
-    )
+    """The residual at each alpha of a 1-D array, as the scalar residual forms it:
+    squared by libm ``pow(x, 2.0)`` as Python squares a float (an array's
+    ``x**2`` is ``x * x``, which differs in the last bit on about 0.1 %)."""
+    return _residuals(alphas, shifts, lambda x: np.float_power(x, 2.0))
 
 
 def system_residual(alpha, b) -> float | np.ndarray:
     """(1 + sum cos(alpha b_k))**2 + (sum sin(alpha b_k))**2.
 
     Nonnegative; zero exactly at frequencies admitting periodic solutions.
-    Vectorized over ``alpha``, in blocks of about 8 MiB of temporaries.
+    Vectorized over ``alpha``, in blocks of about 8 MiB of temporaries; an
+    array squares by ``x * x``, which only orders grid points.
     """
     shifts = _shift_array(b)
     a = np.asarray(alpha, dtype=float)
     if a.ndim == 0:
         return float(_row_residuals(a.reshape(1), shifts)[0])
-    out = np.empty(a.size)
-    for i, cos_part, sin_part in _block_sums(a.ravel(), shifts):
-        out[i : i + cos_part.size] = cos_part**2 + sin_part**2
-    return out.reshape(a.shape)
+    return _residuals(a.ravel(), shifts, np.square).reshape(a.shape)
 
 
 def _golden_minimize(f, lo, hi, width: float) -> np.ndarray:

@@ -727,6 +727,75 @@ class TestRefusedBeforeWork:
         assert "--samples" in err
 
 
+class TestEquispacedRefusals:
+    @pytest.mark.parametrize(
+        "n, d",
+        [
+            # the frequencies overflow: it printed [inf, inf] with exit 0
+            (2, 5e-324),
+            # (n + 1) * d overflows, so every frequency read 0: it printed [0]
+            (1, 1e308),
+            # n + 1 is no float: an internal OverflowError, exit 1
+            (10**400, 1.0),
+        ],
+    )
+    def test_exits_2(self, capsys, tmp_path, n, d):
+        out_file = tmp_path / "out.json"
+        code, out, err = run(
+            capsys, "equispaced", "--n", n, "--d", repr(d), "--m-max", 2, "--out", out_file
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "internal" not in err
+        assert not out_file.exists()
+
+    def test_reproducer_ends_at_once(self):
+        argv = [sys.executable, "-m", "dilateq", "equispaced", "--n", "2", "--d", "5e-324",
+                "--m-max", "2"]
+        t0 = time.perf_counter()
+        proc = subprocess.run(argv, env=src_env(), capture_output=True, text=True, timeout=30)
+        assert time.perf_counter() - t0 < 5.0
+        assert (proc.returncode, proc.stdout) == (2, "")
+
+    def test_m_max_budget(self, capsys, monkeypatch):
+        from dilateq import closedforms
+
+        code, out, err = run(capsys, "equispaced", "--n", 2, "--d", 1, "--m-max", 10**6 + 1)
+        assert (code, out) == (3, "")
+        assert "budget of 1000000" in err
+        monkeypatch.setattr(closedforms, "MAX_FREQUENCIES", 4)
+        assert run(capsys, "equispaced", "--n", 2, "--d", 1, "--m-max", 4)[0] == 0
+        # refused before the list is built: range() is never asked for 10**30 items
+        code, out, _ = run(capsys, "equispaced", "--n", 2, "--d", 1, "--m-max", 10**30)
+        assert (code, out) == (3, "")
+
+
+class TestTermBudget:
+    """``zeros`` and ``mora-solution`` check budgets that grow with n before any work."""
+
+    def test_zeros(self, capsys, monkeypatch):
+        from dilateq import expsums
+
+        monkeypatch.setattr(expsums, "_MAX_TABLE_TERMS", (61 + 241) * 10)
+        assert run(capsys, "zeros", "--n", 10)[0] == 0
+        monkeypatch.setattr(expsums, "_log_table", lambda n: pytest.fail("allocated"))
+        code, out, err = run(capsys, "zeros", "--n", 11)
+        assert (code, out) == (3, "")
+        assert "scan tables of (61 + 241) x 11 terms exceed" in err
+
+    @pytest.mark.parametrize("budget", ["_MAX_TABLE_TERMS", "_MAX_TERMS"])
+    def test_mora_solution(self, capsys, monkeypatch, budget):
+        from dilateq import expsums
+
+        argv = ["mora-solution", "--re", 0, "--im", math.pi / math.log(2), "--samples", 10]
+        # 1 + 2^z vanishes at i pi / ln 2; 1 + 2^z + 3^z does not, but is refused first
+        monkeypatch.setattr(expsums, budget, 20 if budget == "_MAX_TERMS" else 2)
+        assert run(capsys, *argv, "--n", 2)[0] == 0
+        monkeypatch.setattr(expsums, "power_sum", lambda n, z: pytest.fail("summed"))
+        code, out, err = run(capsys, *argv, "--n", 3)
+        assert (code, out) == (3, "")
+        assert "exceed the budget" in err
+
+
 ENGINES = {"numpy", "dilateq.extension", "dilateq.periodicity", "dilateq.expsums"}
 
 

@@ -1,12 +1,16 @@
 import math
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dilateq import normalize, regularity_index, to_additive
 from dilateq.coefficients import CoefficientVector, ShiftVector
 from dilateq.errors import DuplicateEntry, EmptyInput, InvalidInput, UnitEntry
+from tests.test_package import src_env
 
 
 class TestNormalize:
@@ -163,6 +167,64 @@ def _sample_vector(rng) -> np.ndarray:
         if np.diff(np.concatenate([[1.0], entries])).max() < 1.0:
             continue
         return entries
+
+
+def _stepped_index(entries, cap):
+    """(m, ratio sum) stepping m upward from 1, or None past ``cap``."""
+    a_n = entries[-1]
+    ratios = [1.0 / a_n] + [v / a_n for v in entries[:-1]]
+    for m in range(1, cap + 1):
+        total = sum(r**m for r in ratios)
+        if total < 1.0:
+            return m, total
+    return None
+
+
+def _ratio_sum(entries, m):
+    a_n = entries[-1]
+    return sum(r**m for r in [1.0 / a_n] + [v / a_n for v in entries[:-1]])
+
+
+#: normalized vectors: factors spread to 50, or crowded just above 1
+FACTORS = st.one_of(
+    st.lists(st.floats(1.0001, 50.0), min_size=1, max_size=8, unique=True),
+    st.lists(st.floats(1.0, 1.01, exclude_min=True), min_size=1, max_size=8, unique=True),
+).map(sorted)
+
+
+class TestBisectedIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(FACTORS)
+    def test_equals_stepping_upward(self, entries):
+        stepped = _stepped_index(entries, 10**4)
+        assume(stepped is not None)
+        ri = regularity_index(CoefficientVector(tuple(entries)))
+        assert (ri.m, ri.contraction.hex()) == (stepped[0], stepped[1].hex())
+
+    @settings(max_examples=300, deadline=None)
+    @given(FACTORS)
+    def test_least_contracting_exponent(self, entries):
+        ri = regularity_index(CoefficientVector(tuple(entries)))
+        assert _ratio_sum(entries, ri.m) == ri.contraction < 1.0
+        # the ratio sum at m = 0 is the count N >= 1
+        assert _ratio_sum(entries, ri.m - 1) >= 1.0
+
+    def test_factors_near_one_end_at_once(self):
+        # stepping m upward would take years: m is about 2.2e15 here
+        argv = [sys.executable, "-m", "dilateq", "regularity",
+                "[1.0000000000000002, 1.0000000000000004]"]
+        t0 = time.perf_counter()
+        proc = subprocess.run(argv, env=src_env(), capture_output=True, text=True, timeout=30)
+        assert time.perf_counter() - t0 < 5.0
+        assert proc.returncode == 0, proc.stderr
+        m = int(proc.stdout.split('"m": ')[1].split(",")[0])
+        entries = [1.0000000000000002, 1.0000000000000004]
+        assert _ratio_sum(entries, m - 1) >= 1.0 > _ratio_sum(entries, m)
+
+    def test_overflowing_bound_refused(self):
+        # aN / min_gap is 1e300 / 2.2e-16: past the largest float
+        with pytest.raises(InvalidInput, match="overflows"):
+            regularity_index(normalize([1.0000000000000002, 1e300]))
 
 
 class TestTypes:

@@ -504,23 +504,108 @@ class TestScanEquivalence:
         assert np.array_equal(mod[:, below], direct[:, below])
 
 
-class TestNewtonCalls:
-    def test_one_evaluation_of_each_per_step(self, monkeypatch):
+def _two_pass_newton(n, z0):
+    """Newton with one ``power_sum`` and one ``power_sum_deriv`` pass per step."""
+    z = complex(z0)
+    g = power_sum(n, z)
+    history = []
+    for _ in range(expsums._NEWTON_MAX_ITER):
+        gp = power_sum_deriv(n, z)
+        if gp == 0 or not (math.isfinite(gp.real) and math.isfinite(gp.imag)):
+            return None
+        dz = g / gp
+        z_next = z - dz
+        if not (math.isfinite(z_next.real) and math.isfinite(z_next.imag)):
+            return None
+        g_next = power_sum(n, z_next)
+        res_next = abs(g_next)
+        if history and history[-1] <= 1e-12 and res_next >= history[-1]:
+            return z, history
+        z, g = z_next, g_next
+        history.append(res_next)
+        if abs(dz) <= 1e-13 * (1.0 + abs(z)):
+            return z, history
+    return None
+
+
+def _bits(refined):
+    """Hex of every float in a Newton result, so -0.0 and 0.0 differ."""
+    if refined is None:
+        return None
+    z, history = refined
+    return z.real.hex(), z.imag.hex(), [h.hex() for h in history]
+
+
+class TestNewtonOnePass:
+    def test_one_term_table_per_iterate(self, monkeypatch):
         z0 = find_zeros(10)[3].z + 0.05 - 0.05j
-        counts = {"power_sum": 0, "power_sum_deriv": 0}
-        for name in counts:
-            orig = getattr(expsums, name)
-
-            def counted(n, z, orig=orig, name=name):
-                counts[name] += 1
-                return orig(n, z)
-
-            monkeypatch.setattr(expsums, name, counted)
+        tables = []
+        terms = expsums._terms
+        monkeypatch.setattr(expsums, "_terms", lambda n, zz: tables.append(zz) or terms(n, zz))
+        for name in ("power_sum", "power_sum_deriv"):
+            monkeypatch.setattr(expsums, name, lambda n, z: pytest.fail("a second pass"))
         z, history = newton_refine(10, z0)
         assert abs(power_sum(10, z)) <= 1e-10
-        # the last step may be rejected at rounding level without a history entry
-        assert counts["power_sum_deriv"] in (len(history), len(history) + 1)
-        assert counts["power_sum"] == counts["power_sum_deriv"] + 1
+        # z0, then each later iterate; the last may be rejected at rounding
+        # level without a history entry
+        assert len(tables) in (len(history) + 1, len(history) + 2)
+        assert all(t.ndim == 0 for t in tables)
+        assert complex(tables[0]) == z0
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        n=st.integers(2, 200),
+        re=st.floats(-5.0, 4.0),
+        im=st.one_of(st.floats(-10.0, 80.0), st.sampled_from([0.0, -0.0])),
+    )
+    def test_equals_two_pass_newton(self, n, re, im):
+        z0 = complex(re, im)
+        assert _bits(newton_refine(n, z0)) == _bits(_two_pass_newton(n, z0))
+
+    def test_equals_two_pass_newton_on_grid_minima(self):
+        # the seeds a search really starts from, converging or not
+        for n in (2, 10, 30, 200):
+            re, im, mod = scan_modulus(n, default_rectangle())
+            for i, j in expsums._local_minima(mod):
+                z0 = complex(re[j], im[i])
+                assert _bits(newton_refine(n, z0)) == _bits(_two_pass_newton(n, z0))
+
+
+class TestScanBudget:
+    """The scan, the search and the equation residual are budgeted in n too."""
+
+    def test_tables_refused_before_allocating(self, monkeypatch):
+        rect = default_rectangle()
+        monkeypatch.setattr(expsums, "_MAX_TABLE_TERMS", (61 + 241) * 10)
+        assert scan_modulus(10, rect)[2].shape == (241, 61)
+        monkeypatch.setattr(expsums, "_log_table", lambda n: pytest.fail("allocated"))
+        for call in (scan_modulus, find_zeros):
+            with pytest.raises(GridBudgetExceeded, match=r"tables of \(61 \+ 241\) x 11"):
+                call(11, rect)
+
+    def test_terms_refused_before_allocating(self, monkeypatch):
+        rect = default_rectangle()
+        monkeypatch.setattr(expsums, "_MAX_TERMS", 61 * 241 * 10)
+        assert scan_modulus(10, rect)[2].shape == (241, 61)
+        monkeypatch.setattr(expsums, "_log_table", lambda n: pytest.fail("allocated"))
+        monkeypatch.setattr(expsums, "winding_count", lambda n, r: pytest.fail("counted"))
+        for call in (scan_modulus, find_zeros):
+            with pytest.raises(GridBudgetExceeded, match="14701 points x 11 terms"):
+                call(11, rect)
+
+    def test_reseed_skipped_over_the_terms_budget(self, monkeypatch):
+        # the first pass finds 43 of 44 zeros; the halved grid is over budget
+        rect = SearchRectangle(-3.0, 2.0, 0.0, 60.0)
+        monkeypatch.setattr(expsums, "_MAX_TERMS", 61 * 241 * 100)
+        with pytest.warns(IncompleteSearch, match="44 != 43"):
+            assert len(find_zeros(100, rect)) == 43
+
+    def test_residual_refused_before_evaluating(self, monkeypatch):
+        monkeypatch.setattr(expsums, "_MAX_TERMS", 30)
+        grid = np.linspace(-2.0, -1.0, 10)
+        assert residual_integer_equation(lambda x: 0.0 * x, 3, grid) == 0.0
+        with pytest.raises(GridBudgetExceeded, match="10 samples x 4 terms"):
+            residual_integer_equation(lambda x: pytest.fail("evaluated"), 4, grid)
 
 
 class TestReseed:

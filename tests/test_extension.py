@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -157,24 +158,26 @@ def _outcome(read, f, w):
     return type(out), np.shape(out), np.asarray(out).dtype, np.asarray(out).tobytes()
 
 
-#: functions whose slopes overflow to inf, or to nan where the breakpoints span
-#: more than the largest float, so interpolation itself gives inf or nan
+#: functions whose slopes overflow to inf, so interpolation itself gives inf;
+#: their breakpoint and value differences are finite
 EXTREME = [
-    ([-1.5e308, 1.5e308], [-1.5e308, 1.5e308]),
-    ([0.0, 1e-300, 1.0], [-1e308, 1e308, 0.0]),
+    ([-1e-300, 1e-300], [-8e307, 8e307]),
+    ([0.0, 1e-300, 1.0], [-8e307, 8e307, 0.0]),
     ([-1e300, 0.0, 1e-300], [1.0, -0.0, 1e300]),
 ]
 
-
-def _extreme(xs, ys) -> PiecewiseLinear:
-    with np.errstate(over="ignore"):  # the constructor's np.diff of the breakpoints
-        return PiecewiseLinear(xs, ys)
+#: breakpoint or value differences past the largest float, refused
+OVERFLOWING_SPANS = [
+    ([-1.5e308, 1.5e308], [-1.5e308, 1.5e308]),
+    ([0.0, 1e-300, 1.0], [-1e308, 1e308, 0.0]),
+    ([0.0, 1.0], [-1e308, 1e308]),
+]
 
 
 @st.composite
 def _function(draw):
     if draw(st.integers(0, 5)) == 0:
-        return _extreme(*draw(st.sampled_from(EXTREME)))
+        return PiecewiseLinear(*draw(st.sampled_from(EXTREME)))
     xs = sorted(draw(st.lists(
         st.floats(-1e6, 1e6, allow_subnormal=True), min_size=2, max_size=6, unique=True
     )))
@@ -237,7 +240,7 @@ class TestOnePassRead:
 
     @pytest.mark.parametrize("xs, ys", EXTREME)
     def test_overflowing_slopes(self, xs, ys):
-        f = _extreme(xs, ys)
+        f = PiecewiseLinear(xs, ys)
         # the breakpoints, the midpoints and the quarter points of each piece
         t = np.linspace(0.0, 1.0, 5)[:, None]
         w = np.sort(((1.0 - t) * xs[:-1] + t * xs[1:]).ravel())
@@ -246,6 +249,14 @@ class TestOnePassRead:
         assert _outcome(PiecewiseLinear.__call__, f, w) == _outcome(_clip_read, f, w)
         for x in w.tolist():
             assert _outcome(PiecewiseLinear.__call__, f, x) == _outcome(_clip_read, f, x)
+
+    @pytest.mark.parametrize("xs, ys", OVERFLOWING_SPANS)
+    def test_overflowing_spans_refused(self, xs, ys):
+        # such a function read NaN inside its domain, after an overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="differences overflow"):
+                PiecewiseLinear(xs, ys)
 
     @pytest.mark.parametrize("scalar", [float, np.float64, np.array])
     @pytest.mark.parametrize("domain", [(0.0, 2.0), (-3e5, -2.5e5), (-1.0, 7e8)])

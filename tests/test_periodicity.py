@@ -318,6 +318,25 @@ class TestBitwise:
             assert periodicity._row_residuals(alphas, shifts).tolist() == expected
             assert system_residual(float(alphas[0]), shifts) == expected[0]
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), block_rows=st.integers(1, 400))
+    def test_rows_square_as_python_floats(self, seed, block_rows):
+        # the squares of the old Python-float loop, bit for bit, whatever the
+        # block; x * x differs on about 1 in 1000 rows, so draw rows in bulk
+        rng = np.random.default_rng(seed)
+        shifts = rng.uniform(0.01, 10.0, int(rng.integers(1, 41)))
+        alphas = rng.uniform(0.0, 500.0, int(rng.integers(1, 2001)))
+        expected = [
+            c**2 + s**2
+            for c, s in zip(
+                (1.0 + np.cos(np.multiply.outer(alphas, shifts)).sum(axis=-1)).tolist(),
+                np.sin(np.multiply.outer(alphas, shifts)).sum(axis=-1).tolist(),
+            )
+        ]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(periodicity, "_BLOCK_BYTES", 8 * shifts.size * block_rows)
+            assert periodicity._row_residuals(alphas, shifts).tolist() == expected
+
     def test_row_evaluations_per_golden_step(self, monkeypatch):
         sizes = []
         row_residuals = periodicity._row_residuals
