@@ -171,6 +171,8 @@ def _cmd_extend(args) -> None:
 
     _check_samples(args.samples)
     shifts = _shifts(args.shifts)
+    # each sample reads the extension at N + 1 points, before any is built
+    extension._check_reads(args.samples, len(shifts.entries))
     boundary = _read_boundary(args.boundary)
     lo, hi = args.range
     if not lo < hi:
@@ -195,19 +197,23 @@ def _cmd_residual(args) -> None:
     if (args.shifts is None) == (args.coeffs is None):
         raise InvalidInput("give exactly one of --shifts or --coeffs")
     _check_samples(args.samples)
+    if args.shifts is not None:
+        shifts = _shifts(args.shifts)
+    else:
+        vec = coefficients.normalize(_parse_vector(args.coeffs, "coefficients"))
+        shifts = coefficients.to_additive(vec)
+    # each sample reads the extension at N + 1 points, before any is built
+    extension._check_reads(args.samples, len(shifts.entries))
     boundary = _read_boundary(args.boundary)
     lo, hi = args.range
     if not lo < hi:
         raise InvalidInput("range must satisfy lo < hi")
     tol = args.tol if args.tol is not None else extension.INTERPOLATION_TOL
     if args.shifts is not None:
-        shifts = _shifts(args.shifts)
         sol = _extend_for_range(boundary, shifts, lo, hi, tol)
         grid = np.linspace(lo, hi, args.samples)
         value = extension.residual_additive(sol, shifts, grid)
     else:
-        vec = coefficients.normalize(_parse_vector(args.coeffs, "coefficients"))
-        shifts = coefficients.to_additive(vec)
         if lo <= 0.0:
             raise InvalidInput("multiplicative grid must be positive")
         sol = _extend_for_range(boundary, shifts, math.log(lo), math.log(hi), tol)

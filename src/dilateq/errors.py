@@ -74,8 +74,9 @@ class CoverageBudgetExceeded(DomainViolation):
 
 
 class GridBudgetExceeded(DomainViolation):
-    """A scan grid, the term tables or work of a zero search, or a frequency
-    list would exceed its budget."""
+    """A scan grid, the term tables or work of a zero search or a winding
+    count, the reads of a residual grid, or a frequency list would exceed
+    its budget."""
 
 
 class BoundaryZero(DomainViolation):

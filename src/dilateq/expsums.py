@@ -352,7 +352,10 @@ def winding_count(n: int, rect: SearchRectangle) -> int:
     one array pass per level.  Raises BoundaryZero when G or M is not finite,
     or |G| is below 1e-9, on a sample, when the samples would exceed
     ``_WINDING_MAX_SAMPLES`` (checked before they are allocated), or when the
-    angle sum is not near an integer multiple of 2 pi.
+    angle sum is not near an integer multiple of 2 pi.  Raises
+    GridBudgetExceeded before any sample is evaluated when n exceeds
+    ``_MAX_TABLE_TERMS`` or the first samples times n exceed ``_MAX_TERMS``,
+    and before a bisection pass when the samples so far times n would.
     """
     _check_n(n)
     corners = rect.corners
@@ -362,11 +365,10 @@ def winding_count(n: int, rect: SearchRectangle) -> int:
         raise BoundaryZero(
             f"winding count needs more than {_WINDING_MAX_SAMPLES} samples on the boundary"
         )
+    counts = [max(8, math.ceil(length)) for length in lengths]
+    _check_terms(n, sum(counts))
     z = np.concatenate(
-        [
-            np.linspace(a, b, max(8, math.ceil(length)), endpoint=False)
-            for (a, b), length in zip(sides, lengths)
-        ]
+        [np.linspace(a, b, count, endpoint=False) for (a, b), count in zip(sides, counts)]
     )
     g, bound = _boundary_samples(n, z)
     while True:
@@ -377,12 +379,14 @@ def winding_count(n: int, rect: SearchRectangle) -> int:
             split = np.abs(z_next - z) * slope >= np.abs(g) + np.abs(g_next)
         if not split.any():
             break
-        if z.size + np.count_nonzero(split) > _WINDING_MAX_SAMPLES:
+        samples = z.size + int(np.count_nonzero(split))
+        if samples > _WINDING_MAX_SAMPLES:
             k = int(np.argmax(split))
             raise BoundaryZero(
                 f"winding count needs more than {_WINDING_MAX_SAMPLES} samples near "
                 f"{z[k]:.6g}; zero close to the edge?"
             )
+        _check_terms(n, samples)
         mid = 0.5 * (z[split] + z_next[split])
         g_mid, bound_mid = _boundary_samples(n, mid)
         at = np.flatnonzero(split) + 1

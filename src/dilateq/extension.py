@@ -16,17 +16,26 @@ its values on the union of the shifted breakpoints.  That makes the equation
 hold identically (up to float rounding) instead of only at sample points.
 
 One loop builds the strips of both sides, at a cost linear in their number:
-a strip reads only the breakpoints within bN of it (one binary search), makes
-one interpolation call for all N shifted reads, and writes its new nodes
-straight into a buffer that doubles when a side fills.  The breakpoint
-budget is checked before any strip is built and as each is written.  Where
-strips join, the two values must agree to within the rounding of the read
-positions times the local slopes (or to 1e-9 relative).
+a strip reads only the breakpoints within bN of it (one binary search) and
+writes its new nodes straight into a buffer that doubles when a side fills.
+The breakpoint budget is checked before any strip is built and as each is
+written.  Where strips join, the two values must agree to within the
+rounding of the read positions times the local slopes (or to 1e-9
+relative).
+
+A strip has two bodies, chosen by size.  When its window breakpoints times
+N is at most ``_FLOAT_STRIP_READS`` it is built in Python floats, where
+numpy's call overhead on a few dozen floats would cost more than the
+arithmetic; larger strips are built in numpy arrays.  The two agree bit for
+bit: the float body does the array body's float operations in the same
+order, reads each point by numpy's own interpolation formula and sums each
+node's terms in read order from +0.0, as ``np.add.reduce`` sums rows.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,6 +45,7 @@ from .coefficients import CoefficientVector, ShiftVector
 from .errors import (
     CoverageBudgetExceeded,
     DomainMismatch,
+    GridBudgetExceeded,
     InternalInconsistency,
     InterpolationViolated,
     InvalidInput,
@@ -67,6 +77,15 @@ _MERGE_EPS = 1e-12
 
 #: relative tolerance of the seam check where strips join (see ``_seam_check``)
 _MERGE_VALUE_TOL = 1e-9
+
+#: most reads one residual grid may take, grid points times N + 1
+_MAX_READS = 1 << 26
+
+#: most reads (window breakpoints times N) of a strip built in Python floats;
+#: a larger strip is built in numpy arrays (see ``_grow``).  The measured
+#: crossover lies near 80 reads on dense windows and near 200 on the
+#: sparse ones of lattice data (BENCH_12.json)
+_FLOAT_STRIP_READS = 128
 
 
 class PiecewiseLinear:
@@ -302,6 +321,93 @@ def _seam_check(
         )
 
 
+def _array_strip(
+    xs: np.ndarray, ys: np.ndarray, reads: np.ndarray, lo: float, hi: float, right: bool
+):
+    """Nodes and values of the strip on [lo, hi] from the window (xs, ys), in numpy arrays."""
+    kinks = xs - reads
+    inner = kinks[(kinks > lo) & (kinks < hi)]
+    nodes = np.empty(inner.size + 2)
+    nodes[0], nodes[1], nodes[2:] = lo, hi, inner
+    nodes.sort()
+    # 1e-12 * max(1, |w|) is the one multiply +-1e-12 * w where the strip has |w| >= 1
+    if lo >= 1.0 if right else hi <= -1.0:
+        eps = nodes[1:] * (_MERGE_EPS if right else -_MERGE_EPS)
+    else:
+        eps = _MERGE_EPS * np.maximum(1.0, np.abs(nodes[1:]))
+    keep = np.empty(nodes.size, dtype=bool)
+    keep[0] = True
+    np.greater(nodes[1:] - nodes[:-1], eps, out=keep[1:])
+    nodes = nodes[keep]
+    # lo is first and kept; keep hi exact even if a kink landed within merge range
+    nodes[-1] = hi
+    terms = np.interp(nodes + reads, xs, ys)
+    # rows in order, starting from +0.0: minus the strip's values
+    return nodes, np.negative(np.add.reduce(terms, axis=0, initial=0.0))
+
+
+def _float_strip(xs: list, ys: list, reads: list, lo: float, hi: float, right: bool):
+    """``_array_strip`` in Python floats, bit for bit, with lists for arrays.
+
+    Each step is the array body's own float operation.  ``fl(x - r)`` is
+    monotone in x, so the kinks of a read are one run of the window, found
+    from a ``bisect`` start.  A read takes ``np.interp``'s formula (numpy's
+    ``arr_interp``): the stored value at a breakpoint or past an end, else
+    ``slope * (p - x_a) + y_a`` with x_a <= p < x_(a+1), retried from the
+    right end of the segment when that is NaN.  A node's terms are summed in
+    read order from +0.0, as ``np.add.reduce`` sums the rows.  No read point
+    is NaN: nodes and reads are finite.
+    """
+    last = len(xs) - 1
+    x0, xl, y0, yl = xs[0], xs[last], ys[0], ys[last]
+    inner = []
+    for r in reads:
+        # past fl(lo + r), x - r > lo, so fl(x - r) >= lo; a kink equal to lo
+        # merges into it.  At or below it, fl(x - r) may still exceed lo
+        a = bisect_right(xs, lo + r)
+        while a > 0 and xs[a - 1] - r > lo:
+            a -= 1
+        while a <= last and xs[a] - r < hi:
+            inner.append(xs[a] - r)
+            a += 1
+    inner.sort()
+    inner.append(hi)
+    nodes, before = [lo], lo
+    if lo >= 1.0 if right else hi <= -1.0:
+        scale = _MERGE_EPS if right else -_MERGE_EPS
+        for x in inner:
+            if x - before > x * scale:
+                nodes.append(x)
+            before = x
+    else:
+        for x in inner:
+            if x - before > _MERGE_EPS * max(1.0, abs(x)):
+                nodes.append(x)
+            before = x
+    nodes[-1] = hi
+    values = []
+    for node in nodes:
+        total = 0.0
+        for r in reads:
+            p = node + r
+            if x0 < p < xl:
+                a = bisect_right(xs, p) - 1
+                x, y = xs[a], ys[a]
+                if x != p:
+                    slope = (ys[a + 1] - y) / (xs[a + 1] - x)
+                    t = slope * (p - x) + y
+                    if t != t:
+                        t = slope * (p - xs[a + 1]) + ys[a + 1]
+                        if t != t and y == ys[a + 1]:
+                            t = y
+                    y = t
+            else:
+                y = y0 if p <= x0 else yl
+            total += y
+        values.append(-total)
+    return nodes, values
+
+
 def _grow(built: _Breakpoints, reads, edge: float, step: float, stop: float, right: bool):
     """Add strips of width ``step`` at ``edge`` until ``edge`` passes ``stop``.
 
@@ -309,13 +415,21 @@ def _grow(built: _Breakpoints, reads, edge: float, step: float, stop: float, rig
     (N, 1) column reaching back to -bN (right) or forward to bN (left).  Its
     nodes are the exact ends plus every kink xs - reads[j] inside (lo, hi),
     less each within merge range of the one before.  It reads the breakpoints
-    within bN of ``edge`` plus two, so ``np.interp`` on that window brackets
+    within bN of ``edge`` plus two, so interpolation on that window brackets
     every read as all of the data would; the window's near end is the live
     end of the buffer, its far end one binary search.
+
+    A strip whose window breakpoints times N is at most
+    ``_FLOAT_STRIP_READS`` is built in Python floats (``_float_strip``),
+    a larger one in numpy arrays (``_array_strip``): on a few dozen floats
+    numpy's call overhead outweighs its arithmetic.  Both take the same
+    float operations in the same order, numpy's interpolation formula and
+    the row order of ``np.add.reduce`` from +0.0 included, so their bits
+    agree.  The window, the seam check, the budget and the buffer writes
+    are shared.
     """
-    reach = float(reads[0, 0] if right else reads[-1, 0])
-    # 1e-12 * max(1, |w|) is the one multiply +-1e-12 * w where the strip has |w| >= 1
-    scale = _MERGE_EPS if right else -_MERGE_EPS
+    shifts = reads[:, 0].tolist()
+    reach = shifts[0] if right else shifts[-1]
     # the seam: the stored value at ``edge`` (last or first) and the strip's node there
     end, seam = (-1, 0) if right else (0, -1)
     new = slice(1, None) if right else slice(None, -1)
@@ -325,32 +439,20 @@ def _grow(built: _Breakpoints, reads, edge: float, step: float, stop: float, rig
         k = int(built.bx[head:tail].searchsorted(edge + reach))
         i, j = (head + max(k - 2, 0), tail) if right else (head, min(head + k + 2, tail))
         xs, ys = built.bx[i:j], built.by[i:j]
-        kinks = xs - reads
-        inner = kinks[(kinks > lo) & (kinks < hi)]
-        nodes = np.empty(inner.size + 2)
-        nodes[0], nodes[1], nodes[2:] = lo, hi, inner
-        nodes.sort()
-        if lo >= 1.0 if right else hi <= -1.0:
-            eps = nodes[1:] * scale
+        if (j - i) * len(shifts) <= _FLOAT_STRIP_READS:
+            nodes, values = _float_strip(xs.tolist(), ys.tolist(), shifts, lo, hi, right)
         else:
-            eps = _MERGE_EPS * np.maximum(1.0, np.abs(nodes[1:]))
-        keep = np.empty(nodes.size, dtype=bool)
-        keep[0] = True
-        np.greater(nodes[1:] - nodes[:-1], eps, out=keep[1:])
-        nodes = nodes[keep]
-        # lo is first and kept; keep hi exact even if a kink landed within merge range
-        nodes[-1] = hi
-        points = nodes + reads
-        terms = np.interp(points, xs, ys)
-        # rows in order, starting from +0.0 like the builtin sum: minus the strip's values
-        sums = np.add.reduce(terms, axis=0, initial=0.0)
-        existing, incoming = float(ys[end]), -float(sums[seam])
+            nodes, values = _array_strip(xs, ys, reads, lo, hi, right)
+        existing, incoming = float(ys[end]), float(values[seam])
         if existing != incoming:
-            _seam_check(existing, incoming, edge, points[:, seam], terms[:, seam], xs, ys)
-        count = nodes.size - 1
+            # the N reads at the seam node, read again: np.interp gives a point
+            # the same value in any call on the same window
+            points = nodes[seam] + reads[:, 0]
+            _seam_check(existing, incoming, edge, points, np.interp(points, xs, ys), xs, ys)
+        count = len(nodes) - 1
         at = built.claim(count, right)
         built.bx[at : at + count] = nodes[new]
-        np.negative(sums[new], out=built.by[at : at + count])
+        built.by[at : at + count] = values[new]
         edge = hi if right else lo
 
 
@@ -443,10 +545,23 @@ def _eval_many(f: Callable, xs: np.ndarray) -> np.ndarray:
     return np.array([float(f(float(x))) for x in xs])
 
 
+def _check_reads(samples: int, n: int) -> None:
+    """Refuse a grid of ``samples`` points, each read at N + 1 points, over ``_MAX_READS``."""
+    if samples * (n + 1) > _MAX_READS:
+        raise GridBudgetExceeded(
+            f"{samples} samples x {n + 1} reads exceed the budget of {_MAX_READS} reads"
+        )
+
+
 def residual_additive(g: Callable, b: ShiftVector | Sequence[float], grid) -> float:
-    """max over the grid of |g(w) + g(w+b1) + ... + g(w+bN)|."""
+    """max over the grid of |g(w) + g(w+b1) + ... + g(w+bN)|.
+
+    A grid whose size times N + 1 exceeds ``_MAX_READS`` raises
+    GridBudgetExceeded before g is called.
+    """
     shifts = _shift_entries(b)
     w = np.asarray(grid, dtype=float)
+    _check_reads(w.size, len(shifts))
     total = _eval_many(g, w)
     for s in shifts:
         total = total + _eval_many(g, w + s)
@@ -456,9 +571,14 @@ def residual_additive(g: Callable, b: ShiftVector | Sequence[float], grid) -> fl
 def residual_multiplicative(
     f: Callable, a: CoefficientVector | Sequence[float], grid
 ) -> float:
-    """max over positive grid points of |f(x) + f(a1 x) + ... + f(aN x)|."""
+    """max over positive grid points of |f(x) + f(a1 x) + ... + f(aN x)|.
+
+    A grid whose size times N + 1 exceeds ``_MAX_READS`` raises
+    GridBudgetExceeded before f is called.
+    """
     factors = a.entries if isinstance(a, CoefficientVector) else tuple(map(float, a))
     x = np.asarray(grid, dtype=float)
+    _check_reads(x.size, len(factors))
     if np.any(x <= 0.0):
         raise NonPositiveSample("multiplicative residual needs x > 0")
     total = _eval_many(f, x)

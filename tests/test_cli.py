@@ -796,6 +796,60 @@ class TestTermBudget:
         assert "exceed the budget" in err
 
 
+class TestSamplesBudget:
+    """``extend`` and ``residual`` check --samples times N + 1 reads before any work."""
+
+    ARGV = {
+        "extend": ["extend", "{tent}", "--shifts", "[1,2]", "--range", -3, 6],
+        "residual": ["residual", "--boundary", "{tent}", "--shifts", "[1,2]", "--range", -3, 6],
+        "residual-coeffs": ["residual", "--boundary", "{log_tent}", "--coeffs", "[2,4]",
+                            "--range", 0.5, 6],
+    }
+
+    @staticmethod
+    def _argv(argv, tent_file, tmp_path):
+        # the tent on the shifts ln 2 and ln 4 of the factors (2, 4)
+        log_tent = tmp_path / "log_tent.json"
+        log_tent.write_text(json.dumps(
+            {"breakpoints": [0.0, math.log(2.0), math.log(4.0)], "values": [1.0, 1.0, -2.0]}
+        ))
+        paths = {"{tent}": tent_file, "{log_tent}": str(log_tent)}
+        return [paths.get(a, a) for a in argv]
+
+    @pytest.mark.parametrize("name", sorted(ARGV))
+    def test_reproducer_exits_3(self, capsys, tmp_path, tent_file, name):
+        # it exited 1 with "MemoryError: Unable to allocate 72.8 TiB"
+        out_file = tmp_path / "out.csv"
+        argv = self._argv(self.ARGV[name], tent_file, tmp_path)
+        code, out, err = run(capsys, *argv, "--samples", 10_000_000_000_000, "--out", out_file)
+        assert (code, out) == (3, "")
+        assert "10000000000000 samples x 3 reads exceed the budget" in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("name", sorted(ARGV))
+    def test_refused_before_extending(self, capsys, monkeypatch, tmp_path, tent_file, name):
+        from dilateq import extension
+
+        argv = self._argv(self.ARGV[name], tent_file, tmp_path)
+        monkeypatch.setattr(extension, "_MAX_READS", 30)
+        assert run(capsys, *argv, "--samples", 10)[0] == 0
+        monkeypatch.setattr(extension, "extend", lambda *a, **k: pytest.fail("extended"))
+        code, out, err = run(capsys, *argv, "--samples", 11)
+        assert (code, out) == (3, "")
+        assert "11 samples x 3 reads exceed the budget of 30 reads" in err
+
+    @pytest.mark.parametrize("residual", ["residual_additive", "residual_multiplicative"])
+    def test_library_residuals(self, monkeypatch, residual):
+        from dilateq import extension
+        from dilateq.errors import GridBudgetExceeded
+
+        monkeypatch.setattr(extension, "_MAX_READS", 30)
+        grid = np.linspace(1.0, 2.0, 11)
+        with pytest.raises(GridBudgetExceeded, match="11 samples x 3 reads"):
+            getattr(extension, residual)(lambda x: pytest.fail("read"), [1.0, 2.0], grid)
+        assert getattr(extension, residual)(lambda x: 0.0 * x, [1.0, 2.0], grid[:10]) == 0.0
+
+
 ENGINES = {"numpy", "dilateq.extension", "dilateq.periodicity", "dilateq.expsums"}
 
 

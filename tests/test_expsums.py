@@ -442,6 +442,42 @@ class TestWinding:
         assert winding_count(2, rect) == expected
 
 
+class TestWindingTermBudget:
+    """``winding_count`` refuses n-heavy work before evaluating a sample."""
+
+    def test_reproducer_refused_at_once(self, monkeypatch):
+        monkeypatch.setattr(expsums, "_log_table", lambda n: pytest.fail("evaluated"))
+        t0 = time.perf_counter()
+        with pytest.raises(GridBudgetExceeded, match="x 10000000 terms exceed"):
+            winding_count(10**7, SearchRectangle(-3.0, 2.0, 0.0, 1.0))
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_n_over_the_table_budget(self, monkeypatch):
+        monkeypatch.setattr(expsums, "_MAX_TABLE_TERMS", 3)
+        assert winding_count(3, default_rectangle()) == 5
+        monkeypatch.setattr(expsums, "_log_table", lambda n: pytest.fail("evaluated"))
+        with pytest.raises(GridBudgetExceeded, match="n exceeds 3"):
+            winding_count(4, default_rectangle())
+
+    def test_checked_before_each_bisection_pass(self, monkeypatch):
+        # 48 first samples of n = 2, then passes that split the steps near a zero
+        rect = SearchRectangle(-1.0, 1.0, pi / LN2 - 1e-5, 20.0)
+        calls = []
+        orig = expsums._boundary_samples
+        monkeypatch.setattr(
+            expsums, "_boundary_samples", lambda n, z: calls.append(z.size) or orig(n, z)
+        )
+        monkeypatch.setattr(expsums, "_MAX_TERMS", 2 * 48)
+        with pytest.raises(GridBudgetExceeded, match="samples x 2 terms exceed the budget of 96"):
+            winding_count(2, rect)
+        assert calls == [48]
+        monkeypatch.setattr(expsums, "_MAX_TERMS", 2 * 47)
+        calls.clear()
+        with pytest.raises(GridBudgetExceeded, match="48 samples x 2 terms"):
+            winding_count(2, rect)
+        assert calls == []
+
+
 class TestScanEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dilateq import (
@@ -741,6 +741,43 @@ def _near_pair_data() -> tuple[ShiftVector, PiecewiseLinear]:
     return b, PiecewiseLinear(xs, ys)
 
 
+#: stored values that make slopes overflow, or interpolation NaN and retried
+_EXTREME_VALUES = [math.inf, -math.inf, 1.5e308, -1.5e308, 8e307, -8e307, 0.0, -0.0]
+
+
+@st.composite
+def _strip_input(draw):
+    """A window, 1-4 reads and strip ends: points at breakpoints, between them,
+    at and past both ends, with values that overflow slopes or are infinite.
+
+    Breakpoints, reads and ends are mostly eighths, so a read point often
+    lands exactly on a breakpoint or an end; the rest are arbitrary floats.
+    """
+    eighths = st.integers(-96, 96).map(lambda k: k / 8.0)
+    anywhere = st.one_of(eighths, eighths, st.floats(-20.0, 20.0))
+    if draw(st.integers(0, 7)) == 0:
+        xs = draw(st.sampled_from([[-1e308, 0.0, 1e308], [-1e-300, 1e-300], [0.0, 1e-300, 1.0]]))
+    else:
+        xs = sorted(draw(st.lists(anywhere, min_size=2, max_size=12, unique=True)))
+    assume(all(b > a for a, b in zip(xs, xs[1:])))
+    value = st.one_of(st.floats(-1e6, 1e6), st.sampled_from(_EXTREME_VALUES))
+    ys = draw(st.lists(value, min_size=len(xs), max_size=len(xs)))
+    reads = draw(st.lists(anywhere, min_size=1, max_size=4))
+    lo, hi = sorted(draw(st.lists(anywhere, min_size=2, max_size=2, unique=True)))
+    assume(lo < hi)
+    return np.array(xs), np.array(ys), reads, lo, hi, draw(st.booleans())
+
+
+def _kink_at_bisect_start(lo, hi, r, x):
+    """A one-read strip input whose kink x - r lies in (lo, hi) with x <= fl(lo + r)."""
+    assert lo < x - r < hi and x <= lo + r
+    return np.array([x - 1.0, x, x + 1.0]), np.array([0.5, -1.0, 2.0]), [r], lo, hi, True
+
+
+#: strip body -> the size rule's limit that builds every strip in it
+ONE_BODY = {"array": 0, "float": math.inf}
+
+
 #: name -> (shifts and boundary data, target): strips whose ends cross |w| = 1,
 #: where the merge tolerance changes formula, seams past w = -1024, and a
 #: wide window of about 43k breakpoints
@@ -769,6 +806,105 @@ class TestReferenceLoop:
     def test_same_bytes_as_reference(self, data):
         b, g, target = data
         assert _build_bytes(g, b, target) == _reference_build(g, b, target)
+
+    @pytest.mark.parametrize("body", sorted(ONE_BODY))
+    @pytest.mark.parametrize("name", sorted(REFERENCE_BUILDS))
+    def test_pinned_build_in_one_body(self, monkeypatch, body, name):
+        monkeypatch.setattr(extension, "_FLOAT_STRIP_READS", ONE_BODY[body])
+        data, target = REFERENCE_BUILDS[name]
+        b, g = data()
+        assert _build_bytes(g, b, target) == _reference_build(g, b, target)
+
+    @pytest.mark.parametrize("body", sorted(ONE_BODY))
+    @settings(max_examples=60, deadline=None)
+    @given(data=_compatible_data())
+    def test_same_bytes_in_one_body(self, body, data):
+        b, g, target = data
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(extension, "_FLOAT_STRIP_READS", ONE_BODY[body])
+            assert _build_bytes(g, b, target) == _reference_build(g, b, target)
+
+
+def _counted_bodies(monkeypatch) -> dict[str, int]:
+    """Count the strips each body builds, by wrapping both in the module."""
+    calls = {"_float_strip": 0, "_array_strip": 0}
+    for name in calls:
+        def counted(*args, _body=getattr(extension, name), _name=name):
+            calls[_name] += 1
+            return _body(*args)
+        monkeypatch.setattr(extension, name, counted)
+    return calls
+
+
+class TestStripBodies:
+    """The size rule picks a body per strip; the float body reads as np.interp does."""
+
+    def test_tent_on_one_two_is_built_in_floats(self, monkeypatch):
+        calls = _counted_bodies(monkeypatch)
+        tent_solution((-300.0, 600.0))
+        assert calls["_float_strip"] > 0 and calls["_array_strip"] == 0
+
+    def test_log_shifts_use_both_bodies(self, monkeypatch):
+        calls = _counted_bodies(monkeypatch)
+        b, g = _log_tent_data(2, 3, 5, 7)
+        extend(g, b, (-14.0, 28.0))
+        assert calls["_float_strip"] > 0 and calls["_array_strip"] > 0
+
+    def test_seam_checked_after_a_float_strip(self, monkeypatch):
+        calls = _counted_bodies(monkeypatch)
+        seams = []
+        check = extension._seam_check
+        monkeypatch.setattr(extension, "_seam_check", lambda *a: seams.append(a) or check(*a))
+        b, g = _tent_data(0.7, 1.4, 2.1)
+        extend(g, b, (-100.0, 200.0))
+        assert seams and calls["_array_strip"] == 0
+
+    @pytest.mark.parametrize(
+        "ys, lo, hi, expected",
+        [
+            # -inf slope from an infinite value: NaN, retried from the right end
+            ([1.0, math.inf, 2.0, 0.0], 1.5, 2.5, [-math.inf, -2.0, -1.0]),
+            # inf - inf slope on an infinite plateau: NaN both ways, the stored value
+            ([1.0, math.inf, math.inf, 0.0], 1.5, 2.5, [-math.inf, -math.inf, -math.inf]),
+        ],
+    )
+    def test_nan_retry(self, ys, lo, hi, expected):
+        xs = [0.0, 1.0, 2.0, 3.0]
+        nodes, values = extension._float_strip(xs, ys, [0.0], lo, hi, True)
+        assert nodes == [lo, 2.0, hi]
+        assert values == expected
+        with np.errstate(invalid="ignore", over="ignore"):
+            terms = np.interp(np.array(nodes), np.array(xs), np.array(ys))
+        assert np.array(values).tobytes() == (-(0.0 + terms)).tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(_strip_input())
+    def test_one_read_is_np_interp(self, data):
+        xs, ys, reads, lo, hi, right = data
+        r = reads[0]
+        nodes, values = extension._float_strip(xs.tolist(), ys.tolist(), [r], lo, hi, right)
+        with np.errstate(invalid="ignore", over="ignore"):
+            terms = np.interp(np.array(nodes) + r, xs, ys)
+        assert np.array(values).tobytes() == (-(0.0 + terms)).tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(_strip_input())
+    # x = fl(lo + r), where the bisect starts, yet its kink fl(x - r) exceeds lo;
+    # on the second strip, so thin that hi merges into that kink but not into
+    # lo, only the kink decides that hi is the one node
+    @example(_kink_at_bisect_start(8.53013247571732, 9.53013247571732,
+                                   67.51559513251458, 76.0457276082319))
+    @example(_kink_at_bisect_start(314.16816438270223, 314.1681643830164,
+                                   -7391.5440782971455, -7077.375913914443))
+    def test_same_bits_as_array_body(self, data):
+        xs, ys, reads, lo, hi, right = data
+        nodes, values = extension._float_strip(xs.tolist(), ys.tolist(), reads, lo, hi, right)
+        with np.errstate(invalid="ignore", over="ignore"):
+            a_nodes, a_values = extension._array_strip(
+                xs, ys, np.array(reads)[:, None], lo, hi, right
+            )
+        assert np.array(nodes).tobytes() == a_nodes.tobytes()
+        assert np.array(values).tobytes() == a_values.tobytes()
 
 
 class TestPeriodicReference:
