@@ -3,7 +3,8 @@
 Submodules: ``coefficients`` (normalization, additive bridge, regularity
 index), ``extension`` (piecewise-linear global extension of boundary data),
 ``periodicity`` (trigonometric-system certificates), ``closedforms`` (the
-equispaced and two-shift closed forms, numpy-free), ``expsums`` (zeros of
+equispaced and two-shift closed forms and the Fourier matrix, numpy-free),
+``expsums`` (zeros of
 1 + 2^z + ... + N^z and the solutions they induce), ``cli`` (command line).
 
 The public names below are resolved on first use (PEP 562), so
@@ -40,12 +41,12 @@ _EXPORTS = {
     "solution_from_zero": "expsums",
     "winding_count": "expsums",
     "zeta_partial_sum": "expsums",
-    "FourierMatrix": "periodicity",
+    "FourierMatrix": "closedforms",
     "PeriodicityCertificate": "periodicity",
     "TwoTermVerdict": "closedforms",
     "equispaced_alphas": "closedforms",
     "find_periodic_alphas": "periodicity",
-    "fourier_matrix": "periodicity",
+    "fourier_matrix": "closedforms",
     "scale_shifts": "periodicity",
     "scan_minima": "periodicity",
     "system_residual": "periodicity",

@@ -9,11 +9,12 @@ byte-identical output.
 
 A process pays only for the subcommand it runs.  This module imports the
 standard library, ``coefficients``, ``closedforms`` and ``errors``, none of
-which loads numpy, so ``regularity``, ``normalize``, ``equispaced`` and
-``two-term`` run without numpy.  Every other subcommand imports numpy and
-its one engine module when it starts: ``extend``, ``residual`` and
-``popoviciu`` load ``extension``; ``periodicity`` and ``fourier-matrix``
-load ``periodicity``; ``zeros`` and ``mora-solution`` load ``expsums``.
+which loads numpy, so ``regularity``, ``normalize``, ``equispaced``,
+``two-term`` and ``fourier-matrix`` run without numpy.  Every other
+subcommand imports numpy and its one engine module when it starts:
+``extend``, ``residual`` and ``popoviciu`` load ``extension``;
+``periodicity`` loads ``periodicity``; ``zeros`` and ``mora-solution`` load
+``expsums``.
 """
 
 from __future__ import annotations
@@ -263,9 +264,7 @@ def _cmd_two_term(args) -> None:
 
 
 def _cmd_fourier_matrix(args) -> None:
-    from . import periodicity
-
-    mat = periodicity.fourier_matrix(args.k, args.theta, _parse_vector(args.shifts, "shifts"))
+    mat = closedforms.fourier_matrix(args.k, args.theta, _parse_vector(args.shifts, "shifts"))
     _emit(
         to_json({"entries": [list(r) for r in mat.entries], "det": mat.det}) + "\n",
         args.out,
@@ -280,8 +279,7 @@ def _cmd_zeros(args) -> None:
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        # the CSV is the search's own first scan, not a second one
-        zeros, (re, im, mod) = expsums._find_zeros(args.n, rect)
+        zeros = expsums.find_zeros(args.n, rect)
     payload = to_json(
         [
             {"re": z.z.real, "im": z.z.imag, "residual": z.modulus_residual, "N": z.n}
@@ -290,6 +288,8 @@ def _cmd_zeros(args) -> None:
     ) + "\n"
     scan_text = None
     if args.scan_csv:
+        # the search seeds without a full scan, so the CSV takes the only one
+        re, im, mod = expsums.scan_modulus(args.n, rect)
         re = re.tolist()
         rows = (
             (x, y, m) for y, mod_row in zip(im.tolist(), mod.tolist()) for x, m in zip(re, mod_row)
@@ -343,6 +343,8 @@ def _cmd_mora_solution(args) -> None:
 def _cmd_popoviciu(args) -> None:
     from . import extension
 
+    # before the span, which an order no float holds would overflow
+    extension._check_order(args.order)
     shifts = _shifts(args.shifts)
     boundary = _read_boundary(args.boundary)
     span = 2 * args.order * args.h

@@ -2,10 +2,12 @@
 
 Two families of the additive equation g(w) + sum g(w + b_k) = 0 have their
 periodic frequencies in closed form: equispaced shifts (d, 2d, ..., nd), and
-two shifts whose ratio is a rational p/q.  Neither needs numpy, so this
-module imports only ``math``, the error types and the package's record
-base ``Frozen``, and the command-line subcommands built on it start without
-loading numpy.  ``periodicity`` re-exports every name defined here.
+two shifts whose ratio is a rational p/q.  The harmonic coupling matrix of
+``fourier_matrix`` is a short sum of cosines and sines.  None of them needs
+numpy, so this module imports only ``math``, the error types, the
+package's record base ``Frozen`` and ``coefficients.ShiftVector``, and the
+command-line subcommands built on it start without loading numpy.
+``periodicity`` re-exports every name defined here.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 
 from ._frozen import Frozen
+from .coefficients import ShiftVector
 from .errors import (
     GridBudgetExceeded,
     InvalidInput,
@@ -25,10 +28,16 @@ __all__ = [
     "equispaced_alphas",
     "two_term_periodic_exists",
     "TwoTermVerdict",
+    "fourier_matrix",
+    "FourierMatrix",
 ]
 
 #: longest frequency list, in m_max, checked before the list is built
 MAX_FREQUENCIES = 1_000_000
+
+#: numpy sums at most this many terms with eight interleaved accumulators
+#: before it halves a run (``PW_BLOCKSIZE``)
+_PAIRWISE_BLOCK = 128
 
 
 def equispaced_alphas(n: int, d: float, m_max: int) -> list[float]:
@@ -98,3 +107,83 @@ def two_term_periodic_exists(p: int, q: int) -> TwoTermVerdict:
     return TwoTermVerdict(
         False, None, f"residues mod 3 are {residues}, need one 1 and one 2"
     )
+
+
+class FourierMatrix(Frozen):
+    """2x2 matrix acting on the (cos, sin) coefficients of harmonic k."""
+
+    __slots__ = ("entries",)
+    entries: tuple[tuple[float, float], tuple[float, float]]
+
+    @property
+    def det(self) -> float:
+        (a, b), (c, d) = self.entries
+        return a * d - b * c
+
+
+def _shift_list(b) -> list[float]:
+    """Accept a ShiftVector or any sequence of positive finite shifts.
+
+    Repeated shifts are allowed (unlike ShiftVector) so that degenerate cases
+    such as g(w) + 2 g(w+a) = 0, i.e. shifts (a, a), can be handled.
+    """
+    entries = [float(v) for v in (b.entries if isinstance(b, ShiftVector) else b)]
+    if not entries:
+        raise InvalidInput("at least one shift required")
+    if not all(math.isfinite(v) for v in entries):
+        raise InvalidInput("shifts must be finite")
+    if not all(v > 0.0 for v in entries):
+        raise InvalidInput("shifts must be positive")
+    return entries
+
+
+def _pairwise(terms: list[float]) -> float:
+    """numpy's pairwise sum of ``terms``, in its order."""
+    n = len(terms)
+    if n < 8:
+        total = 0.0
+        for v in terms:
+            total += v
+        return total
+    if n <= _PAIRWISE_BLOCK:
+        acc = terms[:8]
+        end = n - n % 8
+        for i in range(8, end, 8):
+            for j in range(8):
+                acc[j] += terms[i + j]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for v in terms[end:]:
+            total += v
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise(terms[:half]) + _pairwise(terms[half:])
+
+
+def _numpy_sum(terms: list[float]) -> float:
+    """``np.sum`` of a float64 vector, bit for bit: left to right below 8
+    terms, numpy's pairwise blocks above that, added to +0.0."""
+    return 0.0 + _pairwise(terms)
+
+
+def fourier_matrix(k: int, theta: float, b) -> FourierMatrix:
+    """Matrix sending harmonic-k coefficients of g to those of the equation.
+
+    The entries are 1 + sum cos(k theta b_j) and sum sin(k theta b_j), each
+    summed in numpy's order, so they equal the numpy formula
+    ``1 + np.cos(phases).sum()`` bit for bit wherever numpy takes float64
+    cosines and sines from the C library, as ``math`` does.  A k * theta past
+    the float range, or a non-finite phase, raises InvalidInput.
+    """
+    if k < 1:
+        raise InvalidInput("harmonic index k must be >= 1")
+    shifts = _shift_list(b)
+    try:
+        step = k * theta
+    except OverflowError as exc:
+        raise InvalidInput("k * theta is too large for a float") from exc
+    phases = [step * v for v in shifts]
+    if not all(math.isfinite(p) for p in phases):
+        raise InvalidInput("theta must be finite, and k * theta * b_k must not overflow")
+    c = 1.0 + _numpy_sum([math.cos(p) for p in phases])
+    s = _numpy_sum([math.sin(p) for p in phases])
+    return FourierMatrix(entries=((c, s), (-s, c)))

@@ -2,24 +2,30 @@
 
 The integer-coefficient dilation equation f(x) + f(2x) + ... + f(Nx) = 0 has
 one-sided power solutions Re(|x|^alpha) on x < 0 for every complex zero alpha
-of the sum.  Zeros are located by a grid scan of the modulus followed by
-Newton refinement, and audited with an argument-principle winding count over
-the rectangle boundary.
+of the sum.  Zeros are located from the local minima of the modulus on a
+grid, refined by Newton, and audited with an argument-principle winding
+count over the rectangle boundary.
 
 The engine keeps transcendental calls few:
 
 - ``scan_modulus`` splits ``k^(x+iy) = k^x * e^(iy ln k)``.  It takes
   ``(grid_re + grid_im) * n`` complex exponentials for a radial and a phase
-  table instead of one per grid point and term, multiplies the tables for a
-  block of rows at a time (temporaries stay near ``_CHUNK_BYTES``, 1 MiB)
-  and sums each row's terms in the same pairwise order as ``power_sum``.
-  While ``max|Re z| * ln n <= 700`` every cell equals
-  ``abs(power_sum(n, z))`` bit for bit.  Above 709 the complex exponential
-  scales its argument and rounds twice, so a finite cell may differ in the
-  last bit, and a cell whose terms overflow is non-finite in both and may
-  read ``inf`` in one and ``nan`` in the other.  ``find_zeros`` never gets
-  that far: the rectangle's right edge overflows too, and the winding count
-  raises ``BoundaryZero``.
+  table (``_tables``) instead of one per grid point and term, multiplies the
+  tables for a block of rows at a time (temporaries stay near
+  ``_CHUNK_BYTES``, 1 MiB) and sums each row's terms in the same pairwise
+  order as ``power_sum``.  While ``max|Re z| * ln n <= 700`` every cell
+  equals ``abs(power_sum(n, z))`` bit for bit.  Above 709 the complex
+  exponential scales its argument and rounds twice, so a finite cell may
+  differ in the last bit, and a cell whose terms overflow is non-finite in
+  both and may read ``inf`` in one and ``nan`` in the other.
+  ``find_zeros`` never gets that far: the rectangle's right edge overflows
+  too, and the winding count raises ``BoundaryZero``.
+- ``find_zeros`` seeds from the minima of that scan without computing it
+  (``_grid_minima``): two real matrix products of the same tables estimate
+  |G| on every cell within a proved bound, cells that a neighbour provably
+  undercuts are dropped, and only the rest and their neighbours are summed
+  exactly, by the scan's own operations.  The seeds, and so every zero,
+  are those of the full scan, bit for bit and in the same order.
 - ``newton_refine`` takes ``g`` and ``g'`` of each iterate from one table of
   terms ``exp(z ln k)``: one exponential pass per step.
 - ``winding_count`` tracks arg G along the boundary on samples close
@@ -27,12 +33,13 @@ The engine keeps transcendental calls few:
   docstring), bisecting every uncertified step in one array pass per level.
   The principal angles of the steps then sum to 2 pi times the count, up to
   rounding, on at most ``_WINDING_MAX_SAMPLES`` samples.
-- ``find_zeros`` takes the winding count before it scans, so a rectangle
-  the count refuses costs no Newton start.  It seeds once more on the grid
-  with every cell halved when the count exceeds the zeros found and that
-  grid is within the budgets, keeping the zeros it has.  The budgets grow
-  with n: grid points, table entries ``(grid_re + grid_im) * n`` and terms
-  summed ``points * n`` are checked before anything is allocated.
+- ``find_zeros`` takes the winding count before it seeds, so a rectangle
+  the count refuses costs no seeding and no Newton start.  It seeds once
+  more on the grid with every cell halved when the count exceeds the zeros
+  found and that grid is within the budgets, keeping the zeros it has.  The
+  budgets grow with n: grid points, table entries
+  ``(grid_re + grid_im) * n`` and terms summed ``points * n`` are checked
+  before anything is allocated.
 """
 
 from __future__ import annotations
@@ -74,8 +81,11 @@ _EDGE_MARGIN = 1e-6
 
 _NEWTON_MAX_ITER = 60
 
-#: bytes of complex temporaries per block of the scan and of winding samples
+#: bytes of temporaries per block of the scan, of the seeding and of winding samples
 _CHUNK_BYTES = 1 << 20
+
+#: unit roundoff of float64
+_UNIT_ROUNDOFF = 2.0**-53
 
 #: most points one modulus scan grid may hold
 _MAX_SCAN_POINTS = 1 << 22
@@ -271,35 +281,154 @@ def _check_terms(n: int, samples: int) -> None:
         )
 
 
-def scan_modulus(n: int, rect: SearchRectangle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Modulus of the power sum on the rectangle grid (re axis, im axis, |G|).
+def _tables(n: int, rect: SearchRectangle) -> tuple[np.ndarray, ...]:
+    """The grid axes and the scan's tables ``(re, im, radial, phase)``.
 
-    Each term is the product of a radial factor exp(x ln k) and a phase
-    exp(iy ln k), both exponentiated as complex numbers so that they match
+    ``radial[j, k]`` is exp(re[j] ln k) and ``phase[i, k]`` is exp(i im[i] ln k),
+    both exponentiated as complex numbers so that their products match
     exp((x + iy) ln k) bit for bit; see the module docstring for the range.
-    A grid of more than ``_MAX_SCAN_POINTS`` points, or over the n-aware
-    budgets ``_MAX_TABLE_TERMS`` and ``_MAX_TERMS``, raises GridBudgetExceeded
-    before anything is allocated.
-
-    The im rows are taken in blocks of about ``_CHUNK_BYTES`` (1 MiB) of
-    complex temporaries, small enough to stay in a core's L2 cache.  A cell
-    is computed by the same operations whatever its block, so the block size
-    does not change a bit of the result.
+    ``radial`` is real: its imaginary parts are zero.  A grid of more than
+    ``_MAX_SCAN_POINTS`` points, or over the n-aware budgets
+    ``_MAX_TABLE_TERMS`` and ``_MAX_TERMS``, raises GridBudgetExceeded before
+    anything is allocated.
     """
     _check_n(n)
     _check_grid(n, rect)
     re = np.linspace(rect.re_min, rect.re_max, rect.grid_re)
     im = np.linspace(rect.im_min, rect.im_max, rect.grid_im)
     logs = _log_table(n)
-    mod = np.empty((im.size, re.size))
-    rows = max(1, _CHUNK_BYTES // (16 * re.size * n))
     with np.errstate(over="ignore", invalid="ignore"):
         radial = np.exp(np.multiply.outer(re, logs).astype(complex))
         phase = np.exp(1j * np.multiply.outer(im, logs))
+    return re, im, radial, phase
+
+
+def scan_modulus(n: int, rect: SearchRectangle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Modulus of the power sum on the rectangle grid (re axis, im axis, |G|).
+
+    Each term is the product of a radial factor exp(x ln k) and a phase
+    exp(iy ln k) from ``_tables``, which also checks the budgets.
+
+    The im rows are taken in blocks of about ``_CHUNK_BYTES`` (1 MiB) of
+    complex temporaries, small enough to stay in a core's L2 cache.  A cell
+    is computed by the same operations whatever its block, so the block size
+    does not change a bit of the result.
+    """
+    re, im, radial, phase = _tables(n, rect)
+    mod = np.empty((im.size, re.size))
+    rows = max(1, _CHUNK_BYTES // (16 * re.size * n))
+    with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, im.size, rows):
             terms = radial * phase[i : i + rows, None, :]
             np.abs(terms.sum(axis=-1), out=mod[i : i + rows])
     return re, im, mod
+
+
+def _exact_modulus(
+    radial: np.ndarray, phase: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """|G| at the cells ``(rows[m], cols[m])`` by the scan's own operations.
+
+    Each cell multiplies the same table entries in the same order and sums
+    its n terms along a contiguous last axis, as ``scan_modulus`` does, so it
+    equals its scan cell bit for bit.  Cells go in chunks of about
+    ``_CHUNK_BYTES`` of complex temporaries.
+    """
+    out = np.empty(rows.size)
+    step = max(1, _CHUNK_BYTES // (48 * radial.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, rows.size, step):
+            terms = radial[cols[lo : lo + step]] * phase[rows[lo : lo + step]]
+            np.abs(terms.sum(axis=-1), out=out[lo : lo + step])
+    return out
+
+
+def _undercut(est: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Cells whose estimate exceeds a 4-neighbour's by more than the bounds of
+    both, ``bound`` holding one bound per column.
+
+    A NaN estimate or an infinite bound makes the comparison false, so it
+    prunes nothing.
+    """
+    out = np.zeros(est.shape, dtype=bool)
+    with np.errstate(invalid="ignore"):
+        rise, width = est[1:] - est[:-1], 2.0 * bound
+        out[1:] |= rise > width
+        out[:-1] |= -rise > width
+        rise, width = est[:, 1:] - est[:, :-1], bound[1:] + bound[:-1]
+        out[:, 1:] |= rise > width
+        out[:, :-1] |= -rise > width
+    return out
+
+
+def _grid_minima(
+    n: int, rect: SearchRectangle
+) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+    """The grid axes and ``_local_minima(scan_modulus(n, rect)[2])``, summed
+    exactly only where a minimum can be.
+
+    Re G and Im G are estimated on every cell by two real matrix products of
+    the scan's tables, ``phase.real @ radial.T`` and ``phase.imag @ radial.T``,
+    which BLAS sums in any order.  With r_k = k^x the radial entries of a
+    cell's column, u = 2^-53 and gamma_n = n u / (1 - n u), its estimate E
+    lies within
+
+        B = 8 gamma_n sum_k r_k
+
+    of its scan value S (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 3.1).  The scan's terms are the rounded
+    products r_k c_k and r_k s_k of the table entries, and both their
+    pairwise sum and a dot product in any order lie within
+    gamma_n sum_k |r_k c_k| <= gamma_n sum_k r_k of the exact sum, as
+    |c_k|, |s_k| <= 1.  So each part of E and S differs by at most
+    2 gamma_n sum r_k, and the moduli by at most 2 sqrt(2) gamma_n sum r_k.
+    Each of the two hypot roundings adds at most 2 u of its value, and E and
+    S are at most sum r_k up to rounding, so with gamma_n >= 2 u (n >= 2)
+    both add at most 2 gamma_n sum r_k.  B is over 1.6 times the total, which
+    covers the rounding of B and of the comparison below.  The first term
+    is exactly 1, so sum r_k >= 1 also covers the absolute error, below
+    2^-1074 a term, of products that underflow.  The sum is taken four
+    times before it is scaled, so B is infinite wherever a partial sum, or
+    E, could overflow.
+
+    A cell is pruned when a 4-neighbour's estimate is lower by more than both
+    bounds (``_undercut``): that neighbour's scan value is then strictly
+    lower, and the cell fails the minimum test.  A non-finite estimate or
+    bound prunes nothing.  Only the survivors and their neighbours are summed
+    exactly (``_exact_modulus``), and a survivor is a minimum when it is
+    ``<=`` each neighbour, +inf outside the grid, as in ``_local_minima``.
+    Rows go in blocks of about ``_CHUNK_BYTES`` of temporaries, each with a
+    one-row halo of neighbours, and the minima come in row-major order.
+    """
+    re, im, radial, phase = _tables(n, rect)
+    rad = np.ascontiguousarray(radial.real)
+    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    with np.errstate(over="ignore"):
+        bound = 2.0 * gamma * (4.0 * rad.sum(axis=1))
+    rows = max(1, _CHUNK_BYTES // (8 * (2 * n + 8 * re.size)))
+    minima: list[tuple[int, int]] = []
+    for lo in range(0, im.size, rows):
+        hi = min(lo + rows, im.size)
+        top, bottom = max(lo - 1, 0), min(hi + 1, im.size)
+        block = phase[top:bottom]
+        with np.errstate(over="ignore", invalid="ignore"):
+            est = np.hypot(
+                np.ascontiguousarray(block.real) @ rad.T,
+                np.ascontiguousarray(block.imag) @ rad.T,
+            )
+        keep = ~_undercut(est, bound)
+        keep[: lo - top] = False
+        keep[hi - top :] = False
+        need = keep.copy()
+        need[1:] |= keep[:-1]
+        need[:-1] |= keep[1:]
+        need[:, 1:] |= keep[:, :-1]
+        need[:, :-1] |= keep[:, 1:]
+        exact = np.full(keep.shape, np.nan)
+        cell_rows, cell_cols = np.nonzero(need)
+        exact[cell_rows, cell_cols] = _exact_modulus(radial, phase, cell_rows + top, cell_cols)
+        minima += [(top + i, j) for i, j in _local_minima(exact) if keep[i, j]]
+    return re, im, minima
 
 
 def _local_minima(a: np.ndarray) -> list[tuple[int, int]]:
@@ -399,20 +528,15 @@ def winding_count(n: int, rect: SearchRectangle) -> int:
     return int(nearest)
 
 
-def _seed(
-    n: int,
-    rect: SearchRectangle,
-    found: list[complex],
-    scan: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> list[complex]:
+def _seed(n: int, rect: SearchRectangle, found: list[complex]) -> list[complex]:
     """Add to ``found`` the zeros Newton reaches from the grid minima of |G|.
 
     A converged zero is kept when its residual is at most ZERO_RESIDUAL_TOL,
     it lies in the rectangle, and no kept zero is within _DEDUPE_DIST of it.
-    The grid is ``scan``, or else ``scan_modulus(n, rect)``.
+    The minima are those of ``scan_modulus(n, rect)``, found by ``_grid_minima``.
     """
-    re, im, mod = scan_modulus(n, rect) if scan is None else scan
-    for i, j in _local_minima(mod):
+    re, im, minima = _grid_minima(n, rect)
+    for i, j in minima:
         refined = newton_refine(n, complex(re[j], im[i]))
         if refined is None:
             continue
@@ -439,7 +563,7 @@ def find_zeros(n: int, rect: SearchRectangle | None = None) -> list[ComplexZero]
 
     The audit comes first: the scan grid's budget, then the winding count,
     so a rectangle either refuses with GridBudgetExceeded or BoundaryZero
-    before any scan or Newton start.  Grid minima of the modulus then seed
+    before any seeding or Newton start.  Grid minima of the modulus then seed
     Newton refinement; converged zeros are deduplicated, filtered to the
     rectangle and checked against the count.  When the count exceeds the
     zeros found, the search is seeded once more on the grid
@@ -449,20 +573,12 @@ def find_zeros(n: int, rect: SearchRectangle | None = None) -> list[ComplexZero]
     1e-6 of the boundary raise BoundaryZero instead of silently corrupting
     the audit.
     """
-    return _find_zeros(n, rect)[0]
-
-
-def _find_zeros(
-    n: int, rect: SearchRectangle | None
-) -> tuple[list[ComplexZero], tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``find_zeros`` plus the scan ``(re, im, |G|)`` of its first pass on ``rect``."""
     if rect is None:
         rect = default_rectangle()
     _check_n(n)
     _check_grid(n, rect)
     turns = winding_count(n, rect)
-    scan = scan_modulus(n, rect)
-    found = _seed(n, rect, [], scan)
+    found = _seed(n, rect, [])
     zeros = _verified(n, rect, found)
     grid_re, grid_im = 2 * rect.grid_re - 1, 2 * rect.grid_im - 1
     if turns > len(zeros) and _grid_refusal(n, grid_re, grid_im) is None:
@@ -477,7 +593,7 @@ def _find_zeros(
                 "refine the grid or shrink the rectangle"
             )
         )
-    return zeros, scan
+    return zeros
 
 
 class PowerSolution(Frozen):

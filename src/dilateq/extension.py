@@ -81,6 +81,9 @@ _MERGE_VALUE_TOL = 1e-9
 #: most reads one residual grid may take, grid points times N + 1
 _MAX_READS = 1 << 26
 
+#: most entries, (order + 1)^2, of one Popoviciu Hankel matrix: 8 MiB of floats
+_MAX_HANKEL_ENTRIES = 1 << 20
+
 #: most reads (window breakpoints times N) of a strip built in Python floats;
 #: a larger strip is built in numpy arrays (see ``_grow``).  The measured
 #: crossover lies near 80 reads on dense windows and near 200 on the
@@ -587,16 +590,28 @@ def residual_multiplicative(
     return float(np.max(np.abs(total))) if x.size else 0.0
 
 
+def _check_order(n: int) -> None:
+    """Refuse a Hankel matrix of order n with over ``_MAX_HANKEL_ENTRIES`` entries."""
+    if (n + 1) ** 2 > _MAX_HANKEL_ENTRIES:
+        raise GridBudgetExceeded(
+            f"order above {math.isqrt(_MAX_HANKEL_ENTRIES) - 1}: its Hankel matrix would "
+            f"hold more than {_MAX_HANKEL_ENTRIES} entries"
+        )
+
+
 def popoviciu_determinant(f: Callable, x: float, h: float, n: int) -> float:
     """Determinant of the (n+1) x (n+1) Hankel matrix [f(x + (i+j) h)].
 
     Vanishing for all (x, h) characterizes exponential polynomials; a single
-    decisively nonzero value certifies that f is not one.
+    decisively nonzero value certifies that f is not one.  An order whose
+    matrix would hold more than ``_MAX_HANKEL_ENTRIES`` entries raises
+    GridBudgetExceeded before any sample is taken.
     """
     if h == 0.0:
         raise InvalidInput("step h must be nonzero")
     if n < 1:
         raise InvalidInput("order n must be >= 1")
+    _check_order(n)
     samples = _eval_many(f, x + h * np.arange(2 * n + 1, dtype=float))
     idx = np.add.outer(np.arange(n + 1), np.arange(n + 1))
     return float(np.linalg.det(samples[idx]))

@@ -11,7 +11,8 @@ side has nonnegative determinant and vanishes entrywise as soon as its
 determinant does.  The scanner minimizes that determinant (a sum of two
 squares, so zeros are double roots and sign-based bracketing is useless);
 the equispaced and two-shift families have closed forms checked exactly,
-kept in ``closedforms`` (numpy-free) and re-exported here.
+kept in ``closedforms`` (numpy-free) with ``fourier_matrix`` and re-exported
+here.
 
 The scan evaluates the residual on a grid of at most ``MAX_GRID_POINTS``
 points, checked before anything is allocated, in blocks of about 8 MiB of
@@ -31,9 +32,16 @@ import math
 import numpy as np
 
 from ._frozen import Frozen
-from .closedforms import TwoTermVerdict, equispaced_alphas, two_term_periodic_exists
+from .closedforms import (
+    FourierMatrix,
+    TwoTermVerdict,
+    _shift_list,
+    equispaced_alphas,
+    fourier_matrix,
+    two_term_periodic_exists,
+)
 from .coefficients import ShiftVector
-from .errors import GridBudgetExceeded, InvalidInput, InvalidRange, NonPositiveScale
+from .errors import GridBudgetExceeded, InvalidRange, NonPositiveScale
 
 __all__ = [
     "PeriodicityCertificate",
@@ -69,21 +77,8 @@ _BLOCK_BYTES = 8 << 20
 
 
 def _shift_array(b) -> np.ndarray:
-    """Accept a ShiftVector or any sequence of positive shifts.
-
-    Repeated shifts are allowed here (unlike ShiftVector) so that degenerate
-    cases such as g(w) + 2 g(w+a) = 0, i.e. shifts (a, a), can be scanned.
-    """
-    entries = np.asarray(
-        b.entries if isinstance(b, ShiftVector) else [float(v) for v in b], dtype=float
-    )
-    if entries.size == 0:
-        raise InvalidInput("at least one shift required")
-    if not np.all(np.isfinite(entries)):
-        raise InvalidInput("shifts must be finite")
-    if np.any(entries <= 0.0):
-        raise InvalidInput("shifts must be positive")
-    return entries
+    """The shifts of ``closedforms._shift_list`` as a float array."""
+    return np.asarray(_shift_list(b), dtype=float)
 
 
 class PeriodicityCertificate(Frozen):
@@ -98,18 +93,6 @@ class PeriodicityCertificate(Frozen):
         """The periodic solution cos(alpha w)."""
         alpha = self.alpha
         return lambda w: np.cos(alpha * np.asarray(w))
-
-
-class FourierMatrix(Frozen):
-    """2x2 matrix acting on the (cos, sin) coefficients of harmonic k."""
-
-    __slots__ = ("entries",)
-    entries: tuple[tuple[float, float], tuple[float, float]]
-
-    @property
-    def det(self) -> float:
-        (a, b), (c, d) = self.entries
-        return a * d - b * c
 
 
 def _residuals(alphas: np.ndarray, shifts: np.ndarray, square) -> np.ndarray:
@@ -241,7 +224,9 @@ def find_periodic_alphas(
         raise InvalidRange("tol must be positive")
     certs = []
     for alpha, residual in scan_minima(b, alpha_max, grid_step):
-        if residual <= tol:
+        # a subnormal alpha_max can refine to 0, or to a frequency whose
+        # period overflows: neither states a periodic solution
+        if residual <= tol and alpha > 0.0 and 2.0 * math.pi / alpha < math.inf:
             certs.append(
                 PeriodicityCertificate(
                     alpha=alpha,
@@ -250,19 +235,6 @@ def find_periodic_alphas(
                 )
             )
     return certs
-
-
-def fourier_matrix(k: int, theta: float, b) -> FourierMatrix:
-    """Matrix sending harmonic-k coefficients of g to those of the equation."""
-    if k < 1:
-        raise InvalidInput("harmonic index k must be >= 1")
-    shifts = _shift_array(b)
-    phases = k * theta * shifts
-    if not np.all(np.isfinite(phases)):
-        raise InvalidInput("theta must be finite, and k * theta * b_k must not overflow")
-    c = 1.0 + float(np.cos(phases).sum())
-    s = float(np.sin(phases).sum())
-    return FourierMatrix(entries=((c, s), (-s, c)))
 
 
 def scale_shifts(b, d: float):

@@ -400,6 +400,14 @@ def _exit_code(argv) -> int:
         return exc.code
 
 
+#: an integer argument: small, huge, or not an integer at all
+INTEGER = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(
+        ["0", "-0", str(10**30), str(-(10**30)), str(10**400), "1e3", "nan", "-inf", "2.5"]
+    ),
+)
+
 #: a --range pair: adversarial, or ordinary around the origin
 RANGE = st.one_of(
     st.tuples(ADVERSARIAL, ADVERSARIAL).map(sorted),
@@ -449,10 +457,10 @@ class TestExtensionFuzz:
         self._check(argv, {"breakpoints": [0.0, *knots], "values": [1.0, 1.0, last]})
 
     @settings(max_examples=60, deadline=5000)
-    @given(x=ADVERSARIAL, h=ADVERSARIAL, order=st.integers(-1, 5))
+    @given(x=ADVERSARIAL, h=ADVERSARIAL, order=INTEGER)
     def test_popoviciu(self, x, h, order):
         argv = ["popoviciu", "--boundary", "{boundary}", "--shifts", "[1,2]",
-                f"--x={x!r}", f"--h={h!r}", "--order", str(order)]
+                f"--x={x!r}", f"--h={h!r}", "--order", order]
         self._check(argv, {"breakpoints": [0.0, 1.0, 2.0], "values": [1.0, 1.0, -2.0]})
 
 
@@ -513,12 +521,6 @@ def _deadline(seconds: float):
 
 #: a JSON array of adversarial numbers; Python's json reads NaN and Infinity
 VECTOR = st.lists(ADVERSARIAL, max_size=4).map(json.dumps)
-
-#: an integer argument: small, huge, or not an integer at all
-INTEGER = st.one_of(
-    st.integers(-3, 12).map(str),
-    st.sampled_from(["0", "-0", str(10**30), str(-(10**30)), "1e3", "nan", "-inf", "2.5"]),
-)
 
 
 class TestSubcommandFuzz:
@@ -621,6 +623,34 @@ class TestPopoviciu:
         )
         assert code == 3
         assert out == ""
+
+
+class TestHugeIntegers:
+    """Integers no float holds end in a contract exit, with no traceback and no file."""
+
+    @pytest.mark.parametrize(
+        "argv, exit_code, message",
+        [
+            (["fourier-matrix", "--k", str(10**400), "--theta", "0.5", "--shifts", "[1,2]"],
+             2, "too large for a float"),
+            (["popoviciu", "--boundary", "{tent}", "--shifts", "[1,2]", "--x", "0.5",
+              "--h", "0.3", "--order", str(10**400)], 3, "Hankel matrix"),
+        ],
+    )
+    def test_refused(self, capsys, tent_file, tmp_path, argv, exit_code, message):
+        out = tmp_path / "out.txt"
+        argv = [tent_file if a == "{tent}" else a for a in argv]
+        code, stdout, err = run(capsys, *argv, "--out", out)
+        assert code == exit_code
+        assert message in err and "internal" not in err
+        assert stdout == "" and not out.exists()
+
+    def test_order_budget(self, capsys, tent_file):
+        # 1024^2 entries is the budget; one order more is refused before sampling
+        common = ["popoviciu", "--boundary", tent_file, "--shifts", "[1,2]",
+                  "--x", 0.5, "--h", 1e-3]
+        assert run(capsys, *common, "--order", 1024)[0] == 3
+        assert run(capsys, *common, "--order", 1023)[0] == 0
 
 
 class TestGlobalFlags:
@@ -883,6 +913,7 @@ class TestImportWeight:
             (["two-term", "5", "4"], 0),
             (["two-term", "3", "6"], 2),
             (["regularity", "[NaN]"], 2),
+            (["fourier-matrix", "--k", "1", "--theta", "2", "--shifts", "[1,2]"], 0),
         ],
     )
     def test_light_subcommand_imports_no_numpy(self, tmp_path, argv, exit_code):
@@ -901,8 +932,6 @@ class TestImportWeight:
             (["popoviciu", "--boundary", "tent.json", "--shifts", "[1,2]",
               "--x", "0.5", "--h", "0.3", "--order", "3"], "dilateq.extension"),
             (["periodicity", "--shifts", "[1,2]", "--alpha-max", "10"], "dilateq.periodicity"),
-            (["fourier-matrix", "--k", "1", "--theta", "2", "--shifts", "[1,2]"],
-             "dilateq.periodicity"),
             (["zeros", "--n", "2"], "dilateq.expsums"),
             (["mora-solution", "--n", "2", "--re", "0", "--im", "4.532360141827194"],
              "dilateq.expsums"),

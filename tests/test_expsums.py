@@ -6,7 +6,7 @@ from math import log, pi
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dilateq import (
     ComplexZero,
@@ -153,10 +153,11 @@ class TestFindZeros:
         assert accepted > 0
 
     def test_refused_before_any_newton_start(self, monkeypatch):
-        # the winding count refuses the 1e300-wide boundary before the scan
+        # the winding count refuses the 1e300-wide boundary before any seeding
         calls = []
         monkeypatch.setattr(expsums, "newton_refine", lambda n, z: calls.append(z))
-        monkeypatch.setattr(expsums, "scan_modulus", lambda n, rect: calls.append(rect))
+        for name in ("scan_modulus", "_grid_minima", "_tables"):
+            monkeypatch.setattr(expsums, name, lambda n, rect: calls.append(rect))
         with pytest.raises(BoundaryZero, match="samples on the boundary"):
             find_zeros(3, SearchRectangle(-1e300, 2.0, 0.0, 30.0))
         assert calls == []
@@ -538,6 +539,112 @@ class TestScanEquivalence:
         np.testing.assert_allclose(mod[finite], direct[finite], rtol=1e-15, atol=0.0)
         below = re * log(200) <= 700.0
         assert np.array_equal(mod[:, below], direct[:, below])
+
+
+def _spy_exact(monkeypatch) -> list:
+    """Record ``(rows, cols, values)`` of every exact evaluation of the seeding."""
+    seen = []
+    exact = expsums._exact_modulus
+
+    def spy(radial, phase, rows, cols):
+        values = exact(radial, phase, rows, cols)
+        seen.append((rows, cols, values))
+        return values
+
+    monkeypatch.setattr(expsums, "_exact_modulus", spy)
+    return seen
+
+
+class TestPrunedSeeding:
+    """The seeds come from an estimate of |G|, summed exactly only where a
+    minimum can be, and equal the minima of the full scan."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.one_of(st.just(2), st.integers(2, 300)),
+        re_lo=st.floats(-500.0, 1100.0),
+        re_width=st.floats(1e-3, 400.0),
+        im_lo=st.floats(-200.0, 200.0),
+        height=st.floats(1e-3, 300.0),
+        grid=st.tuples(st.integers(2, 25), st.integers(2, 25)),
+    )
+    # |1 + 2^z| ties exactly between rows y and -y
+    @example(n=2, re_lo=-1.0, re_width=2.0, im_lo=-5.0, height=10.0, grid=(2, 2))
+    # terms past re * ln 200 = 709 overflow: non-finite estimates and bounds
+    @example(n=200, re_lo=-3.0, re_width=203.0, im_lo=0.0, height=30.0, grid=(40, 50))
+    # far to the left every cell reads 1.0
+    @example(n=30, re_lo=-500.0, re_width=100.0, im_lo=0.0, height=30.0, grid=(9, 11))
+    # |G| near 2^50, where the estimate's rounding alone reorders neighbours
+    @example(n=2, re_lo=50.0, re_width=5.0, im_lo=0.0, height=30.0, grid=(25, 25))
+    def test_same_minima_as_the_scan(self, n, re_lo, re_width, im_lo, height, grid):
+        rect = SearchRectangle(re_lo, re_lo + re_width, im_lo, im_lo + height, *grid)
+        re, im, mod = scan_modulus(n, rect)
+        seed_re, seed_im, minima = expsums._grid_minima(n, rect)
+        assert minima == expsums._local_minima(mod)
+        assert seed_re.tobytes() == re.tobytes() and seed_im.tobytes() == im.tobytes()
+
+    @pytest.mark.parametrize(
+        "n, rect",
+        [
+            (200, (-3.0, 2.0, 0.0, 30.0, 121, 481)),
+            (200, (-3.0, 200.0, 0.0, 30.0, 40, 50)),
+            (2, (-400.0, -300.0, 0.0, 30.0, 5, 7)),
+            (2, (-1.0, 1.0, -5.0, 5.0, 2, 2)),
+        ],
+    )
+    def test_exact_values_are_the_scan_cells(self, n, rect, monkeypatch):
+        rect = SearchRectangle(*rect)
+        seen = _spy_exact(monkeypatch)
+        expsums._grid_minima(n, rect)
+        rows, cols, values = (np.concatenate(part) for part in zip(*seen))
+        assert values.tobytes() == scan_modulus(n, rect)[2][rows, cols].tobytes()
+
+    def test_find_zeros_never_scans(self, monkeypatch):
+        monkeypatch.setattr(expsums, "scan_modulus", lambda n, rect: pytest.fail("scanned"))
+        assert len(find_zeros(200, SearchRectangle(-3.0, 2.0, 0.0, 30.0, 121, 481))) == 25
+        # the re-seed on the halved grid as well
+        assert len(find_zeros(100, SearchRectangle(-3.0, 2.0, 0.0, 60.0))) == 44
+
+    @pytest.mark.parametrize(
+        "rect",
+        [
+            (-3.0, 2.0, 0.0, 30.0, 61, 241),
+            (-3.0, 2.0, 0.0, 45.0, 61, 361),
+            (-3.0, 2.0, 0.0, 30.0, 121, 481),
+            (-3.0, 2.0, 0.0, 60.0, 61, 241),
+            (-3.0, 2.0, 0.0, 60.0, 121, 481),
+        ],
+    )
+    def test_exact_cells_per_minimum(self, rect, monkeypatch):
+        # the benchmark's rectangles and the probe's re-seed grid: each minimum
+        # costs at most itself and its four neighbours
+        rect = SearchRectangle(*rect)
+        seen = _spy_exact(monkeypatch)
+        for n in (2, 3, 10, 30, 45, 100, 150, 200):
+            seen.clear()
+            minima = expsums._grid_minima(n, rect)[2]
+            assert 0 < sum(rows.size for rows, _, _ in seen) <= 5 * len(minima)
+
+    def test_undercut(self):
+        nan, inf = math.nan, math.inf
+        est = np.array([[1.0, 1.5, 1.0, nan], [1.0, 3.0, inf, 2.0], [1.15, 1.0, 1.9, 1.5]])
+        # one bound per column
+        bound = np.array([0.1, 0.1, inf, 0.1])
+        # ties and gaps within both bounds prune nothing, and neither do a NaN
+        # estimate and an infinite bound; the edges have no neighbour outside
+        assert expsums._undercut(est, bound).tolist() == [
+            [False, True, False, False],
+            [False, True, False, True],
+            [False, False, False, False],
+        ]
+
+    # one row a block, and seven, which do not divide the 481 rows
+    @pytest.mark.parametrize("chunk", [1, 8 * (2 * 200 + 8 * 121) * 7])
+    def test_blocks_give_the_same_minima(self, chunk, monkeypatch):
+        rect = SearchRectangle(-3.0, 2.0, 0.0, 30.0, 121, 481)
+        expected = expsums._local_minima(scan_modulus(200, rect)[2])
+        monkeypatch.setattr(expsums, "_CHUNK_BYTES", chunk)
+        assert expsums._grid_minima(200, rect)[2] == expected
 
 
 def _two_pass_newton(n, z0):

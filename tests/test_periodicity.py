@@ -4,7 +4,7 @@ from math import gcd, pi
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dilateq import (
     ShiftVector,
@@ -355,6 +355,12 @@ class TestBitwise:
         assert sizes[0] == 2 * 74 and max(sizes) == 2 * 74
 
 
+def test_subnormal_alpha_max_certifies_no_zero_frequency():
+    # alpha_max / 3 underflows to 0, and every minimum passes an infinite
+    # tolerance: a refined alpha of 0 divided by zero (exit 1 on the CLI)
+    assert find_periodic_alphas([1e300], 5e-324, grid_step=math.inf, tol=math.inf) == []
+
+
 class TestFourierMatrix:
     def test_vanishes_at_certified_frequency(self):
         mat = fourier_matrix(1, 2 * pi / 3, (1.0, 2.0))
@@ -369,6 +375,28 @@ class TestFourierMatrix:
     def test_non_finite_phase_refused(self, k, theta):
         with pytest.raises(InvalidInput, match="finite"):
             fourier_matrix(k, theta, (1.0, 2.0))
+
+    def test_k_no_float_holds_refused(self):
+        with pytest.raises(InvalidInput, match="too large for a float"):
+            fourier_matrix(10**400, 0.5, (1.0, 2.0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(1, 10**6),
+        theta=st.floats(-1e4, 1e4),
+        # numpy sums left to right below 8 terms, in blocks of 8 accumulators
+        # up to 128 and by halves above that
+        shifts=st.one_of(st.integers(1, 40), st.integers(120, 300)).flatmap(
+            lambda n: st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n)
+        ),
+    )
+    def test_equals_the_numpy_formula(self, k, theta, shifts):
+        phases = k * theta * np.asarray(shifts)
+        assume(np.isfinite(phases).all())
+        c = 1.0 + float(np.cos(phases).sum())
+        s = float(np.sin(phases).sum())
+        entries = [v.hex() for row in fourier_matrix(k, theta, shifts).entries for v in row]
+        assert entries == [v.hex() for v in (c, s, -s, c)]
 
     def test_harmonic_frequency_product(self):
         a = fourier_matrix(2, pi / 3, (1.0, 2.0))
