@@ -932,6 +932,8 @@ class TestImportWeight:
             (["popoviciu", "--boundary", "tent.json", "--shifts", "[1,2]",
               "--x", "0.5", "--h", "0.3", "--order", "3"], "dilateq.extension"),
             (["periodicity", "--shifts", "[1,2]", "--alpha-max", "10"], "dilateq.periodicity"),
+            (["periodicity", "--shifts", "[1,2,3]", "--alpha-max", "10", "--out", "certs.json"],
+             "dilateq.periodicity"),
             (["zeros", "--n", "2"], "dilateq.expsums"),
             (["mora-solution", "--n", "2", "--re", "0", "--im", "4.532360141827194"],
              "dilateq.expsums"),
