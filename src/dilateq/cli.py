@@ -7,6 +7,11 @@ non-convergence.  All floats are printed with 17 significant digits and JSON
 keys are emitted in a fixed order, so identical invocations produce
 byte-identical output.
 
+Each ``_cmd_*`` returns what it prints: a JSON-able value, CSV text, or an
+``_Output`` that adds files and stderr text to follow the payload.  ``main``
+alone writes it, to stdout or ``--out``, and only after the subcommand has
+returned, so no refusal leaves a partial file behind.
+
 A process pays only for the subcommand it runs.  This module imports the
 standard library, ``coefficients``, ``closedforms`` and ``errors``, none of
 which loads numpy, so ``regularity``, ``normalize``, ``equispaced``,
@@ -26,13 +31,10 @@ import numbers
 import sys
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import NamedTuple
 
 from . import closedforms, coefficients
 from .errors import DomainViolation, InvalidInput, Nonconvergence
-
-if TYPE_CHECKING:
-    from . import extension
 
 
 # -- serialization -------------------------------------------------------------
@@ -69,9 +71,15 @@ def _csv(header: str, rows) -> str:
     return header + "\n" + "".join(line % row for row in rows)
 
 
+class _Output(NamedTuple):
+    """A payload, then ``(path, text)`` files and stderr text written after it."""
+
+    payload: object
+    files: tuple = ()
+    stderr: str = ""
+
+
 def _emit(text: str, out: str | None) -> None:
-    # output is built in full before this point: a validation failure can
-    # never leave a partial file behind
     if out:
         Path(out).write_text(text)
     else:
@@ -108,18 +116,6 @@ def _parse_vector(text: str, what: str) -> list[float]:
     return _number_list(obj, what)
 
 
-def _read_boundary(path: str) -> extension.PiecewiseLinear:
-    from . import extension
-
-    obj = _read_json(path)
-    if not isinstance(obj, dict) or "breakpoints" not in obj or "values" not in obj:
-        raise InvalidInput(f"{path} must be an object with 'breakpoints' and 'values'")
-    return extension.PiecewiseLinear(
-        _number_list(obj["breakpoints"], "breakpoints"),
-        _number_list(obj["values"], "values"),
-    )
-
-
 def _shifts(text: str) -> coefficients.ShiftVector:
     return coefficients.ShiftVector(tuple(_parse_vector(text, "shifts")))
 
@@ -129,110 +125,103 @@ def _check_samples(samples: int) -> None:
         raise InvalidInput(f"--samples must be at least 1, got {samples}")
 
 
-# -- subcommands ----------------------------------------------------------------
-
-def _cmd_regularity(args) -> None:
-    vec = coefficients.normalize(_parse_vector(args.coeffs, "coefficients"))
-    ri = coefficients.regularity_index(vec)
-    _emit(
-        to_json(
-            {
-                "m": ri.m,
-                "contraction": ri.contraction,
-                "lower_bound": ri.lower_bound,
-                "upper_bound": ri.upper_bound,
-            }
-        )
-        + "\n",
-        args.out,
-    )
+def _range(args) -> tuple[float, float]:
+    lo, hi = args.range
+    if not lo < hi:
+        raise InvalidInput("range must satisfy lo < hi")
+    return lo, hi
 
 
-def _cmd_normalize(args) -> None:
-    vec = coefficients.normalize(_parse_vector(args.coeffs, "coefficients"))
-    shifts = coefficients.to_additive(vec)
-    _emit(
-        to_json({"entries": list(vec.entries), "shifts": list(shifts.entries)}) + "\n",
-        args.out,
-    )
-
-
-def _extend_for_range(boundary, shifts, lo: float, hi: float, tol: float):
+def _sampled_range(args, shifts) -> tuple[float, float]:
+    """``--range`` of ``extend`` and ``residual``, after ``--samples`` and its budget."""
     from . import extension
 
-    b_n = shifts.largest
-    target = (min(lo, 0.0), max(hi + b_n, b_n))
-    return extension.extend(boundary, shifts, target, tol=tol)
+    _check_samples(args.samples)
+    # each sample reads the extension at N + 1 points, before any is built
+    extension._check_reads(args.samples, len(shifts.entries))
+    return _range(args)
 
 
-def _cmd_extend(args) -> None:
+def _extension(args, shifts, lo: float, hi: float):
+    """``--boundary`` and its extension over (min(lo, 0), max(hi, bN)) within ``--tol``."""
+    from . import extension
+
+    obj = _read_json(args.boundary)
+    if not isinstance(obj, dict) or "breakpoints" not in obj or "values" not in obj:
+        raise InvalidInput(f"{args.boundary} must be an object with 'breakpoints' and 'values'")
+    boundary = extension.PiecewiseLinear(
+        _number_list(obj["breakpoints"], "breakpoints"), _number_list(obj["values"], "values")
+    )
+    tol = args.tol if args.tol is not None else extension.INTERPOLATION_TOL
+    target = (min(lo, 0.0), max(hi, shifts.largest))
+    return boundary, extension.extend(boundary, shifts, target, tol=tol)
+
+
+# -- subcommands ----------------------------------------------------------------
+
+def _cmd_regularity(args):
+    vec = coefficients.normalize(_parse_vector(args.coeffs, "coefficients"))
+    ri = coefficients.regularity_index(vec)
+    return {
+        "m": ri.m,
+        "contraction": ri.contraction,
+        "lower_bound": ri.lower_bound,
+        "upper_bound": ri.upper_bound,
+    }
+
+
+def _cmd_normalize(args):
+    vec = coefficients.normalize(_parse_vector(args.coeffs, "coefficients"))
+    return {"entries": list(vec.entries), "shifts": list(coefficients.to_additive(vec).entries)}
+
+
+def _cmd_extend(args):
     import numpy as np
 
     from . import extension
 
-    _check_samples(args.samples)
     shifts = _shifts(args.shifts)
-    # each sample reads the extension at N + 1 points, before any is built
-    extension._check_reads(args.samples, len(shifts.entries))
-    boundary = _read_boundary(args.boundary)
-    lo, hi = args.range
-    if not lo < hi:
-        raise InvalidInput("range must satisfy lo < hi")
-    tol = args.tol if args.tol is not None else extension.INTERPOLATION_TOL
-    sol = _extend_for_range(boundary, shifts, lo, hi, tol)
+    lo, hi = _sampled_range(args, shifts)
+    boundary, sol = _extension(args, shifts, lo, hi + shifts.largest)
     w = np.linspace(lo, hi, args.samples)
-    values = sol(w)
     report = {
         "interpolation_residual": extension.check_interpolation(boundary, shifts),
         "max_additive_residual": extension.residual_additive(sol, shifts, w),
     }
-    _emit(_csv("w,value", zip(w.tolist(), values.tolist())), args.out)
-    sys.stderr.write(to_json(report) + "\n")
+    table = _csv("w,value", zip(w.tolist(), sol(w).tolist()))
+    return _Output(table, stderr=to_json(report) + "\n")
 
 
-def _cmd_residual(args) -> None:
+def _cmd_residual(args):
     import numpy as np
 
     from . import extension
 
     if (args.shifts is None) == (args.coeffs is None):
         raise InvalidInput("give exactly one of --shifts or --coeffs")
-    _check_samples(args.samples)
     if args.shifts is not None:
         shifts = _shifts(args.shifts)
     else:
         vec = coefficients.normalize(_parse_vector(args.coeffs, "coefficients"))
         shifts = coefficients.to_additive(vec)
-    # each sample reads the extension at N + 1 points, before any is built
-    extension._check_reads(args.samples, len(shifts.entries))
-    boundary = _read_boundary(args.boundary)
-    lo, hi = args.range
-    if not lo < hi:
-        raise InvalidInput("range must satisfy lo < hi")
-    tol = args.tol if args.tol is not None else extension.INTERPOLATION_TOL
+    lo, hi = _sampled_range(args, shifts)
     if args.shifts is not None:
-        sol = _extend_for_range(boundary, shifts, lo, hi, tol)
+        boundary, sol = _extension(args, shifts, lo, hi + shifts.largest)
         grid = np.linspace(lo, hi, args.samples)
         value = extension.residual_additive(sol, shifts, grid)
     else:
         if lo <= 0.0:
             raise InvalidInput("multiplicative grid must be positive")
-        sol = _extend_for_range(boundary, shifts, math.log(lo), math.log(hi), tol)
+        boundary, sol = _extension(args, shifts, math.log(lo), math.log(hi) + shifts.largest)
         grid = np.geomspace(lo, hi, args.samples)
         value = extension.residual_multiplicative(lambda x: sol(np.log(x)), vec, grid)
-    _emit(
-        to_json(
-            {
-                "max_residual": value,
-                "interpolation_residual": extension.check_interpolation(boundary, shifts),
-            }
-        )
-        + "\n",
-        args.out,
-    )
+    return {
+        "max_residual": value,
+        "interpolation_residual": extension.check_interpolation(boundary, shifts),
+    }
 
 
-def _cmd_periodicity(args) -> None:
+def _cmd_periodicity(args):
     from . import periodicity
 
     shifts = _parse_vector(args.shifts, "shifts")
@@ -240,38 +229,25 @@ def _cmd_periodicity(args) -> None:
     certs = periodicity.find_periodic_alphas(
         shifts, args.alpha_max, grid_step=args.grid_step, tol=tol
     )
-    _emit(
-        to_json(
-            [
-                {"alpha": c.alpha, "period": c.period, "residual": c.system_residual}
-                for c in certs
-            ]
-        )
-        + "\n",
-        args.out,
-    )
+    return [{"alpha": c.alpha, "period": c.period, "residual": c.system_residual} for c in certs]
 
 
-def _cmd_equispaced(args) -> None:
-    alphas = closedforms.equispaced_alphas(args.n, args.d, args.m_max)
-    _emit(to_json(alphas) + "\n", args.out)
+def _cmd_equispaced(args):
+    return closedforms.equispaced_alphas(args.n, args.d, args.m_max)
 
 
-def _cmd_two_term(args) -> None:
+def _cmd_two_term(args):
     verdict = closedforms.two_term_periodic_exists(args.p, args.q)
     witness = list(verdict.witness) if verdict.witness is not None else None
-    _emit(to_json({"exists": verdict.exists, "witness": witness}) + "\n", args.out)
+    return {"exists": verdict.exists, "witness": witness}
 
 
-def _cmd_fourier_matrix(args) -> None:
+def _cmd_fourier_matrix(args):
     mat = closedforms.fourier_matrix(args.k, args.theta, _parse_vector(args.shifts, "shifts"))
-    _emit(
-        to_json({"entries": [list(r) for r in mat.entries], "det": mat.det}) + "\n",
-        args.out,
-    )
+    return {"entries": [list(r) for r in mat.entries], "det": mat.det}
 
 
-def _cmd_zeros(args) -> None:
+def _cmd_zeros(args):
     from . import expsums
 
     rect = expsums.SearchRectangle(
@@ -280,13 +256,11 @@ def _cmd_zeros(args) -> None:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         zeros = expsums.find_zeros(args.n, rect)
-    payload = to_json(
-        [
-            {"re": z.z.real, "im": z.z.imag, "residual": z.modulus_residual, "N": z.n}
-            for z in zeros
-        ]
-    ) + "\n"
-    scan_text = None
+    payload = [
+        {"re": z.z.real, "im": z.z.imag, "residual": z.modulus_residual, "N": z.n}
+        for z in zeros
+    ]
+    files = ()
     if args.scan_csv:
         # the search seeds without a full scan, so the CSV takes the only one
         re, im, mod = expsums.scan_modulus(args.n, rect)
@@ -294,15 +268,11 @@ def _cmd_zeros(args) -> None:
         rows = (
             (x, y, m) for y, mod_row in zip(im.tolist(), mod.tolist()) for x, m in zip(re, mod_row)
         )
-        scan_text = _csv("re,im,abs", rows)
-    _emit(payload, args.out)
-    if scan_text is not None:
-        Path(args.scan_csv).write_text(scan_text)
-    for w in caught:
-        sys.stderr.write(f"warning: {w.message}\n")
+        files = ((args.scan_csv, _csv("re,im,abs", rows)),)
+    return _Output(payload, files, "".join(f"warning: {w.message}\n" for w in caught))
 
 
-def _cmd_mora_solution(args) -> None:
+def _cmd_mora_solution(args):
     import numpy as np
 
     from . import expsums
@@ -323,12 +293,9 @@ def _cmd_mora_solution(args) -> None:
     sol = expsums.solution_from_zero(
         expsums.ComplexZero(z=alpha, modulus_residual=residual, n=args.n)
     )
-    lo, hi = args.range
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    if not (math.isfinite(args.range[0]) and math.isfinite(args.range[1])):
         raise InvalidInput("--range must be finite")
-    if not lo < hi:
-        raise InvalidInput("range must satisfy lo < hi")
-    x = np.linspace(lo, hi, args.samples)
+    x = np.linspace(*_range(args), args.samples)
     check = x[x < 0.0]
     if not sol.continuous_at_zero:
         check = check[np.abs(check) >= 0.01]
@@ -336,25 +303,19 @@ def _cmd_mora_solution(args) -> None:
         "continuous_at_zero": sol.continuous_at_zero,
         "equation_residual": expsums.residual_integer_equation(sol, args.n, check),
     }
-    _emit(_csv("x,value", zip(x.tolist(), sol(x).tolist())), args.out)
-    sys.stderr.write(to_json(report) + "\n")
+    table = _csv("x,value", zip(x.tolist(), sol(x).tolist()))
+    return _Output(table, stderr=to_json(report) + "\n")
 
 
-def _cmd_popoviciu(args) -> None:
+def _cmd_popoviciu(args):
     from . import extension
 
     # before the span, which an order no float holds would overflow
     extension._check_order(args.order)
     shifts = _shifts(args.shifts)
-    boundary = _read_boundary(args.boundary)
     span = 2 * args.order * args.h
-    lo, hi = min(args.x, args.x + span), max(args.x, args.x + span)
-    tol = args.tol if args.tol is not None else extension.INTERPOLATION_TOL
-    sol = extension.extend(
-        boundary, shifts, (min(lo, 0.0), max(hi, shifts.largest)), tol=tol
-    )
-    det = extension.popoviciu_determinant(sol, args.x, args.h, args.order)
-    _emit(to_json({"det": det}) + "\n", args.out)
+    _, sol = _extension(args, shifts, min(args.x, args.x + span), max(args.x, args.x + span))
+    return {"det": extension.popoviciu_determinant(sol, args.x, args.h, args.order)}
 
 
 # -- parser ----------------------------------------------------------------------
@@ -473,7 +434,14 @@ def main(argv=None) -> int:
         sys.stderr.write("error: --tol must be positive\n")
         return 2
     try:
-        args.func(args)
+        out = args.func(args)
+        if not isinstance(out, _Output):
+            out = _Output(out)
+        payload = out.payload
+        _emit(payload if isinstance(payload, str) else to_json(payload) + "\n", args.out)
+        for path, text in out.files:
+            _emit(text, path)
+        sys.stderr.write(out.stderr)
     except InvalidInput as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

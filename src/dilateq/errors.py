@@ -70,7 +70,7 @@ class OutOfCoverage(DomainViolation):
 
 
 class CoverageBudgetExceeded(DomainViolation):
-    """Extension would exceed the breakpoint budget."""
+    """Extension would exceed the breakpoint budget, or its values overflow a float."""
 
 
 class GridBudgetExceeded(DomainViolation):

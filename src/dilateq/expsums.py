@@ -102,7 +102,11 @@ _MAX_TERMS = 1 << 26
 _WINDING_MAX_SAMPLES = 1 << 18
 
 
-@functools.lru_cache(maxsize=None)
+#: log tables kept at once: a search reads one n, and each table holds n floats
+_LOG_TABLES = 8
+
+
+@functools.lru_cache(maxsize=_LOG_TABLES)
 def _log_table(n: int) -> np.ndarray:
     return np.log(np.arange(1, n + 1, dtype=float))
 

@@ -44,6 +44,7 @@ from ._frozen import Frozen
 from .coefficients import CoefficientVector, ShiftVector
 from .errors import (
     CoverageBudgetExceeded,
+    DilateqError,
     DomainMismatch,
     GridBudgetExceeded,
     InternalInconsistency,
@@ -243,6 +244,10 @@ class _Breakpoints:
     side.  Two arrays rather than one two-row block halve the size of the
     blocks freed on growth, which keeps glibc's dynamic mmap threshold, and
     with it the heap fragmentation of later large arrays, low.
+
+    Values, or value differences, that overflow a float are refused at the
+    next reallocation or when a side is done (``check_finite``): not per
+    strip, and one pass over the live values per copy of them.
     """
 
     __slots__ = ("bx", "by", "head", "tail")
@@ -265,7 +270,21 @@ class _Breakpoints:
     def ys(self) -> np.ndarray:
         return self.by[self.head : self.tail]
 
+    def check_finite(self, right: bool) -> None:
+        """Refuse values or differences that overflow, naming the first w a side reached.
+
+        A difference is finite only if both values are, so one test covers
+        both.  Runs under ``extend``'s ``errstate``: the overflow is expected.
+        """
+        bad = np.flatnonzero(~np.isfinite(np.diff(self.ys)))
+        if bad.size:
+            w = self.xs[bad[0] + 1] if right else self.xs[bad[-1]]
+            raise CoverageBudgetExceeded(
+                f"extension values or their differences overflow a float at w = {w:.17g}"
+            )
+
     def _regrow(self, room: int, right: bool) -> None:
+        self.check_finite(right)
         live = self.size
         cap = 2 * (live + room)
         head = 0 if right else cap - live
@@ -457,6 +476,7 @@ def _grow(built: _Breakpoints, reads, edge: float, step: float, stop: float, rig
         built.bx[at : at + count] = nodes[new]
         built.by[at : at + count] = values[new]
         edge = hi if right else lo
+    built.check_finite(right)
 
 
 def extend(
@@ -472,7 +492,9 @@ def extend(
     compatibility condition to within ``tol``.  A target needing more than
     ``MAX_BREAKPOINTS`` breakpoints, or strips on a side no wider than twice
     the merge range 1e-12 * max(1, |w|) at that side's far end, is refused
-    with ``CoverageBudgetExceeded`` before any strip is built.
+    with ``CoverageBudgetExceeded`` before any strip is built.  Values that
+    overflow a float raise it too, at the latest when the buffer next
+    doubles or a side is done.
     """
     shifts = _shift_entries(b)
     n = len(shifts)
@@ -523,11 +545,12 @@ def extend(
     # a left strip reads g(x + b1), ..., g(x + bN): all within bN to its right
     fwd_shifts = np.array(shifts)[:, None]
     built = _Breakpoints(boundary.breakpoints, boundary.values)
-    _grow(built, back_shifts, hi, step_right, w_hi - eps, right=True)
-    _grow(built, fwd_shifts, lo, step_left, w_lo + eps, right=False)
+    # overflowing values are refused by ``check_finite``, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        _grow(built, back_shifts, hi, step_right, w_hi - eps, right=True)
+        _grow(built, fwd_shifts, lo, step_left, w_lo + eps, right=False)
 
-    # views into the buffer: copying them out would free a large block, which
-    # raises glibc's mmap threshold and moves later large arrays onto the heap
+    # the constructor copies the live part of the buffer
     pieces = PiecewiseLinear(built.xs, built.ys)
     return ExtendedSolution(
         shifts=ShiftVector(shifts),
@@ -538,11 +561,17 @@ def extend(
 
 
 def _eval_many(f: Callable, xs: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar-or-vector callable on an array."""
+    """Evaluate a scalar-or-vector callable on an array.
+
+    A callable that fails on the array is read point by point, unless it
+    refused the points itself (any ``DilateqError``).
+    """
     try:
         out = np.asarray(f(xs), dtype=float)
         if out.shape == xs.shape:
             return out
+    except DilateqError:
+        raise
     except (TypeError, ValueError):
         pass
     return np.array([float(f(float(x))) for x in xs])

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,53 @@ class TestRegularity:
         assert "overflow" in err
 
 
+class TestMalformedInput:
+    """Vectors and boundary files that do not parse, or parse to the wrong shape."""
+
+    def test_invalid_json_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text("[2, 3")
+        code, out, err = run(capsys, "regularity", path)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {path} is not valid JSON: Expecting ',' delimiter: line 1 column 6 (char 5)\n"
+        )
+
+    def test_invalid_inline_json_exits_2(self, capsys):
+        code, out, err = run(capsys, "regularity", "[2,")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: inline coefficients is not valid JSON: "
+            "Expecting value: line 1 column 4 (char 3)\n"
+        )
+
+    @pytest.mark.parametrize("coeffs", ['["a"]', "[2, null]", '[[2, 3]]'])
+    def test_non_number_array_exits_2(self, capsys, coeffs):
+        code, out, err = run(capsys, "regularity", coeffs)
+        assert (code, out, err) == (
+            2, "", "error: coefficients must be a JSON array of numbers\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text", ["[0, 1, 2]", '{"breakpoints": [0, 1, 2]}', '{"values": [1, 1, -2]}']
+    )
+    @pytest.mark.parametrize("name", ["extend", "residual", "popoviciu"])
+    def test_boundary_not_an_object_exits_2(self, capsys, tmp_path, name, text):
+        path = tmp_path / "boundary.json"
+        path.write_text(text)
+        argv = {
+            "extend": ["extend", path, "--shifts", "[1,2]", "--range", -3, 6],
+            "residual": ["residual", "--boundary", path, "--shifts", "[1,2]", "--range", -3, 3],
+            "popoviciu": ["popoviciu", "--boundary", path, "--shifts", "[1,2]",
+                          "--x", 0.5, "--h", 0.3, "--order", 3],
+        }[name]
+        out_file = tmp_path / "out.txt"
+        code, out, err = run(capsys, *argv, "--out", out_file)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path} must be an object with 'breakpoints' and 'values'\n"
+        assert not out_file.exists()
+
+
 class TestNormalize:
     def test_below_one(self, capsys):
         code, out, _ = run(capsys, "normalize", "[0.5,3]")
@@ -164,6 +212,52 @@ class TestExtend:
         )
         assert code == 3
         assert not out_path.exists()
+
+    def test_range_left_of_the_boundary(self, capsys, tent_file):
+        # the extension still covers [0, bN], which the boundary data lives on
+        code, out, err = run(
+            capsys, "extend", tent_file, "--shifts", "[1,2]", "--range", -5, -3, "--samples", 5,
+        )
+        assert (code, out) == (0, "w,value\n-5,1\n-4.5,-0.5\n-4,-2\n-3.5,-0.5\n-3,1\n")
+        assert err == '{"interpolation_residual": 0, "max_additive_residual": 0}\n'
+        code, out, _ = run(
+            capsys, "residual", "--boundary", tent_file, "--shifts", "[1,2]",
+            "--range", -5, -3, "--samples", 5,
+        )
+        assert (code, out) == (0, '{"max_residual": 0, "interpolation_residual": 0}\n')
+
+    def test_overflowing_values_exit_3(self, capsys, tmp_path):
+        # it exited 2 after two RuntimeWarnings from the seam check
+        path = tmp_path / "tent.json"
+        path.write_text('{"breakpoints": [0, 1, 1.5], "values": [1, 1, -2]}')
+        out_path = tmp_path / "dump.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "extend", path, "--shifts", "[1,1.5]", "--range", -3000, 3000,
+                "--out", out_path,
+            )
+        assert (code, out) == (3, "")
+        assert err == "error: extension values or their differences overflow a float at w = 929.5\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("name", ["extend", "residual"])
+    def test_reversed_range_exits_2(self, capsys, tent_file, name):
+        argv = {
+            "extend": ["extend", tent_file],
+            "residual": ["residual", "--boundary", tent_file],
+        }[name]
+        code, out, err = run(capsys, *argv, "--shifts", "[1,2]", "--range", 6, -3)
+        assert (code, out, err) == (2, "", "error: range must satisfy lo < hi\n")
+
+    def test_report_follows_payload(self, capsys, tent_file, tmp_path):
+        code, out, err = run(
+            capsys, "extend", tent_file, "--shifts", "[1,2]", "--range", -3, 6,
+            "--out", tmp_path / "no" / "dump.csv",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: internal: FileNotFoundError: ")
+        assert err.count("\n") == 1
 
     def test_out_file(self, capsys, tent_file, tmp_path):
         out_path = tmp_path / "dump.csv"
@@ -292,6 +386,29 @@ class TestZeros:
         assert code == 0
         lines = scan.read_text().strip().splitlines()
         assert lines[0] == "re,im,abs" and len(lines) == 17
+
+    def test_incomplete_search_warns(self, capsys):
+        code, out, err = run(capsys, "zeros", "--n", 10, "--grid-re", 2, "--grid-im", 2)
+        assert code == 0 and len(json.loads(out)) == 1
+        assert err == (
+            "warning: winding count 10 != 1 zeros found; "
+            "refine the grid or shrink the rectangle\n"
+        )
+
+    def test_scan_csv_written_after_payload(self, capsys, tmp_path):
+        # the same path for both: the scan, written second, is what remains
+        both = tmp_path / "both.csv"
+        code, out, _ = run(capsys, "zeros", "--n", 2, "--scan-csv", both, "--out", both)
+        assert (code, out) == (0, "")
+        assert both.read_text().startswith("re,im,abs\n")
+        # a payload that cannot be written stops the scan too
+        scan = tmp_path / "scan.csv"
+        code, out, err = run(
+            capsys, "zeros", "--n", 2, "--scan-csv", scan, "--out", tmp_path / "no" / "z.json"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: internal: FileNotFoundError: ")
+        assert not scan.exists()
 
     def test_scan_csv_scans_once(self, capsys, tmp_path, monkeypatch):
         from dilateq import expsums
@@ -606,6 +723,23 @@ class TestMoraSolution:
         assert code == 3
 
 
+    def test_reversed_range_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "mora-solution", "--n", 2, "--re", 0, "--im", 4.532360141827194,
+            "--range", 5, -5,
+        )
+        assert (code, out, err) == (2, "", "error: range must satisfy lo < hi\n")
+
+    def test_report_follows_payload(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "mora-solution", "--n", 2, "--re", 0, "--im", 4.532360141827194,
+            "--out", tmp_path / "no" / "m.csv",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: internal: FileNotFoundError: ")
+        assert err.count("\n") == 1
+
+
 class TestPopoviciu:
     def test_tent_determinant(self, capsys, tent_file):
         code, out, _ = run(
@@ -614,6 +748,14 @@ class TestPopoviciu:
         )
         assert code == 0
         assert json.loads(out)["det"] == pytest.approx(-0.3078, abs=1e-12)
+
+    def test_samples_inside_the_boundary(self, capsys, tent_file):
+        # the samples span [0.2, 0.6]; the extension still covers [0, bN]
+        code, out, _ = run(
+            capsys, "popoviciu", "--boundary", tent_file, "--shifts", "[1,2]",
+            "--x", 0.2, "--h", 0.1, "--order", 2,
+        )
+        assert (code, out) == (0, '{"det": 0}\n')
 
     def test_huge_step_refused_by_budget(self, capsys, tent_file):
         # the samples span 6e300: extension refuses before building any strip

@@ -63,6 +63,22 @@ class TestEvaluation:
             power_sum(1, 0.0)
 
 
+class TestLogTableCache:
+    def test_bounded(self):
+        expsums._log_table.cache_clear()
+        for n in range(2, 42):
+            expsums.power_sum(n, 0.5)
+        info = expsums._log_table.cache_info()
+        assert info.maxsize == expsums._LOG_TABLES
+        assert info.currsize <= expsums._LOG_TABLES
+
+    def test_one_search_reads_one_table(self):
+        expsums._log_table.cache_clear()
+        find_zeros(5)
+        info = expsums._log_table.cache_info()
+        assert info.misses == 1 and info.hits > 0
+
+
 class TestRectangle:
     def test_rejects_reversed(self):
         with pytest.raises(InvalidRange):

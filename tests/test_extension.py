@@ -487,6 +487,65 @@ class TestNarrowStrips:
         assert extend(tent_boundary(left), left, (-7 * step, 2.0)).covered[0] <= -7 * step + 2e-12
 
 
+B_OVERFLOW = ShiftVector((1.0, 1.5))
+
+
+def _count_strips(monkeypatch) -> list:
+    """Count the strips built, by either body."""
+    built = []
+    for name in ("_float_strip", "_array_strip"):
+        body = getattr(extension, name)
+
+        def counted(*args, body=body):
+            built.append(args[3])
+            return body(*args)
+
+        monkeypatch.setattr(extension, name, counted)
+    return built
+
+
+class TestOverflowRefused:
+    """Values that overflow a float are refused where they overflow, at exit 3.
+
+    Tent data on (1, 1.5) grows past the largest float, or its differences
+    do, at w = 929.5 on the right and at w = -1856 on the left.
+    """
+
+    def test_reproducer_refused_at_once(self):
+        # it built every strip, warned twice and raised InvalidInput after 10 s
+        g = tent_boundary(B_OVERFLOW)
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CoverageBudgetExceeded, match=r"overflow a float at w = 929\.5$"):
+                extend(g, B_OVERFLOW, (-200000.0, 200000.0))
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "last, first, w",
+        [((0.0, 929.0), (0.0, 929.5), "929.5"), ((-1855.0, 1.5), (-1856.0, 1.5), "-1856")],
+    )
+    def test_named_where_it_overflows(self, last, first, w):
+        g = tent_boundary(B_OVERFLOW)
+        values = extend(g, B_OVERFLOW, last).pieces.values
+        assert np.isfinite(np.diff(values)).all()
+        with pytest.raises(CoverageBudgetExceeded, match=rf"at w = {w}$"):
+            extend(g, B_OVERFLOW, first)
+
+    @pytest.mark.parametrize("far, first", [((0.0, 200000.0), 1856), ((-200000.0, 1.5), 1856)])
+    def test_no_later_than_the_next_doubling(self, monkeypatch, far, first):
+        # ``first`` strips reach the first overflow; the buffer at most doubles after it
+        built = _count_strips(monkeypatch)
+        with pytest.raises(CoverageBudgetExceeded, match="overflow a float"):
+            extend(tent_boundary(B_OVERFLOW), B_OVERFLOW, far)
+        assert first <= len(built) <= 2 * first
+
+    def test_pieces_own_their_data(self):
+        # the constructor copies the live part of the extension's buffer
+        pieces = tent_solution().pieces
+        assert pieces._xp.flags.owndata and pieces._fp.flags.owndata
+
+
 class TestSeamTolerance:
     """The seam check scales with the values and with position rounding."""
 
@@ -962,6 +1021,22 @@ class TestResiduals:
         grid = np.geomspace(0.1, 10.0, 50)
         assert residual_multiplicative(lambda x: 0.0 * np.asarray(x), [2.0, 3.0], grid) == 0.0
         assert residual_multiplicative(lambda x: 1.0, [2.0, 3.0], grid) == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_refusal_ends_the_read(self, where):
+        # a NaN refused by the vector read is not retried point by point
+        sol = tent_solution()
+        grid = np.linspace(-3.0, 4.0, 1000)
+        grid[where] = math.nan
+        calls = []
+
+        def counted(w):
+            calls.append(np.shape(w))
+            return sol(w)
+
+        with pytest.raises(InvalidInput, match="NaN"):
+            residual_additive(counted, B12, grid)
+        assert calls == [(1000,)]
 
     def test_multiplicative_rejects_nonpositive(self):
         with pytest.raises(NonPositiveSample):

@@ -44,3 +44,31 @@ def test_case_matches_golden(case, tmp_path):
     assert hashlib.sha256(stdout).hexdigest() == want["stdout_sha256"]
     assert len(stdout) == want["stdout_bytes"]
     assert files == want["files"]
+
+
+#: stderr of the cases that report diagnostics there, captured with the goldens'
+#: stdout; goldens.json holds stdout only
+STDERR = {
+    "extend/0": '{"interpolation_residual": 0, "max_additive_residual": 0}\n',
+    "extend/1": (
+        '{"interpolation_residual": 0, "max_additive_residual": 9.3223206931725144e-12}\n'
+    ),
+    "mora-solution/0": (
+        '{"continuous_at_zero": false, "equation_residual": 1.7208456881689926e-15}\n'
+    ),
+    "mora-solution/1": (
+        '{"continuous_at_zero": false, "equation_residual": 1.0325074129013956e-14}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STDERR))
+def test_case_stderr(case, tmp_path, monkeypatch, capsys):
+    from dilateq.cli import main
+
+    cliwork.prepare_dir(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(CASES[case]) == 0
+    out = capsys.readouterr()
+    assert hashlib.sha256(out.out.encode()).hexdigest() == GOLDENS[case]["stdout_sha256"]
+    assert out.err == STDERR[case]

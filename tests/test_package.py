@@ -122,3 +122,14 @@ def test_submodule_import_from_package():
     from dilateq import extension
 
     assert extension.extend is dilateq.extend
+
+
+def test_readme_library_example_runs(capsys):
+    """README's "Library example" block runs as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 3
+    assert printed[0].startswith("RegularityIndex(m=2, ")
