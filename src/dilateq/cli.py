@@ -99,7 +99,10 @@ def _read_json(path: str):
 
 
 def _number_list(obj, what: str) -> list[float]:
-    if not isinstance(obj, list) or not all(isinstance(v, (int, float)) for v in obj):
+    # JSON true and false load as bool, a subclass of int: not numbers here
+    if not isinstance(obj, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj
+    ):
         raise InvalidInput(f"{what} must be a JSON array of numbers")
     return [float(v) for v in obj]
 

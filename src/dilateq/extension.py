@@ -16,12 +16,14 @@ its values on the union of the shifted breakpoints.  That makes the equation
 hold identically (up to float rounding) instead of only at sample points.
 
 One loop builds the strips of both sides, at a cost linear in their number:
-a strip reads only the breakpoints within bN of it (one binary search) and
-writes its new nodes straight into a buffer that doubles when a side fills.
-The breakpoint budget is checked before any strip is built and as each is
-written.  Where strips join, the two values must agree to within the
-rounding of the read positions times the local slopes (or to 1e-9
-relative).
+a strip reads only the breakpoints within bN of it (one binary search).  The
+function built so far lives in a buffer that doubles when a side fills.
+While a side grows, its live end is also held in two Python lists, so that a
+small strip finds its window, reads it and adds its nodes without a numpy
+call; those nodes reach the buffer in batches.  The breakpoint budget is
+checked before any strip is built and as each is built.  Where strips join,
+the two values must agree to within the rounding of the read positions
+times the local slopes (or to 1e-9 relative).
 
 A strip has two bodies, chosen by size.  When its window breakpoints times
 N is at most ``_FLOAT_STRIP_READS`` it is built in Python floats, where
@@ -35,7 +37,7 @@ node's terms in read order from +0.0, as ``np.add.reduce`` sums rows.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Callable, Sequence
 
 import numpy as np
@@ -90,6 +92,9 @@ _MAX_HANKEL_ENTRIES = 1 << 20
 #: crossover lies near 80 reads on dense windows and near 200 on the
 #: sparse ones of lattice data (BENCH_12.json)
 _FLOAT_STRIP_READS = 128
+
+#: nodes of small strips held in lists before one write to the buffer
+_BATCH_NODES = 512
 
 
 class PiecewiseLinear:
@@ -246,8 +251,9 @@ class _Breakpoints:
     with it the heap fragmentation of later large arrays, low.
 
     Values, or value differences, that overflow a float are refused at the
-    next reallocation or when a side is done (``check_finite``): not per
-    strip, and one pass over the live values per copy of them.
+    next reallocation or when a side is done (``check_finite``), and a batch
+    of small strips' nodes as it is written (``write``): not per strip, one
+    pass over the live values per copy of them and one over each batch.
     """
 
     __slots__ = ("bx", "by", "head", "tail")
@@ -295,8 +301,7 @@ class _Breakpoints:
 
     def claim(self, count: int, right: bool) -> int:
         """Start of ``count`` new slots past the tail or before the head, within budget."""
-        if self.size + count > MAX_BREAKPOINTS:
-            raise CoverageBudgetExceeded(f"{self.size + count} breakpoints exceed the budget")
+        _check_budget(self.size + count)
         if right:
             if self.tail + count > self.bx.size:
                 self._regrow(count, right=True)
@@ -306,6 +311,27 @@ class _Breakpoints:
             self._regrow(count, right=False)
         self.head -= count
         return self.head
+
+    def write(self, xs: list, ys: list, count: int, right: bool) -> None:
+        """Write the ``count`` newest entries of lists (xs, ys) past the tail or before the head.
+
+        The newest entries are the last on the right and the first on the
+        left.  Values that overflow, in the batch or where it joins the live
+        data, are refused as ``check_finite`` refuses them.
+        """
+        at = self.claim(count, right)
+        new = slice(-count, None) if right else slice(count)
+        self.bx[at : at + count] = xs[new]
+        self.by[at : at + count] = ys[new]
+        joined = self.by[at - 1 : at + count] if right else self.by[at : at + count + 1]
+        if not np.isfinite(np.diff(joined)).all():
+            self.check_finite(right)
+
+
+def _check_budget(breakpoints: int) -> None:
+    """Refuse a total of ``breakpoints`` over ``MAX_BREAKPOINTS``."""
+    if breakpoints > MAX_BREAKPOINTS:
+        raise CoverageBudgetExceeded(f"{breakpoints} breakpoints exceed the budget")
 
 
 def _seam_check(
@@ -439,7 +465,7 @@ def _grow(built: _Breakpoints, reads, edge: float, step: float, stop: float, rig
     less each within merge range of the one before.  It reads the breakpoints
     within bN of ``edge`` plus two, so interpolation on that window brackets
     every read as all of the data would; the window's near end is the live
-    end of the buffer, its far end one binary search.
+    end of the side, its far end one binary search.
 
     A strip whose window breakpoints times N is at most
     ``_FLOAT_STRIP_READS`` is built in Python floats (``_float_strip``),
@@ -447,35 +473,92 @@ def _grow(built: _Breakpoints, reads, edge: float, step: float, stop: float, rig
     numpy's call overhead outweighs its arithmetic.  Both take the same
     float operations in the same order, numpy's interpolation formula and
     the row order of ``np.add.reduce`` from +0.0 included, so their bits
-    agree.  The window, the seam check, the budget and the buffer writes
-    are shared.
+    agree.  The seam check and the budget are shared.
+
+    A small strip makes no numpy call unless its seam needs checking.  Two
+    lists (lx, ly) hold the live end of the side: on the right the live data
+    from index ``start`` on, on the left the live data up to ``len(lx)``,
+    counting the ``pending`` newest nodes that are not yet in the buffer.
+    ``bisect_left`` on them finds the buffer's window exactly when it does
+    not reach past their far end; otherwise, and after a large strip, they
+    are refilled from the buffer.  Pending nodes are written in one batch
+    once there are ``_BATCH_NODES`` of them, before a large strip reads the
+    buffer, and when the side is done; the lists then drop what lies beyond
+    the last window.  A large strip reads and writes the buffer directly.
     """
     shifts = reads[:, 0].tolist()
+    n = len(shifts)
     reach = shifts[0] if right else shifts[-1]
     # the seam: the stored value at ``edge`` (last or first) and the strip's node there
     end, seam = (-1, 0) if right else (0, -1)
     new = slice(1, None) if right else slice(None, -1)
+    # empty lists hold no window: ``start`` is then past the live head
+    lx, ly, start, pending = [], [], built.size, 0
     while edge < stop if right else edge > stop:
         lo, hi = (edge, edge + step) if right else (edge - step, edge)
-        head, tail = built.head, built.tail
-        k = int(built.bx[head:tail].searchsorted(edge + reach))
-        i, j = (head + max(k - 2, 0), tail) if right else (head, min(head + k + 2, tail))
-        xs, ys = built.bx[i:j], built.by[i:j]
-        if (j - i) * len(shifts) <= _FLOAT_STRIP_READS:
-            nodes, values = _float_strip(xs.tolist(), ys.tolist(), shifts, lo, hi, right)
+        k = bisect_left(lx, edge + reach)
+        if right:
+            # the window starts two before the bisect index, or at the live head
+            a, b = k - 2 if k > 2 else 0, len(lx)
+            held = k >= 2 or start == 0
         else:
+            # the window ends two past the bisect index, or at the live tail
+            a, b = 0, min(k + 2, len(lx))
+            held = k + 2 <= len(lx) or len(lx) == built.size + pending
+        small = held and (b - a) * n <= _FLOAT_STRIP_READS
+        if not small:
+            if pending:
+                built.write(lx, ly, pending, right)
+                pending = 0
+            head, tail = built.head, built.tail
+            k = int(built.bx[head:tail].searchsorted(edge + reach))
+            i, j = (head + max(k - 2, 0), tail) if right else (head, min(head + k + 2, tail))
+            small = (j - i) * n <= _FLOAT_STRIP_READS
+            if small:
+                lx, ly, start = built.bx[i:j].tolist(), built.by[i:j].tolist(), i - head
+                a, b = 0, j - i
+        if small:
+            xs, ys = lx[a:b], ly[a:b]
+            nodes, values = _float_strip(xs, ys, shifts, lo, hi, right)
+            existing, incoming = ys[end], values[seam]
+        else:
+            xs, ys = built.bx[i:j], built.by[i:j]
             nodes, values = _array_strip(xs, ys, reads, lo, hi, right)
-        existing, incoming = float(ys[end]), float(values[seam])
+            existing, incoming = float(ys[end]), float(values[seam])
         if existing != incoming:
             # the N reads at the seam node, read again: np.interp gives a point
             # the same value in any call on the same window
+            xs, ys = np.asarray(xs), np.asarray(ys)
             points = nodes[seam] + reads[:, 0]
             _seam_check(existing, incoming, edge, points, np.interp(points, xs, ys), xs, ys)
         count = len(nodes) - 1
-        at = built.claim(count, right)
-        built.bx[at : at + count] = nodes[new]
-        built.by[at : at + count] = values[new]
+        if small:
+            _check_budget(built.size + pending + count)
+            if right:
+                lx += nodes[new]
+                ly += values[new]
+            else:
+                lx[:0] = nodes[new]
+                ly[:0] = values[new]
+            pending += count
+            if pending >= _BATCH_NODES:
+                built.write(lx, ly, pending, right)
+                pending = 0
+                # later windows start no earlier (right) or end no later (left)
+                if right:
+                    del lx[:a], ly[:a]
+                    start += a
+                else:
+                    del lx[b + count :], ly[b + count :]
+        else:
+            at = built.claim(count, right)
+            built.bx[at : at + count] = nodes[new]
+            built.by[at : at + count] = values[new]
+            if lx:
+                lx, ly, start = [], [], built.size
         edge = hi if right else lo
+    if pending:
+        built.write(lx, ly, pending, right)
     built.check_finite(right)
 
 
@@ -494,7 +577,7 @@ def extend(
     the merge range 1e-12 * max(1, |w|) at that side's far end, is refused
     with ``CoverageBudgetExceeded`` before any strip is built.  Values that
     overflow a float raise it too, at the latest when the buffer next
-    doubles or a side is done.
+    doubles, a batch of small strips' nodes is written or a side is done.
     """
     shifts = _shift_entries(b)
     n = len(shifts)

@@ -118,6 +118,31 @@ class TestMalformedInput:
             2, "", "error: coefficients must be a JSON array of numbers\n"
         )
 
+    @pytest.mark.parametrize("name", ["normalize", "regularity"])
+    @pytest.mark.parametrize("coeffs", ["[true, 3]", "[2, false]"])
+    def test_boolean_coefficient_exits_2(self, capsys, name, coeffs):
+        code, out, err = run(capsys, name, coeffs)
+        assert (code, out, err) == (
+            2, "", "error: coefficients must be a JSON array of numbers\n"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["periodicity", "--shifts", "[true, 2]", "--alpha-max", 10],
+        ["fourier-matrix", "--shifts", "[1, false]", "--k", 1, "--theta", 0.5],
+    ])
+    def test_boolean_shift_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: shifts must be a JSON array of numbers\n")
+
+    @pytest.mark.parametrize("key", ["breakpoints", "values"])
+    def test_boolean_in_boundary_file_exits_2(self, capsys, tmp_path, key):
+        boundary = {"breakpoints": [0, 1, 2], "values": [-2, 1, 1]}
+        boundary[key][1] = True
+        path = tmp_path / "boundary.json"
+        path.write_text(json.dumps(boundary))
+        code, out, err = run(capsys, "extend", path, "--shifts", "[1,2]", "--range", -3, 6)
+        assert (code, out, err) == (2, "", f"error: {key} must be a JSON array of numbers\n")
+
     @pytest.mark.parametrize(
         "text", ["[0, 1, 2]", '{"breakpoints": [0, 1, 2]}', '{"values": [1, 1, -2]}']
     )

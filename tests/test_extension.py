@@ -425,6 +425,18 @@ class TestExtend:
         with pytest.raises(CoverageBudgetExceeded, match=f"{breakpoints} breakpoints exceed"):
             extend(boundary, shifts, target)
 
+    @pytest.mark.parametrize("budget, strips, over", [(1000, 199, 1004), (2500, 499, 2504)])
+    def test_budget_refused_at_the_same_strip(self, monkeypatch, budget, strips, over):
+        # float strips on both sides, refused mid-right and mid-left; strip
+        # counts and messages as when every strip claimed its own buffer slots
+        b, g = _lattice_data(0.8, 4, 7)
+        monkeypatch.setattr(extension, "MAX_BREAKPOINTS", budget)
+        built = _count_strips(monkeypatch)
+        with pytest.raises(CoverageBudgetExceeded) as refused:
+            extend(g, b, (-150.0, 300.0))
+        message = f"{over} breakpoints exceed the budget"
+        assert (len(built), str(refused.value)) == (strips, message)
+
     def test_budget_checked_before_building(self):
         for target in [(0.0, 2.5e6), (0.0, math.inf), (-math.inf, 2.0)]:
             start = time.perf_counter()
@@ -491,13 +503,13 @@ B_OVERFLOW = ShiftVector((1.0, 1.5))
 
 
 def _count_strips(monkeypatch) -> list:
-    """Count the strips built, by either body."""
+    """List the strips built, by either body: ('f' or 'a', right side or not)."""
     built = []
     for name in ("_float_strip", "_array_strip"):
         body = getattr(extension, name)
 
-        def counted(*args, body=body):
-            built.append(args[3])
+        def counted(*args, body=body, tag=name[1]):
+            built.append((tag, args[5]))
             return body(*args)
 
         monkeypatch.setattr(extension, name, counted)
@@ -539,6 +551,16 @@ class TestOverflowRefused:
         with pytest.raises(CoverageBudgetExceeded, match="overflow a float"):
             extend(tent_boundary(B_OVERFLOW), B_OVERFLOW, far)
         assert first <= len(built) <= 2 * first
+
+    @pytest.mark.parametrize("far", [(0.0, 200000.0), (-200000.0, 1.5)])
+    def test_refused_at_the_batch_that_overflows(self, monkeypatch, far):
+        # a batch is checked with its join to the live data: written a node at
+        # a time, the strip that overflows is the last one built
+        monkeypatch.setattr(extension, "_BATCH_NODES", 1)
+        built = _count_strips(monkeypatch)
+        with pytest.raises(CoverageBudgetExceeded, match="overflow a float"):
+            extend(tent_boundary(B_OVERFLOW), B_OVERFLOW, far)
+        assert len(built) == 1856
 
     def test_pieces_own_their_data(self):
         # the constructor copies the live part of the extension's buffer
@@ -838,8 +860,9 @@ ONE_BODY = {"array": 0, "float": math.inf}
 
 
 #: name -> (shifts and boundary data, target): strips whose ends cross |w| = 1,
-#: where the merge tolerance changes formula, seams past w = -1024, and a
-#: wide window of about 43k breakpoints
+#: where the merge tolerance changes formula, seams past w = -1024, a wide
+#: window of about 43k breakpoints, and a left side whose strips go from the
+#: float body to the array body and back
 REFERENCE_BUILDS = {
     "near_pairs": (_near_pair_data, (-3.0, 4.0)),
     "quarter": (lambda: _tent_data(0.25, 0.5), (-3.0, 3.5)),
@@ -848,7 +871,12 @@ REFERENCE_BUILDS = {
     "ln23": (lambda: _log_tent_data(2, 3), (-4.0, 4.0)),
     "steep": (_steep_lattice_data, (-1030.0, 9.08380514966729)),
     "ln2357": (lambda: _log_tent_data(2, 3, 5, 7), (-14.0, 28.0)),
+    "switching": (lambda: _tent_data(*(1.1 * k for k in range(1, 11))), (-30.0, 60.0)),
 }
+
+#: batch size -> the ``_BATCH_NODES`` that writes every strip on its own, or
+#: a side's small strips all at its end
+BATCHES = {"strip": 1, "side": math.inf}
 
 
 class TestReferenceLoop:
@@ -883,6 +911,23 @@ class TestReferenceLoop:
             mp.setattr(extension, "_FLOAT_STRIP_READS", ONE_BODY[body])
             assert _build_bytes(g, b, target) == _reference_build(g, b, target)
 
+    @pytest.mark.parametrize("batch", sorted(BATCHES))
+    @pytest.mark.parametrize("name", sorted(REFERENCE_BUILDS))
+    def test_pinned_build_in_batches(self, monkeypatch, batch, name):
+        monkeypatch.setattr(extension, "_BATCH_NODES", BATCHES[batch])
+        data, target = REFERENCE_BUILDS[name]
+        b, g = data()
+        assert _build_bytes(g, b, target) == _reference_build(g, b, target)
+
+    @pytest.mark.parametrize("batch", sorted(BATCHES))
+    @settings(max_examples=60, deadline=None)
+    @given(data=_compatible_data())
+    def test_same_bytes_in_batches(self, batch, data):
+        b, g, target = data
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(extension, "_BATCH_NODES", BATCHES[batch])
+            assert _build_bytes(g, b, target) == _reference_build(g, b, target)
+
 
 def _counted_bodies(monkeypatch) -> dict[str, int]:
     """Count the strips each body builds, by wrapping both in the module."""
@@ -908,6 +953,29 @@ class TestStripBodies:
         b, g = _log_tent_data(2, 3, 5, 7)
         extend(g, b, (-14.0, 28.0))
         assert calls["_float_strip"] > 0 and calls["_array_strip"] > 0
+
+    def test_bodies_switch_within_a_side(self, monkeypatch):
+        built = _count_strips(monkeypatch)
+        data, target = REFERENCE_BUILDS["switching"]
+        b, g = data()
+        extend(g, b, target)
+        left = "".join(tag for tag, right in built if not right)
+        assert "fa" in left and "af" in left
+
+    def test_buffer_written_per_batch(self, monkeypatch):
+        # small strips reach the buffer in batches: one claim per large strip,
+        # per full batch and per side's end, not one per strip
+        calls = _counted_bodies(monkeypatch)
+        claims = []
+        claim = extension._Breakpoints.claim
+        monkeypatch.setattr(
+            extension._Breakpoints, "claim", lambda *a: claims.append(a[1]) or claim(*a)
+        )
+        g = tent_boundary(B12)
+        nodes = tent_solution((-300.0, 600.0)).pieces.breakpoints.size - g.breakpoints.size
+        strips = calls["_float_strip"] + calls["_array_strip"]
+        assert strips == 898 and sum(claims) == nodes
+        assert len(claims) <= calls["_array_strip"] + nodes // extension._BATCH_NODES + 2
 
     def test_seam_checked_after_a_float_strip(self, monkeypatch):
         calls = _counted_bodies(monkeypatch)
