@@ -41,6 +41,8 @@ class CoefficientVector(Frozen):
         super().__init__(entries)
         if len(self.entries) == 0:
             raise EmptyInput("coefficient vector must have at least one entry")
+        if not all(math.isfinite(v) for v in self.entries):
+            raise InvalidInput("coefficients must be finite")
         if self.entries[0] <= 1.0:
             raise InvalidInput(
                 f"normalized coefficients must start above 1, got {self.entries[0]}"
@@ -131,6 +133,10 @@ def normalize(raw: Sequence[float]) -> CoefficientVector:
     smallest = values[0]
     if smallest < 1.0:
         values = sorted([v / smallest for v in values[1:]] + [1.0 / smallest])
+        # distinct factors can round to one quotient: keep them an ulp apart
+        for i in range(1, len(values)):
+            if values[i] <= values[i - 1]:
+                values[i] = math.nextafter(values[i - 1], math.inf)
         # a subnormal smallest factor sends 1 / smallest past the largest float
         if not math.isfinite(values[-1]):
             raise InvalidInput("coefficients overflow when divided by the smallest one")

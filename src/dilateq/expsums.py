@@ -118,8 +118,11 @@ def _check_n(n: int) -> None:
 
 def _terms(n: int, zz: np.ndarray) -> np.ndarray:
     """exp(z ln k), k = 1..n, on a new last axis.  Callers ignore overflow and
-    invalid: inf from wildly divergent Newton iterates is discarded."""
+    invalid: inf from wildly divergent Newton iterates is discarded.  An n
+    over ``_MAX_TABLE_TERMS``, or points times n over ``_MAX_TERMS``, raises
+    GridBudgetExceeded before the log table is built."""
     _check_n(n)
+    _check_terms(n, zz.size)
     return np.exp(np.multiply.outer(zz, _log_table(n)))
 
 
@@ -140,7 +143,8 @@ def power_sum_deriv(n: int, z) -> complex | np.ndarray:
     """d/dz of the power sum: sum(ln(k) * k^z, k=2..n)."""
     zz = np.asarray(z, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = (_log_table(n) * _terms(n, zz)).sum(axis=-1)
+        terms = _terms(n, zz)
+        out = (_log_table(n) * terms).sum(axis=-1)
     return complex(out) if zz.ndim == 0 else out
 
 

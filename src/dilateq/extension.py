@@ -18,10 +18,12 @@ hold identically (up to float rounding) instead of only at sample points.
 One loop builds the strips of both sides, at a cost linear in their number:
 a strip reads only the breakpoints within bN of it (one binary search).  The
 function built so far lives in a buffer that doubles when a side fills.
-While a side grows, its live end is also held in two Python lists, so that a
-small strip finds its window, reads it and adds its nodes without a numpy
-call; those nodes reach the buffer in batches.  The breakpoint budget is
-checked before any strip is built and as each is built.  Where strips join,
+Two Python lists cache one window of it plus the nodes of small strips not
+yet written, so that a small strip finds its window, reads it and adds its
+nodes without a numpy call: the lists are filled from the buffer when a
+strip's window is not inside them, and emptied when their nodes are written
+in a batch and before a large strip.  The breakpoint budget is checked
+before any strip is built and once per strip.  Where strips join,
 the two values must agree to within the rounding of the read positions
 times the local slopes (or to 1e-9 relative).
 
@@ -300,8 +302,10 @@ class _Breakpoints:
         self.bx, self.by, self.head, self.tail = bx, by, head, head + live
 
     def claim(self, count: int, right: bool) -> int:
-        """Start of ``count`` new slots past the tail or before the head, within budget."""
-        _check_budget(self.size + count)
+        """Start of ``count`` new slots past the tail or before the head.
+
+        The caller has checked the breakpoint budget for them.
+        """
         if right:
             if self.tail + count > self.bx.size:
                 self._regrow(count, right=True)
@@ -326,12 +330,6 @@ class _Breakpoints:
         joined = self.by[at - 1 : at + count] if right else self.by[at : at + count + 1]
         if not np.isfinite(np.diff(joined)).all():
             self.check_finite(right)
-
-
-def _check_budget(breakpoints: int) -> None:
-    """Refuse a total of ``breakpoints`` over ``MAX_BREAKPOINTS``."""
-    if breakpoints > MAX_BREAKPOINTS:
-        raise CoverageBudgetExceeded(f"{breakpoints} breakpoints exceed the budget")
 
 
 def _seam_check(
@@ -476,15 +474,18 @@ def _grow(built: _Breakpoints, reads, edge: float, step: float, stop: float, rig
     agree.  The seam check and the budget are shared.
 
     A small strip makes no numpy call unless its seam needs checking.  Two
-    lists (lx, ly) hold the live end of the side: on the right the live data
-    from index ``start`` on, on the left the live data up to ``len(lx)``,
-    counting the ``pending`` newest nodes that are not yet in the buffer.
-    ``bisect_left`` on them finds the buffer's window exactly when it does
-    not reach past their far end; otherwise, and after a large strip, they
-    are refilled from the buffer.  Pending nodes are written in one batch
-    once there are ``_BATCH_NODES`` of them, before a large strip reads the
-    buffer, and when the side is done; the lists then drop what lies beyond
-    the last window.  A large strip reads and writes the buffer directly.
+    lists (lx, ly) cache one window of the buffer: when not empty, they hold
+    the window copied at the last miss plus the ``pending`` nodes of small
+    strips added since, which are not yet in the buffer.  A strip reads its
+    window from them when its ``bisect_left`` index proves the window lies
+    inside: on the right when it starts at least two in or the lists start
+    at the live head, on the left when it ends within them.  Otherwise it
+    misses: the pending nodes are written, the buffer is searched, and the
+    lists are refilled with a small window or emptied for a large one.  The
+    pending nodes are also written once there are ``_BATCH_NODES`` of them,
+    which empties the lists, and when the side is done.  A large strip reads
+    and writes the buffer directly.  The budget is checked once per strip,
+    before its nodes are stored.
     """
     shifts = reads[:, 0].tolist()
     n = len(shifts)
@@ -492,19 +493,19 @@ def _grow(built: _Breakpoints, reads, edge: float, step: float, stop: float, rig
     # the seam: the stored value at ``edge`` (last or first) and the strip's node there
     end, seam = (-1, 0) if right else (0, -1)
     new = slice(1, None) if right else slice(None, -1)
-    # empty lists hold no window: ``start`` is then past the live head
-    lx, ly, start, pending = [], [], built.size, 0
+    # ``at_head``: the lists start at the live head (set only on the right)
+    lx, ly, at_head, pending = [], [], False, 0
     while edge < stop if right else edge > stop:
         lo, hi = (edge, edge + step) if right else (edge - step, edge)
         k = bisect_left(lx, edge + reach)
         if right:
             # the window starts two before the bisect index, or at the live head
             a, b = k - 2 if k > 2 else 0, len(lx)
-            held = k >= 2 or start == 0
+            held = k >= 2 or at_head
         else:
-            # the window ends two past the bisect index, or at the live tail
-            a, b = 0, min(k + 2, len(lx))
-            held = k + 2 <= len(lx) or len(lx) == built.size + pending
+            # the window ends two past the bisect index
+            a, b = 0, k + 2
+            held = b <= len(lx)
         small = held and (b - a) * n <= _FLOAT_STRIP_READS
         if not small:
             if pending:
@@ -515,8 +516,10 @@ def _grow(built: _Breakpoints, reads, edge: float, step: float, stop: float, rig
             i, j = (head + max(k - 2, 0), tail) if right else (head, min(head + k + 2, tail))
             small = (j - i) * n <= _FLOAT_STRIP_READS
             if small:
-                lx, ly, start = built.bx[i:j].tolist(), built.by[i:j].tolist(), i - head
+                lx, ly, at_head = built.bx[i:j].tolist(), built.by[i:j].tolist(), i == head
                 a, b = 0, j - i
+            else:
+                lx, ly, at_head = [], [], False
         if small:
             xs, ys = lx[a:b], ly[a:b]
             nodes, values = _float_strip(xs, ys, shifts, lo, hi, right)
@@ -532,8 +535,10 @@ def _grow(built: _Breakpoints, reads, edge: float, step: float, stop: float, rig
             points = nodes[seam] + reads[:, 0]
             _seam_check(existing, incoming, edge, points, np.interp(points, xs, ys), xs, ys)
         count = len(nodes) - 1
+        total = built.size + pending + count
+        if total > MAX_BREAKPOINTS:
+            raise CoverageBudgetExceeded(f"{total} breakpoints exceed the budget")
         if small:
-            _check_budget(built.size + pending + count)
             if right:
                 lx += nodes[new]
                 ly += values[new]
@@ -543,19 +548,11 @@ def _grow(built: _Breakpoints, reads, edge: float, step: float, stop: float, rig
             pending += count
             if pending >= _BATCH_NODES:
                 built.write(lx, ly, pending, right)
-                pending = 0
-                # later windows start no earlier (right) or end no later (left)
-                if right:
-                    del lx[:a], ly[:a]
-                    start += a
-                else:
-                    del lx[b + count :], ly[b + count :]
+                lx, ly, at_head, pending = [], [], False, 0
         else:
             at = built.claim(count, right)
             built.bx[at : at + count] = nodes[new]
             built.by[at : at + count] = values[new]
-            if lx:
-                lx, ly, start = [], [], built.size
         edge = hi if right else lo
     if pending:
         built.write(lx, ly, pending, right)

@@ -15,14 +15,15 @@ kept in ``closedforms`` (numpy-free) with ``fourier_matrix`` and re-exported
 here.
 
 The scan evaluates the residual on a grid of at most ``MAX_GRID_POINTS``
-points, checked before anything is allocated, in blocks of about 8 MiB of
-temporaries.  It then refines every interior grid minimum by golden section,
-all brackets in lockstep: each step evaluates the new points of every live
-bracket in one array call, and each bracket takes exactly the steps a scalar
-golden section would take on it alone.  The refined residuals square the
-cosine and sine sums by libm ``pow`` (``np.float_power``), as the scalar
-residual does, so the certificates are the same to the bit as refining one
-bracket at a time.  Non-finite shifts, frequencies and angles are refused.
+points and at most ``_MAX_TERMS`` points times N terms, both checked before
+anything is allocated, in blocks of about 8 MiB of temporaries.  It then
+refines every interior grid minimum by golden section, all brackets in
+lockstep: each step evaluates the new points of every live bracket in one
+array call, and each bracket takes exactly the steps a scalar golden section
+would take on it alone.  The refined residuals square the cosine and sine
+sums by libm ``pow`` (``np.float_power``), as the scalar residual does, so
+the certificates are the same to the bit as refining one bracket at a time.
+Non-finite shifts, frequencies and angles are refused.
 """
 
 from __future__ import annotations
@@ -71,6 +72,9 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: scan grids with more points are refused before anything is allocated
 MAX_GRID_POINTS = 10_000_000
+
+#: most terms, grid points times N, one scan grid may sum
+_MAX_TERMS = 1 << 26
 
 #: bytes of (points, N) temporaries per block of the grid residual
 _BLOCK_BYTES = 8 << 20
@@ -170,7 +174,9 @@ def scan_minima(
     """All refined local minima of the system residual on (0, alpha_max].
 
     Returns (alpha, residual) pairs sorted by alpha, regardless of how small
-    the residual is; ``find_periodic_alphas`` applies the acceptance cut.
+    the residual is; ``find_periodic_alphas`` applies the acceptance cut.  A
+    grid of over ``MAX_GRID_POINTS`` points, or whose points times N exceed
+    ``_MAX_TERMS``, raises GridBudgetExceeded before anything is allocated.
     """
     if not (alpha_max > 0.0):
         raise InvalidRange("alpha_max must be positive")
@@ -185,6 +191,11 @@ def scan_minima(
     if points >= MAX_GRID_POINTS + 1:
         raise GridBudgetExceeded(
             f"scan grid of {points:.6g} points exceeds the budget of {MAX_GRID_POINTS}"
+        )
+    if points * shifts.size > _MAX_TERMS:
+        raise GridBudgetExceeded(
+            f"scan grid of {points:.6g} points x {shifts.size} shifts exceeds "
+            f"the budget of {_MAX_TERMS} terms"
         )
     count = math.floor(points)
     grid = grid_step * np.arange(1, count + 1)

@@ -76,6 +76,13 @@ class TestNormalize:
         assert entries[0] > 1.0
         assert all(b > a for a, b in zip(entries, entries[1:]))
 
+    def test_quotients_rounding_to_one_float_stay_distinct(self):
+        # 30 and the float below it, divided by 0.34375, round to one float
+        assert 30.0 / 0.34375 == 29.999999999999996 / 0.34375
+        entries = normalize([30.0, 29.999999999999996, 0.34375]).entries
+        assert entries == (2.909090909090909, 87.27272727272727, 87.27272727272728)
+        assert normalize(entries).entries == entries
+
 
 class TestToAdditive:
     def test_basic(self):
@@ -235,6 +242,18 @@ class TestTypes:
     def test_coefficient_vector_rejects_below_one(self):
         with pytest.raises(InvalidInput):
             CoefficientVector((0.5, 2.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_coefficient_vector_rejects_nonfinite(self, bad):
+        # inf passed every check, and NaN was refused as "not strictly increasing"
+        with pytest.raises(InvalidInput, match="^coefficients must be finite$"):
+            CoefficientVector((bad,))
+        with pytest.raises(InvalidInput, match="^coefficients must be finite$"):
+            CoefficientVector((2.0, bad))
+
+    def test_coefficient_vector_rejects_empty(self):
+        with pytest.raises(EmptyInput):
+            CoefficientVector(())
 
     def test_shift_vector_rejects_nonpositive(self):
         with pytest.raises(InvalidInput):

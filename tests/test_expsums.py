@@ -495,6 +495,29 @@ class TestWindingTermBudget:
         assert calls == []
 
 
+class TestPowerSumBudget:
+    """The power-sum family refuses an n over the table budget before its log table."""
+
+    @pytest.mark.parametrize(
+        "call", [power_sum, power_sum_deriv, zeta_partial_sum, newton_refine],
+        ids=lambda f: f.__name__,
+    )
+    def test_n_refused_before_the_log_table(self, monkeypatch, call):
+        monkeypatch.setattr(expsums, "_MAX_TABLE_TERMS", 64)
+        call(64, 0.5j)
+        monkeypatch.setattr(expsums, "_log_table", lambda n: pytest.fail("allocated"))
+        with pytest.raises(GridBudgetExceeded, match="or n exceeds 64$"):
+            call(65, 0.5j)
+
+    def test_points_times_n_refused(self, monkeypatch):
+        monkeypatch.setattr(expsums, "_MAX_TERMS", 1000)
+        z = np.linspace(0.0, 1.0, 100) * 1j
+        assert power_sum(10, z).shape == (100,)
+        monkeypatch.setattr(expsums, "_log_table", lambda n: pytest.fail("allocated"))
+        with pytest.raises(GridBudgetExceeded, match="^100 samples x 11 terms exceed"):
+            power_sum(11, z)
+
+
 class TestScanEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(

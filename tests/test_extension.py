@@ -73,6 +73,10 @@ class TestPiecewiseLinear:
         with pytest.raises(InvalidInput):
             PiecewiseLinear([0.0, 1.0], [0.0])
 
+    def test_rejects_a_single_breakpoint(self):
+        with pytest.raises(InvalidInput, match="need at least two breakpoints"):
+            PiecewiseLinear([0.0], [1.0])
+
     @pytest.mark.parametrize("w", [math.nan, np.array([0.25, math.nan, 0.5])])
     def test_rejects_nan(self, w):
         f = PiecewiseLinear([0.0, 1.0], [0.0, 1.0])

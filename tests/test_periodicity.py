@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from math import gcd, pi
 
 import numpy as np
@@ -114,6 +115,38 @@ class TestScanner:
         assert len(scan_minima((1.0, 2.0), 10.0, 0.01)) == 3
         with pytest.raises(GridBudgetExceeded):
             scan_minima((1.0, 2.0), 10.0, 0.00999)
+
+    def test_term_budget_boundary(self, monkeypatch):
+        monkeypatch.setattr(periodicity, "_MAX_TERMS", 2000)
+        assert len(scan_minima((1.0, 2.0), 10.0, 0.01)) == 3
+        message = "^scan grid of 1001 points x 2 shifts exceeds the budget of 2000 terms$"
+        with pytest.raises(GridBudgetExceeded, match=message):
+            scan_minima((1.0, 2.0), 10.0, 0.00999)
+
+    def test_term_budget_checked_before_allocating(self, monkeypatch):
+        # 1e6 points on 2 shifts: the grid alone would take 8 MB
+        monkeypatch.setattr(periodicity, "_MAX_TERMS", 1000)
+        monkeypatch.setattr(periodicity, "_residuals", lambda *a: pytest.fail("evaluated"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridBudgetExceeded, match="1e\\+06 points x 2 shifts"):
+                scan_minima((1.0, 2.0), 1e4, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_refined_minima_within_1e_8_keep_the_smaller_residual(self):
+        # two grid minima refine to alphas 7.9e-9 apart near pi / 3; the later
+        # one, 1.0471975547088392, has the smaller residual and replaces the
+        # earlier one, 1.0471975468160677 (residual 4.0)
+        shifts = (3.0, 3.0, 3.0)
+        out = scan_minima(shifts, 7.349019775830515, 0.19039955476301776)
+        alphas = [alpha for alpha, _ in out]
+        assert all(b - a >= 1e-8 for a, b in zip(alphas, alphas[1:]))
+        assert out[0] == (1.0471975547088392, 3.999999999999999)
+        assert system_residual(1.0471975468160677, shifts) == 4.0 > out[0][1]
+        assert alphas == [1.0471975547088392, 3.1415926571020343, 5.235987759495229]
 
     def test_grid_of_fewer_than_three_points(self):
         # the grid {2, 3} is too short to hold an interior minimum: the scan
