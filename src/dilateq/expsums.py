@@ -21,18 +21,26 @@ The engine keeps transcendental calls few:
   ``find_zeros`` never gets that far: the rectangle's right edge overflows
   too, and the winding count raises ``BoundaryZero``.
 - ``find_zeros`` seeds from the minima of that scan without computing it
-  (``_grid_minima``): two real matrix products of the same tables estimate
-  |G| on every cell within a proved bound, cells that a neighbour provably
-  undercuts are dropped, and only the rest and their neighbours are summed
-  exactly, by the scan's own operations.  The seeds, and so every zero,
-  are those of the full scan, bit for bit and in the same order.
+  (``_grid_minima``): two real matrix products of the radial table and a
+  phase table taken from a ``_linetable.LineTable`` on the im axis (about
+  ``2 sqrt(grid_im) * n`` exponentials) estimate |G| on every cell within a
+  proved bound, cells that a neighbour provably undercuts are dropped, and
+  only the rest and their neighbours are summed exactly, by the scan's own
+  operations on phase rows exponentiated for them alone.  The seeds, and
+  so every zero, are those of the full scan, bit for bit and in the same
+  order.
 - ``newton_refine`` takes ``g`` and ``g'`` of each iterate from one table of
   terms ``exp(z ln k)``: one exponential pass per step.
 - ``winding_count`` tracks arg G along the boundary on samples close
   enough that it provably moves by less than pi between neighbours (see its
   docstring), bisecting every uncertified step in one array pass per level.
   The principal angles of the steps then sum to 2 pi times the count, up to
-  rounding, on at most ``_WINDING_MAX_SAMPLES`` samples.
+  rounding, on at most ``_WINDING_MAX_SAMPLES`` samples.  G comes from one
+  ``LineTable`` per side: a complex matrix product for the first samples,
+  and for a midpoint the terms rebuilt from the side's anchor, offset and
+  half-step rows, with no complex exponential per sample and term.  G at a
+  sample lies within the tolerance its docstring states of ``power_sum``
+  there, and the slope bound is the same float as summed sample by sample.
 - ``find_zeros`` takes the winding count before it seeds, so a rectangle
   the count refuses costs no seeding and no Newton start.  It seeds once
   more on the grid with every cell halved when the count exceeds the zeros
@@ -46,12 +54,14 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import warnings
 from typing import Callable
 
 import numpy as np
 
 from ._frozen import Frozen
+from ._linetable import LineTable, table_rows
 from .errors import BoundaryZero, GridBudgetExceeded, IncompleteSearch, InvalidInput, InvalidRange
 
 __all__ = [
@@ -101,6 +111,10 @@ _MAX_TERMS = 1 << 26
 #: most boundary samples one winding count may evaluate
 _WINDING_MAX_SAMPLES = 1 << 18
 
+#: bisection levels a winding sample's bitmask of half steps holds; samples
+#: placed deeper are summed exp by exp
+_MASK_BITS = 64
+
 
 #: log tables kept at once: a search reads one n, and each table holds n floats
 _LOG_TABLES = 8
@@ -149,7 +163,12 @@ def power_sum_deriv(n: int, z) -> complex | np.ndarray:
 
 
 class SearchRectangle(Frozen):
-    """Axis-aligned scan region with grid resolution for seeding Newton."""
+    """Axis-aligned scan region with grid resolution for seeding Newton.
+
+    The bounds must be finite and the grid sizes integers of at least 2;
+    numpy integers are taken through ``operator.index``, and any other
+    grid size raises InvalidRange.
+    """
 
     __slots__ = ("re_min", "re_max", "im_min", "im_max", "grid_re", "grid_im")
     re_min: float
@@ -168,6 +187,10 @@ class SearchRectangle(Frozen):
         grid_re: int = 61,
         grid_im: int = 241,
     ) -> None:
+        try:
+            grid_re, grid_im = operator.index(grid_re), operator.index(grid_im)
+        except TypeError:
+            raise InvalidRange("grid resolution must be an integer") from None
         super().__init__(re_min, re_max, im_min, im_max, grid_re, grid_im)
         bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
         if not all(math.isfinite(v) for v in bounds):
@@ -300,15 +323,24 @@ def _tables(n: int, rect: SearchRectangle) -> tuple[np.ndarray, ...]:
     ``_MAX_TABLE_TERMS`` and ``_MAX_TERMS``, raises GridBudgetExceeded before
     anything is allocated.
     """
+    re, im, radial = _radial(n, rect)
+    return re, im, radial, _phase(n, im)
+
+
+def _radial(n: int, rect: SearchRectangle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid axes and ``radial`` of ``_tables``, after its budget checks."""
     _check_n(n)
     _check_grid(n, rect)
     re = np.linspace(rect.re_min, rect.re_max, rect.grid_re)
     im = np.linspace(rect.im_min, rect.im_max, rect.grid_im)
-    logs = _log_table(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        radial = np.exp(np.multiply.outer(re, logs).astype(complex))
-        phase = np.exp(1j * np.multiply.outer(im, logs))
-    return re, im, radial, phase
+        return re, im, np.exp(np.multiply.outer(re, _log_table(n)).astype(complex))
+
+
+def _phase(n: int, im: np.ndarray) -> np.ndarray:
+    """``phase`` of ``_tables`` at the rows ``im``: each row the same bits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(1j * np.multiply.outer(im, _log_table(n)))
 
 
 def scan_modulus(n: int, rect: SearchRectangle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -375,50 +407,61 @@ def _grid_minima(
     """The grid axes and ``_local_minima(scan_modulus(n, rect)[2])``, summed
     exactly only where a minimum can be.
 
-    Re G and Im G are estimated on every cell by two real matrix products of
-    the scan's tables, ``phase.real @ radial.T`` and ``phase.imag @ radial.T``,
-    which BLAS sums in any order.  With r_k = k^x the radial entries of a
-    cell's column, u = 2^-53 and gamma_n = n u / (1 - n u), its estimate E
-    lies within
+    Re G and Im G are estimated on every cell by two real matrix products,
+    ``P.real @ radial.T`` and ``P.imag @ radial.T``, which BLAS sums in any
+    order.  P is the phase table taken from a ``LineTable`` on the im axis,
+    each entry within e_k (its ``error``) of the scan's phase entry.  With
+    r_k = k^x the radial entries of a cell's column, u = 2^-53 and
+    gamma_n = n u / (1 - n u), its estimate E lies within
 
-        B = 8 gamma_n sum_k r_k
+        B = 8 gamma_n sum_k r_k + 3 sum_k e_k r_k
 
     of its scan value S (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., section 3.1).  The scan's terms are the rounded
-    products r_k c_k and r_k s_k of the table entries, and both their
-    pairwise sum and a dot product in any order lie within
-    gamma_n sum_k |r_k c_k| <= gamma_n sum_k r_k of the exact sum, as
-    |c_k|, |s_k| <= 1.  So each part of E and S differs by at most
-    2 gamma_n sum r_k, and the moduli by at most 2 sqrt(2) gamma_n sum r_k.
-    Each of the two hypot roundings adds at most 2 u of its value, and E and
-    S are at most sum r_k up to rounding, so with gamma_n >= 2 u (n >= 2)
-    both add at most 2 gamma_n sum r_k.  B is over 1.6 times the total, which
-    covers the rounding of B and of the comparison below.  The first term
-    is exactly 1, so sum r_k >= 1 also covers the absolute error, below
-    2^-1074 a term, of products that underflow.  The sum is taken four
-    times before it is scaled, so B is infinite wherever a partial sum, or
-    E, could overflow.
+    Algorithms, 2nd ed., section 3.1).  Take first the scan's own phases.
+    The scan's terms are the rounded products r_k c_k and r_k s_k of the
+    table entries, and both their pairwise sum and a dot product in any
+    order lie within gamma_n sum_k |r_k c_k| <= gamma_n sum_k r_k of the
+    exact sum, as |c_k|, |s_k| <= 1.  So each part of E and S differs by at
+    most 2 gamma_n sum r_k, and the moduli by at most 2 sqrt(2) gamma_n
+    sum r_k.  Each of the two hypot roundings adds at most 2 u of its value,
+    and E and S are at most sum r_k up to rounding, so with gamma_n >= 2 u
+    (n >= 2) both add at most 2 gamma_n sum r_k.  The first term of B is
+    over 1.6 times the total, which covers the rounding of B and of the
+    comparison below.  The first term is exactly 1, so sum r_k >= 1 also
+    covers the absolute error, below 2^-1074 a term, of products that
+    underflow.  The sum is taken four times before it is scaled, so B is
+    infinite wherever a partial sum, or E, could overflow.  The line's
+    phases then move each part of E by at most sum e_k r_k, its modulus by
+    sqrt(2) times that, and the rounding terms by under 2 gamma_n
+    sum e_k r_k: the second term covers the three.
 
     A cell is pruned when a 4-neighbour's estimate is lower by more than both
     bounds (``_undercut``): that neighbour's scan value is then strictly
     lower, and the cell fails the minimum test.  A non-finite estimate or
     bound prunes nothing.  Only the survivors and their neighbours are summed
-    exactly (``_exact_modulus``), and a survivor is a minimum when it is
-    ``<=`` each neighbour, +inf outside the grid, as in ``_local_minima``.
-    Rows go in blocks of about ``_CHUNK_BYTES`` of temporaries, each with a
-    one-row halo of neighbours, and the minima come in row-major order.
+    exactly (``_exact_modulus``), on phase rows exponentiated for them alone,
+    and a survivor is a minimum when it is ``<=`` each neighbour, +inf
+    outside the grid, as in ``_local_minima``.  Rows go in blocks of about
+    ``_CHUNK_BYTES`` of temporaries, each with a one-row halo of neighbours,
+    and the minima come in row-major order.
     """
-    re, im, radial, phase = _tables(n, rect)
+    re, im, radial = _radial(n, rect)
+    # linspace's own step: the line's points are the im axis up to rounding
+    step = (rect.im_max - rect.im_min) / (rect.grid_im - 1)
+    line = LineTable(1j * rect.im_min, 1j * step, im.size, _log_table(n))
     rad = np.ascontiguousarray(radial.real)
     gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
-    with np.errstate(over="ignore"):
-        bound = 2.0 * gamma * (4.0 * rad.sum(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = 2.0 * gamma * (4.0 * rad.sum(axis=1)) + 3.0 * (rad @ line.error)
+    # exact phase rows, filled for the rows summed exactly
+    phase = np.empty((im.size, n), dtype=complex)
+    ready = np.zeros(im.size, dtype=bool)
     rows = max(1, _CHUNK_BYTES // (8 * (2 * n + 8 * re.size)))
     minima: list[tuple[int, int]] = []
     for lo in range(0, im.size, rows):
         hi = min(lo + rows, im.size)
         top, bottom = max(lo - 1, 0), min(hi + 1, im.size)
-        block = phase[top:bottom]
+        block = line.terms(np.arange(top, bottom))
         with np.errstate(over="ignore", invalid="ignore"):
             est = np.hypot(
                 np.ascontiguousarray(block.real) @ rad.T,
@@ -434,6 +477,10 @@ def _grid_minima(
         need[:, :-1] |= keep[:, 1:]
         exact = np.full(keep.shape, np.nan)
         cell_rows, cell_cols = np.nonzero(need)
+        fresh = top + np.flatnonzero(need.any(axis=1))
+        fresh = fresh[~ready[fresh]]
+        phase[fresh] = _phase(n, im[fresh])
+        ready[fresh] = True
         exact[cell_rows, cell_cols] = _exact_modulus(radial, phase, cell_rows + top, cell_cols)
         minima += [(top + i, j) for i, j in _local_minima(exact) if keep[i, j]]
     return re, im, minima
@@ -451,22 +498,90 @@ def _local_minima(a: np.ndarray) -> list[tuple[int, int]]:
     return [(int(i), int(j)) for i, j in zip(*np.nonzero(mask))]
 
 
-def _boundary_samples(n: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """G at z and the bound sum(ln k * k^(Re z), k=2..n) on |G'| left of Re z.
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` of a nonempty 1-D array by one
+    sort: ``np.unique`` imports ``numpy.ma`` on its first call, about 20 ms
+    of a short process."""
+    kinds = np.sort(values)
+    kinds = kinds[np.concatenate(([True], kinds[1:] != kinds[:-1]))]
+    return kinds, np.searchsorted(kinds, values)
 
-    Evaluated in blocks of about ``_CHUNK_BYTES``; a non-finite G or bound,
-    or a modulus below 1e-9, raises BoundaryZero.
+
+def _sample_block(
+    n: int,
+    z: np.ndarray,
+    lines: list[LineTable | None],
+    halves: list[np.ndarray],
+    side: np.ndarray,
+    index: np.ndarray,
+    mask: np.ndarray,
+    level: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """G at one block of boundary samples z and the bound
+    M = sum(ln k * k^(Re z), k=2..n) on |G'| left of each.
+
+    Sample m lies on side ``side[m]``, whose table ``lines[side[m]]`` runs
+    from its first corner in steps h, at index[m] + f steps, where f sums
+    2^-b over the bits b - 1 set in ``mask[m]``: the half steps that placed
+    it.  ``halves[b - 1]`` holds each side's row exp(h 2^-b ln k).  The first
+    samples (``level`` 0) are their tables' ``sums``.  A later pass rebuilds
+    the terms A[q] O[p] of each sample and multiplies them by the product of
+    its half-step rows, formed once per distinct mask, the pass's own row
+    last.  Past ``_MASK_BITS`` levels, which no mask holds, and on sides
+    without tables (``lines`` of None), the samples are summed exp by exp.
+    M is taken once per distinct real part, each by the same operations as
+    at any other.
     """
+    g = np.empty(z.shape, dtype=complex)
+    # samples run around the boundary, so each side is one run of the block
+    edges = np.searchsorted(side, np.arange(5)).tolist()
+    runs = [(s, edges[s], edges[s + 1]) for s in range(4) if edges[s] < edges[s + 1]]
+    if level > _MASK_BITS or lines[0] is None:
+        g[:] = power_sum(n, z)
+    elif level == 0:
+        # the first samples of a side are its points in order
+        for s, lo, hi in runs:
+            g[lo:hi] = lines[s].sums(int(index[lo]), int(index[hi - 1]) + 1)
+    else:
+        kinds, which = _distinct(mask)
+        has = (kinds[:, None] >> np.arange(level, dtype=np.uint64)) & 1 == 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s, lo, hi in runs:
+                rows = np.ones((kinds.size, n), dtype=complex)
+                for b in range(level):
+                    rows[has[:, b]] *= halves[b][s]
+                terms = lines[s].terms(index[lo:hi])
+                terms *= rows[which[lo:hi]]
+                g[lo:hi] = terms.sum(axis=-1)
     logs = _log_table(n)[1:]
+    reals, at = _distinct(z.real)
+    with np.errstate(over="ignore"):
+        bound = (logs * np.exp(np.multiply.outer(reals, logs))).sum(axis=-1)
+    return g, bound[at]
+
+
+def _boundary_samples(
+    n: int,
+    z: np.ndarray,
+    lines: list[LineTable | None],
+    halves: list[np.ndarray],
+    side: np.ndarray,
+    index: np.ndarray,
+    mask: np.ndarray,
+    level: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """G at z and the bound on |G'| by ``_sample_block``, in blocks of about
+    ``_CHUNK_BYTES``; a non-finite G or bound, or a modulus below 1e-9,
+    raises BoundaryZero.
+    """
     g = np.empty(z.shape, dtype=complex)
     bound = np.empty(z.shape)
     step = max(1, _CHUNK_BYTES // (16 * n))
     for lo in range(0, z.size, step):
-        part = z[lo : lo + step]
-        g[lo : lo + step] = power_sum(n, part)
-        with np.errstate(over="ignore"):
-            radial = np.exp(np.multiply.outer(part.real, logs))
-            bound[lo : lo + step] = (logs * radial).sum(axis=-1)
+        part = slice(lo, lo + step)
+        g[part], bound[part] = _sample_block(
+            n, z[part], lines, halves, side[part], index[part], mask[part], level
+        )
     bad = ~(np.isfinite(g) & np.isfinite(bound))
     if bad.any():
         raise BoundaryZero(f"power sum or its slope is not finite at {z[np.argmax(bad)]:.6g}")
@@ -493,21 +608,49 @@ def winding_count(n: int, rect: SearchRectangle) -> int:
     GridBudgetExceeded before any sample is evaluated when n exceeds
     ``_MAX_TABLE_TERMS`` or the first samples times n exceed ``_MAX_TERMS``,
     and before a bisection pass when the samples so far times n would.
+
+    G comes from one ``LineTable`` per side (``_sample_block``): no complex
+    exponential per sample and term.  Each sample keeps its side, its index
+    among the side's first samples and a bitmask of the half steps that
+    placed it, and no terms.  Tables that would hold more rows than a block
+    of ``_CHUNK_BYTES`` holds samples (n of about 1000 or more on the
+    default rectangle) are not built, and every sample is summed exp by exp.
+    A sample placed at level L lies within
+
+        B_L = sum_k k^x (e_k + 3 gamma_2n (1 + e_k)),
+        e_k = 2.1 expm1((8 + L) u Z ln k + (L + 2)(kappa + 3) u),
+
+    of ``power_sum`` at its point, with x the side's larger real part,
+    Z = |corner| + count |h| for the side's first corner and step h, and
+    kappa and u as in ``LineTable`` (level 0: its ``bound``): the midpoints
+    round once per level, and each half step adds a libm row and a product.
     """
     _check_n(n)
     corners = rect.corners
-    sides = list(zip(corners, corners[1:] + corners[:1]))
-    lengths = [abs(b - a) * max(1.0, math.log(n)) for a, b in sides]
+    pairs = list(zip(corners, corners[1:] + corners[:1]))
+    lengths = [abs(b - a) * max(1.0, math.log(n)) for a, b in pairs]
     if sum(max(8.0, length) for length in lengths) > _WINDING_MAX_SAMPLES:
         raise BoundaryZero(
             f"winding count needs more than {_WINDING_MAX_SAMPLES} samples on the boundary"
         )
     counts = [max(8, math.ceil(length)) for length in lengths]
     _check_terms(n, sum(counts))
-    z = np.concatenate(
-        [np.linspace(a, b, count, endpoint=False) for (a, b), count in zip(sides, counts)]
-    )
-    g, bound = _boundary_samples(n, z)
+    logs = _log_table(n)
+    # tables holding more rows than a block holds samples (n about 1000 or
+    # more) would outgrow the blocks: their samples are summed exp by exp
+    tabled = sum(map(table_rows, counts)) <= _CHUNK_BYTES // (16 * n)
+    z, steps, lines, halves = [], [], [], []
+    for (a, b), count in zip(pairs, counts):
+        points, h = np.linspace(a, b, count, endpoint=False, retstep=True)
+        z.append(points)
+        steps.append(h)
+        lines.append(LineTable(a, h, count, logs) if tabled else None)
+    z = np.concatenate(z)
+    side = np.repeat(np.arange(4, dtype=np.int8), counts)
+    index = np.concatenate([np.arange(count, dtype=np.int32) for count in counts])
+    mask = np.zeros(z.size, dtype=np.uint64)
+    level = 0
+    g, bound = _boundary_samples(n, z, lines, halves, side, index, mask, level)
     while True:
         # step j runs from sample j to sample j + 1, the last one back to the first
         z_next, g_next = np.roll(z, -1), np.roll(g, -1)
@@ -524,11 +667,27 @@ def winding_count(n: int, rect: SearchRectangle) -> int:
                 f"{z[k]:.6g}; zero close to the edge?"
             )
         _check_terms(n, samples)
+        level += 1
+        bit = np.uint64(1 << (level - 1) if level <= _MASK_BITS else 0)
+        if tabled and level <= _MASK_BITS:
+            # every step split at this level is h 2^(1 - level) long
+            with np.errstate(over="ignore", invalid="ignore"):
+                halves.append(np.exp(np.multiply.outer(np.array(steps) * 0.5**level, logs)))
+        # a step's midpoint lies on the side of its left end
         mid = 0.5 * (z[split] + z_next[split])
-        g_mid, bound_mid = _boundary_samples(n, mid)
-        at = np.flatnonzero(split) + 1
-        z, g = np.insert(z, at, mid), np.insert(g, at, g_mid)
-        bound = np.insert(bound, at, bound_mid)
+        mid_side, mid_index, mid_mask = side[split], index[split], mask[split] | bit
+        g_mid, bound_mid = _boundary_samples(
+            n, mid, lines, halves, mid_side, mid_index, mid_mask, level
+        )
+        # each midpoint goes right after its step's left end
+        after = np.concatenate([np.arange(z.size), np.flatnonzero(split)])
+        order = np.argsort(after, kind="stable")
+        z = np.concatenate([z, mid])[order]
+        g = np.concatenate([g, g_mid])[order]
+        bound = np.concatenate([bound, bound_mid])[order]
+        side = np.concatenate([side, mid_side])[order]
+        index = np.concatenate([index, mid_index])[order]
+        mask = np.concatenate([mask, mid_mask])[order]
     turns = float(np.angle(np.roll(g, -1) / g).sum()) / (2.0 * math.pi)
     nearest = round(turns)
     if abs(turns - nearest) > 0.2:
@@ -609,7 +768,8 @@ class PowerSolution(Frozen):
 
     Solves f(x) + f(2x) + ... + f(nx) = 0 pointwise for x != 0; continuous
     at 0 only when Re(alpha) > 0 (the modulus blows up or oscillates without
-    settling otherwise), reported by ``continuous_at_zero``.
+    settling otherwise), reported by ``continuous_at_zero``.  A NaN or
+    infinite point raises InvalidInput.
     """
 
     __slots__ = ("alpha", "n")
@@ -623,6 +783,8 @@ class PowerSolution(Frozen):
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
+        if not np.isfinite(arr).all():
+            raise InvalidInput("points must be finite")
         scalar = np.isscalar(x) or arr.ndim == 0
         arr = np.atleast_1d(arr)
         out = np.zeros_like(arr)

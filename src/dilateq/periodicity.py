@@ -14,16 +14,23 @@ the equispaced and two-shift families have closed forms checked exactly,
 kept in ``closedforms`` (numpy-free) with ``fourier_matrix`` and re-exported
 here.
 
-The scan evaluates the residual on a grid of at most ``MAX_GRID_POINTS``
-points and at most ``_MAX_TERMS`` points times N terms, both checked before
-anything is allocated, in blocks of about 8 MiB of temporaries.  It then
-refines every interior grid minimum by golden section, all brackets in
-lockstep: each step evaluates the new points of every live bracket in one
-array call, and each bracket takes exactly the steps a scalar golden section
-would take on it alone.  The refined residuals square the cosine and sine
-sums by libm ``pow`` (``np.float_power``), as the scalar residual does, so
-the certificates are the same to the bit as refining one bracket at a time.
-Non-finite shifts, frequencies and angles are refused.
+The scan's grid holds at most ``MAX_GRID_POINTS`` points and at most
+``_MAX_TERMS`` points times N terms, both checked before anything is
+allocated.  Its points are equally spaced, so ``_linetable.LineTable``
+estimates E = 1 + sum exp(i alpha b_k) on all of them from about
+2 sqrt(points) rows of exponentials and one complex matrix product per
+block of about 8 MiB, within a proved bound.  A point that a neighbour's
+estimate undercuts by more than both bounds is no minimum; only the other
+points and their neighbours are summed exactly, so the grid minima are
+those of the residual summed exp by exp at every point, bit for bit
+(``_grid_minima``).  The scan then refines every interior grid minimum by
+golden section, all brackets in lockstep: each step evaluates the new
+points of every live bracket in one array call, and each bracket takes
+exactly the steps a scalar golden section would take on it alone.  The
+refined residuals square the cosine and sine sums by libm ``pow``
+(``np.float_power``), as the scalar residual does, so the certificates are
+the same to the bit as refining one bracket at a time.  Non-finite shifts,
+frequencies and angles are refused.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import math
 import numpy as np
 
 from ._frozen import Frozen
+from ._linetable import LineTable, table_rows
 from .closedforms import (
     FourierMatrix,
     TwoTermVerdict,
@@ -42,7 +50,7 @@ from .closedforms import (
     two_term_periodic_exists,
 )
 from .coefficients import ShiftVector
-from .errors import GridBudgetExceeded, InvalidRange, NonPositiveScale
+from .errors import GridBudgetExceeded, InvalidInput, InvalidRange, NonPositiveScale
 
 __all__ = [
     "PeriodicityCertificate",
@@ -123,10 +131,13 @@ def system_residual(alpha, b) -> float | np.ndarray:
 
     Nonnegative; zero exactly at frequencies admitting periodic solutions.
     Vectorized over ``alpha``, in blocks of about 8 MiB of temporaries; an
-    array squares by ``x * x``, which only orders grid points.
+    array squares by ``x * x``, which only orders grid points.  A NaN or
+    infinite frequency raises InvalidInput before anything is evaluated.
     """
     shifts = _shift_array(b)
     a = np.asarray(alpha, dtype=float)
+    if not np.isfinite(a).all():
+        raise InvalidInput("frequencies must be finite")
     if a.ndim == 0:
         return float(_row_residuals(a.reshape(1), shifts)[0])
     return _residuals(a.ravel(), shifts, np.square).reshape(a.shape)
@@ -168,6 +179,50 @@ def default_grid_step(b, alpha_max: float) -> float:
     return min(math.pi / (8.0 * largest), alpha_max / 1e4)
 
 
+def _grid_minima(grid: np.ndarray, count: int, step: float, shifts: np.ndarray) -> np.ndarray:
+    """The interior minima i of res = system_residual(grid, shifts), res[i] <= res[i +- 1],
+    summed exactly only where a minimum can be.
+
+    The first ``count`` points are ``step * (j + 1)``, a line on which
+    ``LineTable`` estimates E = 1 + sum exp(i alpha b_k) within its bound B,
+    block by block; a point past them (``alpha_max``) is summed exactly.
+    The estimate |E|^2 and res, both squares of sums at most
+    W = N + 1 + 2 B in modulus, differ by at most 2.02 W (B + 2 u W):
+    B (2 W) for the sums and 2 u W^2 for the two squares and the add of
+    each, u = 2^-53.  A point whose estimate exceeds a neighbour's by more
+    than twice that has the larger res and is no minimum.  The rest and
+    their neighbours are summed exactly (``_residuals``), which gives the
+    grid's values bit for bit; a NaN estimate or bound prunes nothing.
+    """
+    line = LineTable(1j * step, 1j * step, count, np.append(0.0, shifts))
+    est = np.empty(grid.size)
+    # points per block: about 48 bytes of temporaries each
+    block = max(1, _BLOCK_BYTES // (48 * line.width)) * line.width
+    for lo in range(0, count, block):
+        sums = line.sums(lo, min(lo + block, count))
+        est[lo : lo + sums.size] = np.square(sums.real) + np.square(sums.imag)
+    if count < grid.size:
+        est[count:] = _residuals(grid[count:], shifts, np.square)
+    sums_bound = line.bound
+    reach = shifts.size + 1.0 + 2.0 * sums_bound
+    width = 2.0 * 2.02 * reach * (sums_bound + 2.0**-52 * reach)
+    keep = np.empty(grid.size - 2, dtype=bool)
+    with np.errstate(invalid="ignore"):
+        for lo in range(0, keep.size, block):
+            rise = np.diff(est[lo : lo + block + 2])
+            keep[lo : lo + block] = ~((rise[:-1] > width) | (-rise[1:] > width))
+    cells = np.flatnonzero(keep) + 1
+    need = np.zeros(grid.size, dtype=bool)
+    for shift in (-1, 0, 1):
+        need[cells + shift] = True
+    need = np.flatnonzero(need)
+    res = _residuals(grid[need], shifts, np.square)
+    # cells - 1, cells and cells + 1 all lie in need, next to each other
+    at = np.searchsorted(need, cells)
+    low = (res[at] <= res[at - 1]) & (res[at] <= res[at + 1])
+    return cells[low]
+
+
 def scan_minima(
     b, alpha_max: float, grid_step: float | None = None
 ) -> list[tuple[float, float]]:
@@ -201,13 +256,16 @@ def scan_minima(
     grid = grid_step * np.arange(1, count + 1)
     if grid.size == 0 or grid[-1] < alpha_max:
         grid = np.append(grid, alpha_max)
-    if grid.size < 3:
-        grid = np.linspace(min(grid_step, alpha_max / 3.0), alpha_max, 4)
-    res = system_residual(grid, shifts)
-
-    interior = np.flatnonzero(
-        (res[1:-1] <= res[:-2]) & (res[1:-1] <= res[2:])
-    ) + 1
+    # a line table over 8 MiB (a few thousand shifts on a grid of 1e4 points)
+    # would outgrow the exact sums' blocks: such grids, and the shortest, are
+    # summed exactly
+    if grid.size >= 3 and 16 * (shifts.size + 1) * table_rows(count) <= _BLOCK_BYTES:
+        interior = _grid_minima(grid, count, grid_step, shifts)
+    else:
+        if grid.size < 3:
+            grid = np.linspace(min(grid_step, alpha_max / 3.0), alpha_max, 4)
+        res = system_residual(grid, shifts)
+        interior = np.flatnonzero((res[1:-1] <= res[:-2]) & (res[1:-1] <= res[2:])) + 1
     f = lambda a: _row_residuals(a, shifts)
     alphas = _golden_minimize(f, grid[interior - 1], grid[interior + 1], _REFINE_WIDTH)
     out: list[tuple[float, float]] = []

@@ -96,6 +96,21 @@ class TestRectangle:
         with pytest.raises(InvalidRange, match="finite"):
             SearchRectangle(*bounds)
 
+    @pytest.mark.parametrize("grid", [(61.5, 241), (61, 241.0), (61, "241"), (61, None)])
+    def test_rejects_non_integral_grid(self, grid):
+        with pytest.raises(InvalidRange, match="integer"):
+            SearchRectangle(-3.0, 2.0, 0.0, 30.0, *grid)
+
+    def test_fractional_grid_refused_before_searching(self):
+        # the grid reached np.linspace, which raised TypeError
+        with pytest.raises(InvalidRange):
+            find_zeros(3, SearchRectangle(-3.0, 2.0, 0.0, 30.0, 2.5, 3))
+
+    def test_numpy_integer_grid(self):
+        rect = SearchRectangle(-3.0, 2.0, 0.0, 30.0, np.int64(61), np.int32(241))
+        assert rect == default_rectangle()
+        assert type(rect.grid_re) is int and type(rect.grid_im) is int
+
     def test_grid_over_budget(self, monkeypatch):
         monkeypatch.setattr(expsums, "_MAX_SCAN_POINTS", 100)
         with pytest.raises(GridBudgetExceeded, match="11 x 10"):
@@ -227,6 +242,15 @@ class TestPowerSolution:
         # |x|^0 * cos(b ln 2) with b = pi / ln 2
         f = solution_from_zero(self.zero2())
         assert f(-2.0) == pytest.approx(-1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
+    def test_rejects_non_finite_points(self, bad):
+        # NaN fails x < 0 and read 0.0; -inf read nan with a RuntimeWarning
+        f = solution_from_zero(find_zeros(2)[0])
+        with pytest.raises(InvalidInput, match="finite"):
+            f(bad)
+        with pytest.raises(InvalidInput, match="finite"):
+            f(np.array([-1.0, bad]))
 
     def test_vanishes_on_nonnegatives(self):
         f = solution_from_zero(self.zero2())
@@ -361,7 +385,10 @@ class TestWinding:
         rect = SearchRectangle(*rect)
         seen = []
         orig = expsums.power_sum
-        monkeypatch.setattr(expsums, "power_sum", lambda n, z: seen.extend(z) or orig(n, z))
+        block = expsums._sample_block
+        monkeypatch.setattr(
+            expsums, "_sample_block", lambda n, z, *a: seen.extend(z) or block(n, z, *a)
+        )
         winding_count(n, rect)
         z = np.array(sorted(set(seen), key=lambda w: _boundary_position(rect, w)))
         assert len(z) == len(seen)
@@ -374,8 +401,10 @@ class TestWinding:
 
     def test_one_array_call_per_level(self, monkeypatch):
         calls = []
-        orig = expsums.power_sum
-        monkeypatch.setattr(expsums, "power_sum", lambda n, z: calls.append(z) or orig(n, z))
+        block = expsums._sample_block
+        monkeypatch.setattr(
+            expsums, "_sample_block", lambda n, z, *a: calls.append(z) or block(n, z, *a)
+        )
         winding_count(200, SearchRectangle(-3.0, 2.0, 0.0, 30.0, 121, 481))
         # the initial samples of all four sides in one call, then one call
         # per pass for the midpoints of every rejected step, none evaluated twice
@@ -403,6 +432,14 @@ class TestWinding:
         with pytest.raises(BoundaryZero, match="modulus"):
             winding_count(2, SearchRectangle(-1.0, 1.0, pi / LN2, 20.0))
 
+    def test_angle_sum_off_an_integer_raises(self, monkeypatch):
+        # the principal angles around a closed boundary sum to a multiple of
+        # 2 pi, so only a broken sum reaches the check: read 2 pi as 6 here,
+        # and the five turns of n = 3 sum to 5.24
+        monkeypatch.setattr(math, "pi", 3.0)
+        with pytest.raises(BoundaryZero, match="winding sum 5.23599 is not close to an integer"):
+            winding_count(3, default_rectangle())
+
     def test_segment_budget(self, monkeypatch):
         # the edge passes 1e-5 below the lowest zero of 1 + 2^z: 48 initial
         # samples, then six passes that each split the two steps next to it
@@ -416,7 +453,7 @@ class TestWinding:
 
     def test_long_side_refused_before_sampling(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(expsums, "power_sum", lambda n, z: calls.append(z))
+        monkeypatch.setattr(expsums, "_sample_block", lambda n, z, *a: calls.append(z))
         # the width of the last one overflows to inf
         for rect in [(-3.0, 2.0, 0.0, 1e300), (-1e300, 1e300, 0.0, 1.0), (-1e308, 1e308, 0.0, 1.0)]:
             with pytest.raises(BoundaryZero, match="samples on the boundary"):
@@ -427,8 +464,10 @@ class TestWinding:
         rect = SearchRectangle(-3.0, 2.0, 0.0, 45.0)
         expected = winding_count(30, rect)
         calls = []
-        orig = expsums.power_sum
-        monkeypatch.setattr(expsums, "power_sum", lambda n, z: calls.append(z.size) or orig(n, z))
+        block = expsums._sample_block
+        monkeypatch.setattr(
+            expsums, "_sample_block", lambda n, z, *a: calls.append(z.size) or block(n, z, *a)
+        )
         monkeypatch.setattr(expsums, "_CHUNK_BYTES", 16 * 30 * 7)
         assert winding_count(30, rect) == expected
         assert max(calls) == 7
@@ -459,6 +498,146 @@ class TestWinding:
         assert winding_count(2, rect) == expected
 
 
+def _reference_winding(n, rect):
+    """The winding count evaluating every sample exp by exp with ``power_sum``."""
+    expsums._check_n(n)
+    corners = rect.corners
+    sides = list(zip(corners, corners[1:] + corners[:1]))
+    lengths = [abs(b - a) * max(1.0, math.log(n)) for a, b in sides]
+    if sum(max(8.0, length) for length in lengths) > expsums._WINDING_MAX_SAMPLES:
+        raise BoundaryZero("samples on the boundary")
+    counts = [max(8, math.ceil(length)) for length in lengths]
+    expsums._check_terms(n, sum(counts))
+
+    def samples(z):
+        logs = expsums._log_table(n)[1:]
+        g = power_sum(n, z)
+        with np.errstate(over="ignore"):
+            bound = (logs * np.exp(np.multiply.outer(z.real, logs))).sum(axis=-1)
+        if not (np.isfinite(g) & np.isfinite(bound)).all():
+            raise BoundaryZero("not finite")
+        if (np.abs(g) < 1e-9).any():
+            raise BoundaryZero("modulus")
+        return g, bound
+
+    z = np.concatenate(
+        [np.linspace(a, b, count, endpoint=False) for (a, b), count in zip(sides, counts)]
+    )
+    g, bound = samples(z)
+    while True:
+        z_next, g_next = np.roll(z, -1), np.roll(g, -1)
+        slope = np.maximum(bound, np.roll(bound, -1))
+        with np.errstate(over="ignore"):
+            split = np.abs(z_next - z) * slope >= np.abs(g) + np.abs(g_next)
+        if not split.any():
+            break
+        if z.size + int(np.count_nonzero(split)) > expsums._WINDING_MAX_SAMPLES:
+            raise BoundaryZero("samples near")
+        expsums._check_terms(n, z.size + int(np.count_nonzero(split)))
+        mid = 0.5 * (z[split] + z_next[split])
+        g_mid, bound_mid = samples(mid)
+        at = np.flatnonzero(split) + 1
+        z, g, bound = np.insert(z, at, mid), np.insert(g, at, g_mid), np.insert(bound, at, bound_mid)
+    turns = float(np.angle(np.roll(g, -1) / g).sum()) / (2.0 * math.pi)
+    if abs(turns - round(turns)) > 0.2:
+        raise BoundaryZero("not close to an integer")
+    return int(round(turns))
+
+
+def _outcome(count, n, rect):
+    try:
+        return count(n, rect)
+    except (BoundaryZero, GridBudgetExceeded) as exc:
+        return type(exc).__name__
+
+
+class TestWindingFromLineTables:
+    """The winding count's samples come from a few exact rows per side."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        re_min=st.floats(-10.0, 5.0),
+        re_width=st.floats(1e-3, 10.0),
+        im_min=st.floats(-300.0, 300.0),
+        height=st.floats(1e-3, 100.0),
+    )
+    # a sample on a zero, a slope that overflows, a side over the budget, a
+    # zero 1e-5 below the edge (six bisection passes) and a far-up rectangle
+    @example(n=2, re_min=-1.0, re_width=2.0, im_min=pi / LN2, height=20.0)
+    @example(n=200, re_min=-3.0, re_width=136.8, im_min=0.0, height=30.0)
+    @example(n=3, re_min=-3.0, re_width=5.0, im_min=0.0, height=1e300)
+    @example(n=2, re_min=-1.0, re_width=2.0, im_min=pi / LN2 - 1e-5, height=20.0)
+    @example(n=30, re_min=-3.0, re_width=5.0, im_min=1e6, height=50.0)
+    def test_same_count_as_exp_by_exp(self, n, re_min, re_width, im_min, height):
+        rect = SearchRectangle(re_min, re_min + re_width, im_min, im_min + height)
+        assert _outcome(winding_count, n, rect) == _outcome(_reference_winding, n, rect)
+
+    @pytest.mark.parametrize(
+        "n, rect",
+        [
+            (2, (-1.0, 1.0, pi / LN2 - 1e-5, 20.0)),
+            (30, (-3.0, 2.0, -10.0, 25.0)),
+            (200, (-3.0, 2.0, 0.0, 30.0)),
+            (10, (-20.0, 4.0, 900.0, 950.0)),
+        ],
+    )
+    def test_samples_within_the_stated_tolerance(self, n, rect, monkeypatch):
+        # G at a sample placed at level L lies within B_L of power_sum there
+        rect = SearchRectangle(*rect)
+        seen = []
+        block = expsums._sample_block
+
+        def spy(n, z, lines, halves, side, index, mask, level):
+            g, bound = block(n, z, lines, halves, side, index, mask, level)
+            seen.append((z, g, [lines[s]._line for s in side], level))
+            return g, bound
+
+        monkeypatch.setattr(expsums, "_sample_block", spy)
+        winding_count(n, rect)
+        u, kappa, logs = 2.0**-53, 12.0, expsums._log_table(n)
+        gamma = 2 * n * u / (1 - 2 * n * u)
+        assert max(level for *_, level in seen) >= 1
+        for z, g, sides, level in seen:
+            for w, value, (z0, h, count, _) in zip(z, g, sides):
+                reach = abs(z0) + count * abs(h)
+                x = max(z0.real, z0.real + count * h.real)
+                e = 2.1 * np.expm1((8 + level) * u * reach * logs + (level + 2) * (kappa + 3) * u)
+                tolerance = np.exp(x * logs) @ (e + 3 * gamma * (1 + e))
+                assert abs(value - power_sum(n, w)) <= tolerance
+
+    def test_deep_levels_are_summed_exp_by_exp(self, monkeypatch):
+        # masks of one bit: the second and later passes use power_sum
+        rect = SearchRectangle(-1.0, 1.0, pi / LN2 - 1e-5, 20.0)
+        calls = []
+        orig = expsums.power_sum
+        monkeypatch.setattr(expsums, "power_sum", lambda n, z: calls.append(z.size) or orig(n, z))
+        assert winding_count(2, rect) == 2 and calls == []
+        monkeypatch.setattr(expsums, "_MASK_BITS", 1)
+        assert winding_count(2, rect) == 2
+        assert len(calls) == 5
+
+    def test_no_terms_kept_per_sample(self):
+        # what a sample keeps: its side, first-pass index and half-step mask
+        rect = default_rectangle()
+        seen = []
+        block = expsums._sample_block
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                expsums,
+                "_sample_block",
+                lambda n, z, lines, halves, *a: seen.append((list(halves), *a))
+                or block(n, z, lines, halves, *a),
+            )
+            winding_count(30, rect)
+        assert len(seen) > 1
+        for halves, side, index, mask, level in seen:
+            assert side.dtype.kind == "i" and index.dtype.kind == "i" and mask.dtype == np.uint64
+            assert len(halves) == level and all(row.shape == (4, 30) for row in halves)
+            if level:
+                assert np.all(mask >> np.uint64(level - 1) == 1)
+
+
 class TestWindingTermBudget:
     """``winding_count`` refuses n-heavy work before evaluating a sample."""
 
@@ -482,7 +661,7 @@ class TestWindingTermBudget:
         calls = []
         orig = expsums._boundary_samples
         monkeypatch.setattr(
-            expsums, "_boundary_samples", lambda n, z: calls.append(z.size) or orig(n, z)
+            expsums, "_boundary_samples", lambda n, z, *a: calls.append(z.size) or orig(n, z, *a)
         )
         monkeypatch.setattr(expsums, "_MAX_TERMS", 2 * 48)
         with pytest.raises(GridBudgetExceeded, match="samples x 2 terms exceed the budget of 96"):
@@ -621,6 +800,23 @@ class TestPrunedSeeding:
         seed_re, seed_im, minima = expsums._grid_minima(n, rect)
         assert minima == expsums._local_minima(mod)
         assert seed_re.tobytes() == re.tobytes() and seed_im.tobytes() == im.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 5),
+        y0=st.floats(1e4, 1e6),
+        height=st.floats(1e-10, 1e-6),
+        width=st.floats(1e-10, 1e-2),
+        x0=st.floats(-1.0, 1.0),
+        grid=st.tuples(st.integers(2, 25), st.integers(2, 25)),
+    )
+    @example(n=3, y0=950959.059362676, height=3e-10, width=3.9e-3, x0=-0.375, grid=(14, 22))
+    def test_same_minima_far_up_the_axis(self, n, y0, height, width, x0, grid):
+        # cells 1e-10 apart 1e6 up: the phase table's own error, far above
+        # the sums' rounding, decides which neighbours may be compared
+        rect = SearchRectangle(x0 * width, (x0 + 1.0) * width, y0, y0 + height, *grid)
+        minima = expsums._grid_minima(n, rect)[2]
+        assert minima == expsums._local_minima(scan_modulus(n, rect)[2])
 
     @pytest.mark.parametrize(
         "n, rect",

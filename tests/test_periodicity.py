@@ -5,7 +5,7 @@ from math import gcd, pi
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dilateq import (
     ShiftVector,
@@ -52,6 +52,14 @@ class TestSystemResidual:
     def test_rejects_nonpositive_shift(self):
         with pytest.raises(InvalidInput):
             system_residual(1.0, [0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_frequency(self, bad, monkeypatch):
+        monkeypatch.setattr(periodicity, "_residuals", lambda *a: pytest.fail("evaluated"))
+        with pytest.raises(InvalidInput, match="finite"):
+            system_residual(bad, [1.0, 2.0])
+        with pytest.raises(InvalidInput, match="finite"):
+            system_residual(np.array([[1.0, 2.0], [bad, 3.0]]), [1.0, 2.0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite_shift(self, bad):
@@ -293,13 +301,16 @@ def _scalar_golden(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _reference_scan(b, alpha_max: float) -> list[tuple[float, float]]:
+def _reference_scan(b, alpha_max: float, grid_step=None) -> list[tuple[float, float]]:
     """The scan refining one bracket at a time with scalar residual calls."""
     shifts = np.asarray(b, dtype=float)
-    grid_step = min(pi / (8.0 * shifts.max()), alpha_max / 1e4)
+    if grid_step is None:
+        grid_step = min(pi / (8.0 * shifts.max()), alpha_max / 1e4)
     grid = grid_step * np.arange(1, math.floor(alpha_max / grid_step) + 1)
     if grid.size == 0 or grid[-1] < alpha_max:
         grid = np.append(grid, alpha_max)
+    if grid.size < 3:
+        grid = np.linspace(min(grid_step, alpha_max / 3.0), alpha_max, 4)
     phases = np.multiply.outer(grid, shifts)
     res = (1.0 + np.cos(phases).sum(axis=-1)) ** 2 + np.sin(phases).sum(axis=-1) ** 2
     interior = np.flatnonzero((res[1:-1] <= res[:-2]) & (res[1:-1] <= res[2:])) + 1
@@ -336,9 +347,42 @@ class TestBitwise:
     @given(
         shifts=st.lists(st.floats(0.05, 4.0), min_size=1, max_size=16),
         alpha_max=st.floats(5.0, 80.0),
+        grid_step=st.none(),
     )
-    def test_equals_scalar_reference(self, shifts, alpha_max):
-        assert scan_minima(shifts, alpha_max) == _reference_scan(shifts, alpha_max)
+    # alpha_max appended to the grid, next to the minimum near 8 pi / 3
+    @example(shifts=[1.0, 2.0], alpha_max=8 * pi / 3 + 0.05, grid_step=0.1)
+    # a grid of two points, which falls back to four
+    @example(shifts=[1.0, 2.0], alpha_max=3.0, grid_step=2.0)
+    # ties: two grid minima refine to alphas 7.9e-9 apart
+    @example(shifts=[3.0, 3.0, 3.0], alpha_max=7.349019775830515, grid_step=0.19039955476301776)
+    # a flat grid: every residual reads 4.0, so nothing is pruned
+    @example(shifts=[1e-9], alpha_max=5.0, grid_step=0.5)
+    # phases near 1e19, whose bound is infinite and prunes nothing
+    @example(shifts=[1.0, 2.0], alpha_max=1e19, grid_step=1e17)
+    def test_equals_scalar_reference(self, shifts, alpha_max, grid_step):
+        expected = _reference_scan(shifts, alpha_max, grid_step)
+        assert scan_minima(shifts, alpha_max, grid_step) == expected
+
+    @pytest.mark.parametrize("name", list(SCAN_FIXTURES))
+    def test_grid_sums_three_points_per_minimum(self, name, monkeypatch):
+        # the grid is estimated from a few exact rows; only each minimum and
+        # its two neighbours, and an appended alpha_max, are summed exactly
+        exact, brackets = [], []
+        residuals, golden = periodicity._residuals, periodicity._golden_minimize
+
+        def spy_residuals(alphas, shifts, square):
+            if square is np.square:
+                exact.append(alphas.size)
+            return residuals(alphas, shifts, square)
+
+        def spy_golden(f, lo, hi, width):
+            brackets.append(lo.size)
+            return golden(f, lo, hi, width)
+
+        monkeypatch.setattr(periodicity, "_residuals", spy_residuals)
+        monkeypatch.setattr(periodicity, "_golden_minimize", spy_golden)
+        scan_minima(*SCAN_FIXTURES[name])
+        assert 0 < brackets[0] and sum(exact) <= 3 * brackets[0] + 1
 
     def test_rows_match_scalar_reference(self):
         # squares of Python floats (libm pow) and of arrays (x * x) differ on
