@@ -1,4 +1,5 @@
-"""Terms exp(z_j λ_k) and sums E_j = Σ_k exp(z_j λ_k) along a line, from few exact rows.
+"""Terms exp(z_j λ_k) and sums E_j = Σ_k exp(z_j λ_k) along a line, from few
+exact rows, and the search for grid minima both spectral engines run on them.
 
 Both spectral engines evaluate one exponential sum at the equally spaced
 points z_j = z0 + j h, 0 <= j < count: the periodicity scan on the
@@ -51,11 +52,19 @@ cos + i sin of fl(ẑ_j λ_k) on the imaginary axis.  All λ_k must be >= 0.
 
 A non-finite r_k or e_k makes B infinite or NaN, so a comparison against
 it is false: a pruning caller prunes nothing.
+
+Both engines then look for the grid minima of a residual the same way,
+``pruned_minima``: estimate every point (from a table), drop each point
+that a neighbour's estimate provably undercuts, sum exactly only the rest
+and their neighbours, and keep the points ``<=`` every 4-neighbour.  The
+periodicity scan passes a grid of one column, the seeding the rows and
+columns of its rectangle.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -63,6 +72,10 @@ _UNIT_ROUNDOFF = 2.0**-53
 
 #: |libm cexp(w), or cos + i sin, - exp(w)| <= _LIBM_ERROR * u * |exp(w)|
 _LIBM_ERROR = 12.0
+
+#: in a grid padded by one cell, where cell (i, j) sits at (i + 1, j + 1),
+#: its 4-neighbours sit at (i + a, j + b)
+_AROUND = ((0, 1), (2, 1), (1, 0), (1, 2))
 
 
 def _width(count: int) -> int:
@@ -128,3 +141,68 @@ class LineTable:
             block = self.anchors[first : -(-hi // self.width)] @ self.offsets.T
         start = lo - first * self.width
         return block.ravel()[start : start + hi - lo]
+
+
+def _undercut(est: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Cells whose estimate exceeds a 4-neighbour's by more than the bounds of
+    both, ``bound`` holding one bound per column.
+
+    A NaN estimate or an infinite bound makes the comparison false, so it
+    prunes nothing.
+    """
+    out = np.zeros(est.shape, dtype=bool)
+    with np.errstate(invalid="ignore"):
+        rise, width = est[1:] - est[:-1], 2.0 * bound
+        out[1:] |= rise > width
+        out[:-1] |= -rise > width
+        rise, width = est[:, 1:] - est[:, :-1], bound[1:] + bound[:-1]
+        out[:, 1:] |= rise > width
+        out[:, :-1] |= -rise > width
+    return out
+
+
+def pruned_minima(
+    size: int, candidates: range, estimate: Callable, bound: np.ndarray, exact: Callable
+) -> Iterator[tuple[int, int]]:
+    """Yield the cells (row, column), in row-major order, of a grid of
+    ``size`` rows whose row is a candidate and whose exact value is ``<=``
+    each 4-neighbour's, +inf outside the grid; summed exactly only where a
+    minimum can be.
+
+    The candidates are the rows from ``candidates.start`` up to
+    ``candidates.stop`` (within ``range(size)``), in blocks of
+    ``candidates.step`` rows: the range holds the first row of each block.
+    ``exact(rows, cols)`` gives the exact values of the cells
+    ``(rows[m], cols[m])``, which come in row-major order (none for a block
+    with no candidate left).  ``estimate(top, bottom)`` gives estimates of
+    the rows top <= i < bottom, one column per column of the grid, each
+    within ``bound[j]`` of its exact value, j its column; any estimate is
+    within an infinite or NaN bound, or of a NaN value.  Each block is
+    estimated with a one-row halo.  A cell whose estimate exceeds a
+    neighbour's by more than both bounds (``_undercut``) has the larger
+    exact value and fails the test, so it is dropped; only the remaining
+    candidates and their neighbours are summed exactly, and the test runs
+    only at those candidates.  A NaN estimate or bound drops nothing, and a
+    NaN exact value is no minimum and makes no neighbour one, as in
+    ``expsums._local_minima``.  The blocks are searched as the cells are
+    taken.
+    """
+    for lo in candidates:
+        hi = min(lo + candidates.step, candidates.stop)
+        top, bottom = max(lo - 1, 0), min(hi + 1, size)
+        keep = ~_undercut(estimate(top, bottom), bound)
+        keep[: lo - top] = keep[hi - top :] = False
+        need = keep.copy()
+        need[1:] |= keep[:-1]
+        need[:-1] |= keep[1:]
+        need[:, 1:] |= keep[:, :-1]
+        need[:, :-1] |= keep[:, 1:]
+        # flat indices: np.nonzero of a 2-D mask is several times slower
+        rows, cols = np.divmod(np.flatnonzero(need), need.shape[1])
+        # the block's exact values, padded by +inf: a kept cell's neighbours
+        # all lie in the block unless they lie outside the grid
+        values = np.full((keep.shape[0] + 2, keep.shape[1] + 2), np.inf)
+        values[rows + 1, cols + 1] = exact(rows + top, cols)
+        i, j = np.divmod(np.flatnonzero(keep), keep.shape[1])
+        low = np.all([values[i + 1, j + 1] <= values[i + a, j + b] for a, b in _AROUND], axis=0)
+        yield from zip((i[low] + top).tolist(), j[low].tolist())

@@ -24,11 +24,12 @@ The engine keeps transcendental calls few:
   (``_grid_minima``): two real matrix products of the radial table and a
   phase table taken from a ``_linetable.LineTable`` on the im axis (about
   ``2 sqrt(grid_im) * n`` exponentials) estimate |G| on every cell within a
-  proved bound, cells that a neighbour provably undercuts are dropped, and
-  only the rest and their neighbours are summed exactly, by the scan's own
-  operations on phase rows exponentiated for them alone.  The seeds, and
-  so every zero, are those of the full scan, bit for bit and in the same
-  order.
+  proved bound, one per column.  The search for minima is the one the
+  periodicity scan runs too, ``_linetable.pruned_minima``: cells that a
+  neighbour provably undercuts are dropped, and only the rest and their
+  neighbours are summed exactly, here by the scan's own operations on
+  phase rows exponentiated for them alone.  The seeds, and so every zero,
+  are those of the full scan, bit for bit and in the same order.
 - ``newton_refine`` takes ``g`` and ``g'`` of each iterate from one table of
   terms ``exp(z ln k)``: one exponential pass per step.
 - ``winding_count`` tracks arg G along the boundary on samples close
@@ -61,7 +62,7 @@ from typing import Callable
 import numpy as np
 
 from ._frozen import Frozen
-from ._linetable import LineTable, table_rows
+from ._linetable import _UNIT_ROUNDOFF, LineTable, pruned_minima, table_rows
 from .errors import BoundaryZero, GridBudgetExceeded, IncompleteSearch, InvalidInput, InvalidRange
 
 __all__ = [
@@ -93,9 +94,6 @@ _NEWTON_MAX_ITER = 60
 
 #: bytes of temporaries per block of the scan, of the seeding and of winding samples
 _CHUNK_BYTES = 1 << 20
-
-#: unit roundoff of float64
-_UNIT_ROUNDOFF = 2.0**-53
 
 #: most points one modulus scan grid may hold
 _MAX_SCAN_POINTS = 1 << 22
@@ -383,24 +381,6 @@ def _exact_modulus(
     return out
 
 
-def _undercut(est: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """Cells whose estimate exceeds a 4-neighbour's by more than the bounds of
-    both, ``bound`` holding one bound per column.
-
-    A NaN estimate or an infinite bound makes the comparison false, so it
-    prunes nothing.
-    """
-    out = np.zeros(est.shape, dtype=bool)
-    with np.errstate(invalid="ignore"):
-        rise, width = est[1:] - est[:-1], 2.0 * bound
-        out[1:] |= rise > width
-        out[:-1] |= -rise > width
-        rise, width = est[:, 1:] - est[:, :-1], bound[1:] + bound[:-1]
-        out[:, 1:] |= rise > width
-        out[:, :-1] |= -rise > width
-    return out
-
-
 def _grid_minima(
     n: int, rect: SearchRectangle
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
@@ -427,23 +407,20 @@ def _grid_minima(
     and E and S are at most sum r_k up to rounding, so with gamma_n >= 2 u
     (n >= 2) both add at most 2 gamma_n sum r_k.  The first term of B is
     over 1.6 times the total, which covers the rounding of B and of the
-    comparison below.  The first term is exactly 1, so sum r_k >= 1 also
-    covers the absolute error, below 2^-1074 a term, of products that
-    underflow.  The sum is taken four times before it is scaled, so B is
+    comparisons of neighbours.  The first term is exactly 1, so
+    sum r_k >= 1 also covers the absolute error, below 2^-1074 a term, of
+    products that underflow.  The sum is taken four times before it is scaled, so B is
     infinite wherever a partial sum, or E, could overflow.  The line's
     phases then move each part of E by at most sum e_k r_k, its modulus by
     sqrt(2) times that, and the rounding terms by under 2 gamma_n
     sum e_k r_k: the second term covers the three.
 
-    A cell is pruned when a 4-neighbour's estimate is lower by more than both
-    bounds (``_undercut``): that neighbour's scan value is then strictly
-    lower, and the cell fails the minimum test.  A non-finite estimate or
-    bound prunes nothing.  Only the survivors and their neighbours are summed
-    exactly (``_exact_modulus``), on phase rows exponentiated for them alone,
-    and a survivor is a minimum when it is ``<=`` each neighbour, +inf
-    outside the grid, as in ``_local_minima``.  Rows go in blocks of about
-    ``_CHUNK_BYTES`` of temporaries, each with a one-row halo of neighbours,
-    and the minima come in row-major order.
+    ``_linetable.pruned_minima`` then finds the minima with B, one bound
+    per column: it drops a cell that a neighbour provably undercuts, and
+    sums exactly (``_exact_modulus``) only the rest and their neighbours,
+    on phase rows exponentiated for their rows alone.  Every row is a
+    candidate, in blocks of about ``_CHUNK_BYTES`` of temporaries, and the
+    minima come in row-major order.
     """
     re, im, radial = _radial(n, rect)
     # linspace's own step: the line's points are the im axis up to rounding
@@ -453,37 +430,25 @@ def _grid_minima(
     gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
     with np.errstate(over="ignore", invalid="ignore"):
         bound = 2.0 * gamma * (4.0 * rad.sum(axis=1)) + 3.0 * (rad @ line.error)
-    # exact phase rows, filled for the rows summed exactly
-    phase = np.empty((im.size, n), dtype=complex)
-    ready = np.zeros(im.size, dtype=bool)
-    rows = max(1, _CHUNK_BYTES // (8 * (2 * n + 8 * re.size)))
-    minima: list[tuple[int, int]] = []
-    for lo in range(0, im.size, rows):
-        hi = min(lo + rows, im.size)
-        top, bottom = max(lo - 1, 0), min(hi + 1, im.size)
+    # exact phase rows, filled for the rows summed exactly: a row is filled
+    # once its first entry, exp(0) = 1, is no longer NaN
+    phase = np.full((im.size, n), np.nan, dtype=complex)
+
+    def estimate(top: int, bottom: int) -> np.ndarray:
         block = line.terms(np.arange(top, bottom))
         with np.errstate(over="ignore", invalid="ignore"):
-            est = np.hypot(
-                np.ascontiguousarray(block.real) @ rad.T,
-                np.ascontiguousarray(block.imag) @ rad.T,
-            )
-        keep = ~_undercut(est, bound)
-        keep[: lo - top] = False
-        keep[hi - top :] = False
-        need = keep.copy()
-        need[1:] |= keep[:-1]
-        need[:-1] |= keep[1:]
-        need[:, 1:] |= keep[:, :-1]
-        need[:, :-1] |= keep[:, 1:]
-        exact = np.full(keep.shape, np.nan)
-        cell_rows, cell_cols = np.nonzero(need)
-        fresh = top + np.flatnonzero(need.any(axis=1))
-        fresh = fresh[~ready[fresh]]
+            real, imag = (np.ascontiguousarray(part) @ rad.T for part in (block.real, block.imag))
+            return np.hypot(real, imag)
+
+    def exact(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        # the rows come in order, so the first cell of each names it
+        fresh = rows[np.diff(rows, prepend=-1) != 0]
+        fresh = fresh[np.isnan(phase[fresh, 0])]
         phase[fresh] = _phase(n, im[fresh])
-        ready[fresh] = True
-        exact[cell_rows, cell_cols] = _exact_modulus(radial, phase, cell_rows + top, cell_cols)
-        minima += [(top + i, j) for i, j in _local_minima(exact) if keep[i, j]]
-    return re, im, minima
+        return _exact_modulus(radial, phase, rows, cols)
+
+    rows = max(1, _CHUNK_BYTES // (8 * (2 * n + 8 * re.size)))
+    return re, im, list(pruned_minima(im.size, range(0, im.size, rows), estimate, bound, exact))
 
 
 def _local_minima(a: np.ndarray) -> list[tuple[int, int]]:
@@ -596,15 +561,17 @@ def winding_count(n: int, rect: SearchRectangle) -> int:
     """Number of zeros inside the rectangle by the argument principle.
 
     Certified phase tracking (Ying and Katz, Numer. Math. 53, 1988).  A step
-    [a, b] of the boundary is accepted when |b - a| * M < |G(a)| + |G(b)|,
-    where M = sum(ln k * k^x, k=2..n) bounds |G'| up to x, the larger real
-    part of a and b.  G then maps the step into an ellipse with foci G(a) and
-    G(b) that excludes 0, so arg G moves by less than pi and the principal
-    angle of G(b)/G(a) is its exact change.  Every rejected step is bisected,
-    one array pass per level.  Raises BoundaryZero when G or M is not finite,
-    or |G| is below 1e-9, on a sample, when the samples would exceed
-    ``_WINDING_MAX_SAMPLES`` (checked before they are allocated), or when the
-    angle sum is not near an integer multiple of 2 pi.  Raises
+    [a, b] of the boundary is accepted when |b - a| * M < |G(a)| + |G(b)|
+    (exact moduli: see the end), where M = sum(ln k * k^x, k=2..n) bounds
+    |G'| up to x, the larger real part of a and b.  G then maps the step
+    into an ellipse with foci G(a) and G(b) that excludes 0, so arg G moves
+    by less than pi and the principal angle of G(b)/G(a) is its exact
+    change.  Every rejected step is bisected, one array pass per level.
+    Raises BoundaryZero when G or M is not finite, or |G| is below 1e-9, on
+    a sample, when the samples would exceed ``_WINDING_MAX_SAMPLES``
+    (checked before they are allocated), when a step to split has a
+    midpoint that rounds onto one of its ends, or when the angle sum is not
+    near an integer multiple of 2 pi.  Raises
     GridBudgetExceeded before any sample is evaluated when n exceeds
     ``_MAX_TABLE_TERMS`` or the first samples times n exceed ``_MAX_TERMS``,
     and before a bisection pass when the samples so far times n would.
@@ -624,6 +591,16 @@ def winding_count(n: int, rect: SearchRectangle) -> int:
     Z = |corner| + count |h| for the side's first corner and step h, and
     kappa and u as in ``LineTable`` (level 0: its ``bound``): the midpoints
     round once per level, and each half step adds a libm row and a product.
+
+    So |G(a)| and |G(b)| above are the computed moduli less what rounding may
+    have moved each by, E = u (160 Z M + (2100 + 7 n)(1 + 1.5 M)) with M at
+    the sample and Z the largest of the four sides'.  Relative to k^x a term
+    errs by at most 2.1 (72 u Z ln k + 990 u) at level 64, the deepest a
+    mask holds, while that is small (a phase off by more errs by at most 2),
+    and by 3 u Z ln k + (kappa + 1) u exp by exp; the sums add 7 n u; and
+    sum_k k^x <= 1 + M / ln 2.  A zero on the boundary, whose step would
+    otherwise pass or fail by rounding alone, is split until a sample's |G|
+    falls below 1e-9 or a midpoint meets an end.
     """
     _check_n(n)
     corners = rect.corners
@@ -651,12 +628,16 @@ def winding_count(n: int, rect: SearchRectangle) -> int:
     mask = np.zeros(z.size, dtype=np.uint64)
     level = 0
     g, bound = _boundary_samples(n, z, lines, halves, side, index, mask, level)
+    # the two factors of E (see the docstring), 160 Z and 2100 + 7 n
+    reach, spread = 160.0 * max(abs(a) + abs(b - a) for a, b in pairs), 2100.0 + 7.0 * n
     while True:
         # step j runs from sample j to sample j + 1, the last one back to the first
         z_next, g_next = np.roll(z, -1), np.roll(g, -1)
         slope = np.maximum(bound, np.roll(bound, -1))
         with np.errstate(over="ignore"):
-            split = np.abs(z_next - z) * slope >= np.abs(g) + np.abs(g_next)
+            # a lower bound on each exact |G|: the computed one less E
+            low = np.abs(g) - _UNIT_ROUNDOFF * (reach * bound + spread * (1.0 + 1.5 * bound))
+            split = np.abs(z_next - z) * slope >= low + np.roll(low, -1)
         if not split.any():
             break
         samples = z.size + int(np.count_nonzero(split))
@@ -675,6 +656,10 @@ def winding_count(n: int, rect: SearchRectangle) -> int:
                 halves.append(np.exp(np.multiply.outer(np.array(steps) * 0.5**level, logs)))
         # a step's midpoint lies on the side of its left end
         mid = 0.5 * (z[split] + z_next[split])
+        stuck = (mid == z[split]) | (mid == z_next[split])
+        if stuck.any():
+            point = mid[np.argmax(stuck)]
+            raise BoundaryZero(f"winding step at {point:.17g} has no midpoint between its ends")
         mid_side, mid_index, mid_mask = side[split], index[split], mask[split] | bit
         g_mid, bound_mid = _boundary_samples(
             n, mid, lines, halves, mid_side, mid_index, mid_mask, level
@@ -804,11 +789,15 @@ def residual_integer_equation(f: Callable, n: int, grid) -> float:
     """max over the grid of |f(x) + f(2x) + ... + f(nx)|.
 
     A grid whose size times n exceeds ``_MAX_TERMS`` raises GridBudgetExceeded
-    before f is called.
+    before f is called, and so does InvalidInput when a multiple k x of a
+    finite point overflows (n x for the largest |x| overflows first).
     """
     _check_n(n)
     x = np.asarray(grid, dtype=float)
     _check_terms(n, x.size)
+    top = float(np.abs(x[np.isfinite(x)]).max(initial=0.0))
+    if math.isinf(n * top):
+        raise InvalidInput(f"the point {n} x overflows a float at |x| = {top:.17g}")
     total = np.zeros_like(x)
     for k in range(1, n + 1):
         vals = f(k * x)

@@ -686,13 +686,18 @@ def residual_multiplicative(
     """max over positive grid points of |f(x) + f(a1 x) + ... + f(aN x)|.
 
     A grid whose size times N + 1 exceeds ``_MAX_READS`` raises
-    GridBudgetExceeded before f is called.
+    GridBudgetExceeded before f is called, and so does OutOfCoverage when
+    a_k x overflows for a finite point (the largest |a_k| times the largest
+    x overflows first).
     """
     factors = a.entries if isinstance(a, CoefficientVector) else tuple(map(float, a))
     x = np.asarray(grid, dtype=float)
     _check_reads(x.size, len(factors))
     if np.any(x <= 0.0):
         raise NonPositiveSample("multiplicative residual needs x > 0")
+    largest, top = max(map(abs, factors), default=0.0), float(x[np.isfinite(x)].max(initial=0.0))
+    if math.isinf(largest * top):
+        raise OutOfCoverage(f"the point {largest!r} x overflows a float at x = {top:.17g}")
     total = _eval_many(f, x)
     for c in factors:
         total = total + _eval_many(f, c * x)

@@ -16,21 +16,24 @@ here.
 
 The scan's grid holds at most ``MAX_GRID_POINTS`` points and at most
 ``_MAX_TERMS`` points times N terms, both checked before anything is
-allocated.  Its points are equally spaced, so ``_linetable.LineTable``
+allocated, and is never stored: point j is step * (j + 1), then
+alpha_max.  The points are equally spaced, so ``_linetable.LineTable``
 estimates E = 1 + sum exp(i alpha b_k) on all of them from about
 2 sqrt(points) rows of exponentials and one complex matrix product per
-block of about 8 MiB, within a proved bound.  A point that a neighbour's
-estimate undercuts by more than both bounds is no minimum; only the other
-points and their neighbours are summed exactly, so the grid minima are
-those of the residual summed exp by exp at every point, bit for bit
-(``_grid_minima``).  The scan then refines every interior grid minimum by
-golden section, all brackets in lockstep: each step evaluates the new
-points of every live bracket in one array call, and each bracket takes
-exactly the steps a scalar golden section would take on it alone.  The
-refined residuals square the cosine and sine sums by libm ``pow``
-(``np.float_power``), as the scalar residual does, so the certificates are
-the same to the bit as refining one bracket at a time.  Non-finite shifts,
-frequencies and angles are refused.
+block of about 8 MiB, within a proved bound.  The zero search's seeding
+and this scan share one search for grid minima,
+``_linetable.pruned_minima``: here on a grid of one column whose end
+points are no candidates.  A point that a neighbour's estimate undercuts
+by more than both bounds is no minimum; only the other points and their
+neighbours are summed exactly, so the grid minima are those of the
+residual summed exp by exp at every point, bit for bit.  The scan then
+refines every interior grid minimum by golden section, all brackets in
+lockstep: each step evaluates the new points of every live bracket in one
+array call, and each bracket takes exactly the steps a scalar golden
+section would take on it alone.  The refined residuals square the cosine
+and sine sums by libm ``pow`` (``np.float_power``), as the scalar residual
+does, so the certificates are the same to the bit as refining one bracket
+at a time.  Non-finite shifts, frequencies and angles are refused.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import math
 import numpy as np
 
 from ._frozen import Frozen
-from ._linetable import LineTable, table_rows
+from ._linetable import _UNIT_ROUNDOFF, LineTable, pruned_minima, table_rows
 from .closedforms import (
     FourierMatrix,
     TwoTermVerdict,
@@ -179,50 +182,6 @@ def default_grid_step(b, alpha_max: float) -> float:
     return min(math.pi / (8.0 * largest), alpha_max / 1e4)
 
 
-def _grid_minima(grid: np.ndarray, count: int, step: float, shifts: np.ndarray) -> np.ndarray:
-    """The interior minima i of res = system_residual(grid, shifts), res[i] <= res[i +- 1],
-    summed exactly only where a minimum can be.
-
-    The first ``count`` points are ``step * (j + 1)``, a line on which
-    ``LineTable`` estimates E = 1 + sum exp(i alpha b_k) within its bound B,
-    block by block; a point past them (``alpha_max``) is summed exactly.
-    The estimate |E|^2 and res, both squares of sums at most
-    W = N + 1 + 2 B in modulus, differ by at most 2.02 W (B + 2 u W):
-    B (2 W) for the sums and 2 u W^2 for the two squares and the add of
-    each, u = 2^-53.  A point whose estimate exceeds a neighbour's by more
-    than twice that has the larger res and is no minimum.  The rest and
-    their neighbours are summed exactly (``_residuals``), which gives the
-    grid's values bit for bit; a NaN estimate or bound prunes nothing.
-    """
-    line = LineTable(1j * step, 1j * step, count, np.append(0.0, shifts))
-    est = np.empty(grid.size)
-    # points per block: about 48 bytes of temporaries each
-    block = max(1, _BLOCK_BYTES // (48 * line.width)) * line.width
-    for lo in range(0, count, block):
-        sums = line.sums(lo, min(lo + block, count))
-        est[lo : lo + sums.size] = np.square(sums.real) + np.square(sums.imag)
-    if count < grid.size:
-        est[count:] = _residuals(grid[count:], shifts, np.square)
-    sums_bound = line.bound
-    reach = shifts.size + 1.0 + 2.0 * sums_bound
-    width = 2.0 * 2.02 * reach * (sums_bound + 2.0**-52 * reach)
-    keep = np.empty(grid.size - 2, dtype=bool)
-    with np.errstate(invalid="ignore"):
-        for lo in range(0, keep.size, block):
-            rise = np.diff(est[lo : lo + block + 2])
-            keep[lo : lo + block] = ~((rise[:-1] > width) | (-rise[1:] > width))
-    cells = np.flatnonzero(keep) + 1
-    need = np.zeros(grid.size, dtype=bool)
-    for shift in (-1, 0, 1):
-        need[cells + shift] = True
-    need = np.flatnonzero(need)
-    res = _residuals(grid[need], shifts, np.square)
-    # cells - 1, cells and cells + 1 all lie in need, next to each other
-    at = np.searchsorted(need, cells)
-    low = (res[at] <= res[at - 1]) & (res[at] <= res[at + 1])
-    return cells[low]
-
-
 def scan_minima(
     b, alpha_max: float, grid_step: float | None = None
 ) -> list[tuple[float, float]]:
@@ -253,21 +212,40 @@ def scan_minima(
             f"the budget of {_MAX_TERMS} terms"
         )
     count = math.floor(points)
-    grid = grid_step * np.arange(1, count + 1)
-    if grid.size == 0 or grid[-1] < alpha_max:
-        grid = np.append(grid, alpha_max)
+    # the grid: step * (j + 1) for j < count, then alpha_max unless it is the last
+    size = count + (grid_step * count < alpha_max)
+    at = lambda j: np.where(j < count, grid_step * (j + 1), alpha_max)
+    exact = lambda rows, cols: _residuals(at(rows), shifts, np.square)
     # a line table over 8 MiB (a few thousand shifts on a grid of 1e4 points)
     # would outgrow the exact sums' blocks: such grids, and the shortest, are
-    # summed exactly
-    if grid.size >= 3 and 16 * (shifts.size + 1) * table_rows(count) <= _BLOCK_BYTES:
-        interior = _grid_minima(grid, count, grid_step, shifts)
+    # estimated by their residuals themselves, with a zero bound
+    if size >= 3 and 16 * (shifts.size + 1) * table_rows(count) <= _BLOCK_BYTES:
+        line = LineTable(1j * grid_step, 1j * grid_step, count, np.append(0.0, shifts))
+        # |E|^2 and the residual, both squares of sums at most W = N + 1 + 2 B
+        # in modulus, differ by at most 2.02 W (B + 2 u W): B (2 W) for the
+        # sums and 2 u W^2 for the two squares and the add of each
+        sums_bound = line.bound
+        reach = shifts.size + 1.0 + 2.0 * sums_bound
+        bound = np.array([2.02 * reach * (sums_bound + 2.0 * _UNIT_ROUNDOFF * reach)])
+        # rows per block: about 48 bytes of temporaries each
+        block = max(1, _BLOCK_BYTES // (48 * line.width)) * line.width
+
+        def estimate(top: int, bottom: int) -> np.ndarray:
+            sums = line.sums(top, min(bottom, count))
+            # alpha_max, past the line, summed exactly where the block reaches it
+            tail = exact(np.arange(count, bottom), None)
+            return np.append(np.square(sums.real) + np.square(sums.imag), tail)[:, None]
+
     else:
-        if grid.size < 3:
-            grid = np.linspace(min(grid_step, alpha_max / 3.0), alpha_max, 4)
-        res = system_residual(grid, shifts)
-        interior = np.flatnonzero((res[1:-1] <= res[:-2]) & (res[1:-1] <= res[2:])) + 1
+        if size < 3:
+            # four points instead, which ``exact`` then reads too
+            at, size = np.linspace(min(grid_step, alpha_max / 3.0), alpha_max, 4).__getitem__, 4
+        bound, block = np.zeros(1), max(1, _BLOCK_BYTES // 48)
+        estimate = lambda top, bottom: exact(np.arange(top, bottom), None)[:, None]
+    minima = pruned_minima(size, range(1, size - 1, block), estimate, bound, exact)
+    interior = np.array([i for i, _ in minima], dtype=np.intp)
     f = lambda a: _row_residuals(a, shifts)
-    alphas = _golden_minimize(f, grid[interior - 1], grid[interior + 1], _REFINE_WIDTH)
+    alphas = _golden_minimize(f, at(interior - 1), at(interior + 1), _REFINE_WIDTH)
     out: list[tuple[float, float]] = []
     for alpha, value in zip(alphas.tolist(), f(alphas).tolist()):
         if out and abs(alpha - out[-1][0]) < 1e-8:

@@ -485,6 +485,20 @@ class TestZeros:
         assert "samples on the boundary" in err
         assert time.perf_counter() - t0 < 5.0
 
+    @pytest.mark.parametrize("width", [["--re-min", -1, "--re-max", 1], []])
+    def test_unsplittable_step_exits_3(self, capsys, width):
+        # sides 1e15 up, where floats lie 0.125 apart: a step of one ulp has
+        # no midpoint, and splitting it at every pass would not end in time
+        t0 = time.perf_counter()
+        code, out, err = run(
+            capsys, "zeros", "--n", 3, *width, "--im-min", 1e15, "--im-max", 1.0000000000001e15
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: winding step at ")
+        assert err.endswith(" has no midpoint between its ends\n")
+        assert err.count("\n") == 1
+        assert time.perf_counter() - t0 < 1.0
+
     def test_grid_over_budget_exits_3(self, capsys, tmp_path):
         out_file = tmp_path / "zeros.json"
         code, out, err = run(
@@ -724,6 +738,30 @@ class TestSubcommandFuzz:
     @given(p=INTEGER, q=INTEGER)
     def test_two_term(self, p, q):
         self._check(["two-term", p, q])
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["mora-solution", "--n", "2", "--re", "0", "--im", "4.532360141827194",
+          "--range", "-1e308", "-1"], 2),
+        (["residual", "--boundary", "tent_ln.json", "--coeffs", "[2,3]",
+          "--range", "1e300", "1e308", "--samples", "3"], 3),
+    ],
+)
+def test_overflowing_multiples_exit_with_one_line(tmp_path, argv, code):
+    # k x and a_k x overflow for the largest points: refused before they are
+    # read, with no numpy warning on stderr
+    (tmp_path / "tent_ln.json").write_text(
+        json.dumps({"breakpoints": [0.0, math.log(2), math.log(3)], "values": [1.0, 1.0, -2.0]})
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "dilateq", *argv],
+        cwd=tmp_path, env=src_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr.startswith("error: the point ") and proc.stderr.count("\n") == 1
+    assert "x overflows a float at " in proc.stderr
 
 
 class TestMoraSolution:

@@ -19,7 +19,7 @@ from dilateq import (
     winding_count,
     zeta_partial_sum,
 )
-from dilateq import expsums
+from dilateq import _linetable, expsums
 from dilateq.errors import (
     BoundaryZero,
     GridBudgetExceeded,
@@ -278,6 +278,15 @@ class TestPowerSolution:
     def test_trivial_zero_function(self):
         assert residual_integer_equation(lambda x: 0.0 * np.asarray(x), 4, np.linspace(-2, 2, 50)) == 0.0
 
+    def test_overflowing_multiple_refused_before_reading(self):
+        # 3 x overflows at x = -1e308: refused before f reads any point
+        with pytest.raises(InvalidInput, match=r"point 3 x overflows a float at \|x\| = 1e\+308"):
+            residual_integer_equation(lambda x: pytest.fail("read"), 3, [-1.0, -1e308])
+        # a point already infinite is f's to refuse
+        f = solution_from_zero(self.zero2())
+        with pytest.raises(InvalidInput, match="points must be finite"):
+            residual_integer_equation(f, 2, [-1.0, -math.inf])
+
     @pytest.mark.parametrize("n", [1, 0])
     def test_requires_two_terms(self, n):
         # like power_sum: the equation needs at least f(x) + f(2x)
@@ -427,6 +436,15 @@ class TestWinding:
             winding_count(200, SearchRectangle(-3.0, 133.8, 0.0, 30.0))
         assert time.perf_counter() - t0 < 1.0
 
+    def test_unsplittable_step_raises_at_once(self):
+        # 1e15 up the floats lie 0.125 apart, and a step of one ulp has no
+        # midpoint: splitting it at every pass would add five copies of the
+        # corner 1 + 1e15 i a pass, about 52,000 passes before the budget
+        t0 = time.perf_counter()
+        with pytest.raises(BoundaryZero, match="has no midpoint between its ends"):
+            winding_count(3, SearchRectangle(-1.0, 1.0, 1e15, 1e15 + 100.0))
+        assert time.perf_counter() - t0 < 1.0
+
     def test_sample_on_a_zero_raises(self):
         # the bottom edge's samples include 0 + i pi / ln 2, a zero of 1 + 2^z
         with pytest.raises(BoundaryZero, match="modulus"):
@@ -524,11 +542,14 @@ def _reference_winding(n, rect):
         [np.linspace(a, b, count, endpoint=False) for (a, b), count in zip(sides, counts)]
     )
     g, bound = samples(z)
+    reach = 160.0 * max(abs(a) + abs(b - a) for a, b in sides)
     while True:
         z_next, g_next = np.roll(z, -1), np.roll(g, -1)
         slope = np.maximum(bound, np.roll(bound, -1))
         with np.errstate(over="ignore"):
-            split = np.abs(z_next - z) * slope >= np.abs(g) + np.abs(g_next)
+            # each |G| less what rounding may have moved it by, as winding_count takes it
+            low = np.abs(g) - 2.0**-53 * (reach * bound + (2100.0 + 7.0 * n) * (1.0 + 1.5 * bound))
+            split = np.abs(z_next - z) * slope >= low + np.roll(low, -1)
         if not split.any():
             break
         if z.size + int(np.count_nonzero(split)) > expsums._WINDING_MAX_SAMPLES:
@@ -867,7 +888,7 @@ class TestPrunedSeeding:
         bound = np.array([0.1, 0.1, inf, 0.1])
         # ties and gaps within both bounds prune nothing, and neither do a NaN
         # estimate and an infinite bound; the edges have no neighbour outside
-        assert expsums._undercut(est, bound).tolist() == [
+        assert _linetable._undercut(est, bound).tolist() == [
             [False, True, False, False],
             [False, True, False, True],
             [False, False, False, False],

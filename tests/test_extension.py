@@ -1110,6 +1110,14 @@ class TestResiduals:
             residual_additive(counted, B12, grid)
         assert calls == [(1000,)]
 
+    def test_multiplicative_overflow_refused_before_reading(self):
+        # 3 x overflows at x = 1e308: refused before f reads any point
+        with pytest.raises(OutOfCoverage, match="the point 3.0 x overflows a float at x = 1e"):
+            residual_multiplicative(lambda x: pytest.fail("read"), [2.0, 3.0], [1.0, 1e308])
+        # a point already infinite is f's to refuse
+        with pytest.raises(OutOfCoverage, match="point inf outside"):
+            residual_multiplicative(tent_solution(), [2.0, 3.0], [1.0, math.inf])
+
     def test_multiplicative_rejects_nonpositive(self):
         with pytest.raises(NonPositiveSample):
             residual_multiplicative(lambda x: 0.0, [2.0, 3.0], [-1.0, 1.0])

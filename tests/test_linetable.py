@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dilateq import expsums, periodicity
-from dilateq._linetable import LineTable
+from dilateq._linetable import LineTable, pruned_minima
 
 #: the largest phase alpha * b_k a scan on its default step reaches within its
 #: term budget: at most 2^26 grid points, each at most pi / 8 past the last
@@ -103,3 +104,85 @@ class TestLineTable:
         # phases near 1e19: the bound is infinite, and a comparison with it false
         line = LineTable(1e17j, 1e17j, 100, np.array([0.0, 1.0, 2.0]))
         assert line.bound == math.inf and not 1.0 > line.bound
+
+
+#: exact grid values: ties, signed infinities and NaN among ordinary floats
+VALUES = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0, math.nan, math.inf, -math.inf]), st.floats(-1e3, 1e3)
+)
+
+#: per-column bounds: infinite and NaN bounds allow any estimate
+BOUNDS = st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.0, math.inf, math.nan]))
+
+
+#: a chain of values that only exact neighbours rank: see the examples below
+CHAIN = [2.0, 1.9, 0.0, -100.0]
+
+
+def _within(estimate: float, value: float, bound: float) -> bool:
+    """|estimate - value| <= bound in exact arithmetic, for finite arguments."""
+    return abs(Fraction(estimate) - Fraction(value)) <= Fraction(bound)
+
+
+@st.composite
+def _pruning_cases(draw):
+    """A grid of exact values, one bound per column, a shift in [-1, 1] and a
+    lost flag per cell, and the candidate rows as (start, stop, block)."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.one_of(st.just(1), st.integers(2, 6)))
+    cells = rows * cols
+    values = draw(st.lists(VALUES, min_size=cells, max_size=cells))
+    bound = draw(st.lists(BOUNDS, min_size=cols, max_size=cols))
+    shift = draw(st.lists(st.floats(-1.0, 1.0), min_size=cells, max_size=cells))
+    # estimates lost to NaN, as a table's overflow loses them
+    lost = draw(st.lists(st.booleans(), min_size=cells, max_size=cells))
+    start = draw(st.integers(0, rows))
+    stop = draw(st.integers(start, rows))
+    candidates = (start, stop, draw(st.integers(1, rows + 1)))
+    return np.array(values).reshape(rows, cols), bound, shift, lost, candidates
+
+
+class TestPrunedMinima:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_pruning_cases())
+    # a flat column: every point ties, and every candidate is a minimum
+    @example(case=(np.ones((3, 1)), [0.0], [0.0] * 3, [False] * 3, (1, 2, 1)))
+    # 1.9 is below 2 by less than the bounds, so 2 is kept, and 1.9 is
+    # dropped for 0 and 0 for -100: 2 is no minimum, which only the exact
+    # 1.9 shows, along a row and a column, either way
+    @example(case=(np.array([CHAIN]), [0.5] * 4, [0.0] * 4, [False] * 4, (0, 1, 1)))
+    @example(case=(np.array([CHAIN[::-1]]), [0.5] * 4, [0.0] * 4, [False] * 4, (0, 1, 1)))
+    @example(case=(np.array([CHAIN]).T, [0.5], [0.0] * 4, [False] * 4, (0, 4, 1)))
+    @example(case=(np.array([CHAIN[::-1]]).T, [0.5], [0.0] * 4, [False] * 4, (0, 4, 1)))
+    def test_brute_force_minima_of_the_candidates(self, case):
+        exact, bound, shift, lost, (start, stop, step) = case
+        rows, cols = exact.shape
+        bound = np.array(bound)
+        # each estimate within its column's bound: the exact value moved by
+        # up to the bound, kept only where that holds without rounding
+        est = exact.copy()
+        for (i, j), value in np.ndenumerate(exact):
+            k, value, width = i * cols + j, float(value), float(bound[j])
+            moved = value + shift[k] * width
+            if math.isnan(value) or not math.isfinite(width):
+                # any estimate is within an infinite or NaN bound, or of NaN
+                est[i, j] = 1e3 * shift[k]
+            elif math.isfinite(moved) and _within(moved, value, width):
+                est[i, j] = moved
+            if lost[k]:
+                est[i, j] = math.nan
+        calls = []
+
+        def estimate(top, bottom):
+            assert 0 <= top < bottom <= rows
+            return est[top:bottom]
+
+        def exact_cells(r, c):
+            calls.append(r.size)
+            return exact[r, c]
+
+        # the first row of each block of candidates, every row up to the stop
+        blocks = range(start, stop, step)
+        found = list(pruned_minima(rows, blocks, estimate, bound, exact_cells))
+        assert found == [(i, j) for i, j in expsums._local_minima(exact) if start <= i < stop]
+        # exact sums go only to the candidates and their neighbours
+        assert sum(calls) <= (stop - start + 2 * len(blocks)) * cols
