@@ -133,6 +133,15 @@ class LineTable:
             out *= self.offsets[p]
         return out
 
+    def term_block(self, lo: int, hi: int) -> np.ndarray:
+        """The terms at the points lo <= j < hi (lo < hi), one row each: the
+        anchor rows they need, each times every offset row, with no row gathered."""
+        first = lo // self.width
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = self.anchors[first : -(-hi // self.width), None] * self.offsets
+        start = lo - first * self.width
+        return block.reshape(-1, block.shape[-1])[start : start + hi - lo]
+
     def sums(self, lo: int, hi: int) -> np.ndarray:
         """E at the points lo <= j < hi (lo < hi) from the anchor rows they need,
         times every offset row: one complex matrix product, taken whole."""

@@ -286,7 +286,8 @@ def _cmd_mora_solution(args):
     # n terms per sum, and n per sample of the residual, before any is evaluated
     expsums._check_terms(args.n, args.samples)
     alpha = complex(args.re, args.im)
-    residual = abs(expsums.power_sum(args.n, alpha))
+    # inf where the modulus overflows though the sum's parts are finite
+    residual = expsums._modulus(expsums.power_sum(args.n, alpha))
     # written so that a NaN residual fails too
     if not residual <= expsums.ZERO_RESIDUAL_TOL:
         raise DomainViolation(

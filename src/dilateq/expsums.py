@@ -28,10 +28,15 @@ The engine keeps transcendental calls few:
   periodicity scan runs too, ``_linetable.pruned_minima``: cells that a
   neighbour provably undercuts are dropped, and only the rest and their
   neighbours are summed exactly, here by the scan's own operations on
-  phase rows exponentiated for them alone.  The seeds, and so every zero,
-  are those of the full scan, bit for bit and in the same order.
-- ``newton_refine`` takes ``g`` and ``g'`` of each iterate from one table of
-  terms ``exp(z ln k)``: one exponential pass per step.
+  phase rows exponentiated for them alone and written into an unfilled
+  table, so no other row is touched.  The seeds, and so every zero, are
+  those of the full scan, bit for bit and in the same order.
+- Newton runs from all seeds in lockstep (``_newton``): each step takes
+  ``g`` and ``g'`` at the next iterate of every live seed from one table of
+  terms ``exp(z ln k)``, in blocks, and each seed keeps Python's complex
+  division and the scalar stop rules, so it gets the bits it gets alone
+  (``newton_refine``).  A zero's residual is the last of its Newton history,
+  ``abs(power_sum(n, z))`` bit for bit, read by ``_modulus``.
 - ``winding_count`` tracks arg G along the boundary on samples close
   enough that it provably moves by less than pi between neighbours (see its
   docstring), bisecting every uncertified step in one array pass per level.
@@ -246,39 +251,86 @@ class ComplexZero(Frozen):
             raise InvalidInput("the power sum is positive on the real axis")
 
 
+def _modulus(g: complex) -> float:
+    """``abs(g)``, but inf where the modulus overflows a float and NaN for a NaN
+    ``g`` with no infinite part.  ``abs`` itself raises OverflowError in both
+    cases, the second whenever an earlier libm call left errno at ERANGE."""
+    if math.isinf(g.real) or math.isinf(g.imag):
+        return math.inf
+    if math.isnan(g.real) or math.isnan(g.imag):
+        return math.nan
+    try:
+        return abs(g)
+    except OverflowError:
+        return math.inf
+
+
 def newton_refine(n: int, z0: complex) -> tuple[complex, list[float]] | None:
     """Newton iteration on the power sum from z0.
 
     Returns the limit and the per-step modulus history, or None when the
     iteration stalls, diverges or runs out of steps.
     """
-    z = complex(z0)
-    g, gp = _value_and_slope(n, z)
-    history: list[float] = []
-    for _ in range(_NEWTON_MAX_ITER):
-        if gp == 0 or not (math.isfinite(gp.real) and math.isfinite(gp.imag)):
-            return None
-        dz = g / gp
-        z_next = z - dz
-        if not (math.isfinite(z_next.real) and math.isfinite(z_next.imag)):
-            return None
-        g_next, gp_next = _value_and_slope(n, z_next)
-        res_next = abs(g_next)
-        if history and history[-1] <= 1e-12 and res_next >= history[-1]:
-            # at rounding level another step cannot improve; keep the best iterate
-            return z, history
-        z, g, gp = z_next, g_next, gp_next
-        history.append(res_next)
-        if abs(dz) <= 1e-13 * (1.0 + abs(z)):
-            return z, history
-    return None
+    return _newton(n, np.array([z0], dtype=complex))[0]
 
 
-def _value_and_slope(n: int, z: complex) -> tuple[complex, complex]:
-    """``power_sum(n, z)`` and ``power_sum_deriv(n, z)`` from one term table."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = _terms(n, np.asarray(z, dtype=complex))
-        return complex(terms.sum(axis=-1)), complex((_log_table(n) * terms).sum(axis=-1))
+def _newton(n: int, starts: np.ndarray) -> list[tuple[complex, list[float]] | None]:
+    """``newton_refine`` from each of the complex ``starts``, in lockstep.
+
+    Each pass takes G and G' at the next iterate of every live seed from one
+    table of terms exp(z ln k) (``_terms``), in blocks of about
+    ``_CHUNK_BYTES``, and sums each row as ``power_sum`` and
+    ``power_sum_deriv`` do.  Each seed then takes Python's complex division
+    and the stop rules on its own: G' zero or not finite, or an iterate not
+    finite, fails; at rounding level (a last residual <= 1e-12) a residual
+    that does not fall keeps the iterate before it; a step
+    ``|dz| <= 1e-13 (1 + |z|)`` converges.  So every result is the scalar
+    iteration's, bit for bit, and each residual in a history is
+    ``abs(power_sum(n, z))`` at its iterate, read by ``_modulus``.  A live
+    seed is held as its index, iterate, step and next iterate in arrays, and
+    its history, made at its first residual; the first pass evaluates the
+    starts.
+    """
+    results: list = [None] * starts.size
+    index, iterate, step, ahead = np.arange(starts.size), starts, starts, starts
+    histories: list = [None] * starts.size
+    block = max(1, _CHUNK_BYTES // (32 * n))
+    for first in [True] + [False] * _NEWTON_MAX_ITER:
+        alive, kept = np.zeros(index.size, dtype=bool), []
+        step_next, ahead_next = np.empty_like(ahead), np.empty_like(ahead)
+        for lo in range(0, index.size, block):
+            part = slice(lo, lo + block)
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms = _terms(n, ahead[part])
+                g, gp = terms.sum(axis=-1), (_log_table(n) * terms).sum(axis=-1)
+            seeds = zip(
+                range(lo, lo + block), index[part].tolist(), iterate[part].tolist(),
+                step[part].tolist(), ahead[part].tolist(), histories[part], g.tolist(), gp.tolist(),
+            )
+            for m, k, z, dz, z_next, history, g_k, gp_k in seeds:
+                if not first:
+                    res = _modulus(g_k)
+                    if history and history[-1] <= 1e-12 and res >= history[-1]:
+                        # at rounding level another step cannot improve; keep the best iterate
+                        results[k] = z, history
+                        continue
+                    history = history or []
+                    history.append(res)
+                    if abs(dz) <= 1e-13 * (1.0 + abs(z_next)):
+                        results[k] = z_next, history
+                        continue
+                if gp_k == 0 or not (math.isfinite(gp_k.real) and math.isfinite(gp_k.imag)):
+                    continue
+                step_next[m] = dz = g_k / gp_k
+                ahead_next[m] = z_after = z_next - dz
+                if math.isfinite(z_after.real) and math.isfinite(z_after.imag):
+                    alive[m] = True
+                    kept.append(history)
+        if not kept:
+            break
+        index, iterate, step, ahead = index[alive], ahead[alive], step_next[alive], ahead_next[alive]
+        histories = kept
+    return results
 
 
 def _grid_refusal(n: int, grid_re: int, grid_im: int) -> str | None:
@@ -430,12 +482,12 @@ def _grid_minima(
     gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
     with np.errstate(over="ignore", invalid="ignore"):
         bound = 2.0 * gamma * (4.0 * rad.sum(axis=1)) + 3.0 * (rad @ line.error)
-    # exact phase rows, filled for the rows summed exactly: a row is filled
-    # once its first entry, exp(0) = 1, is no longer NaN
-    phase = np.full((im.size, n), np.nan, dtype=complex)
+    # exact phase rows, written only for the rows summed exactly (``filled``)
+    phase = np.empty((im.size, n), dtype=complex)
+    filled = np.zeros(im.size, dtype=bool)
 
     def estimate(top: int, bottom: int) -> np.ndarray:
-        block = line.terms(np.arange(top, bottom))
+        block = line.term_block(top, bottom)
         with np.errstate(over="ignore", invalid="ignore"):
             real, imag = (np.ascontiguousarray(part) @ rad.T for part in (block.real, block.imag))
             return np.hypot(real, imag)
@@ -443,8 +495,8 @@ def _grid_minima(
     def exact(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         # the rows come in order, so the first cell of each names it
         fresh = rows[np.diff(rows, prepend=-1) != 0]
-        fresh = fresh[np.isnan(phase[fresh, 0])]
-        phase[fresh] = _phase(n, im[fresh])
+        fresh = fresh[~filled[fresh]]
+        phase[fresh], filled[fresh] = _phase(n, im[fresh]), True
         return _exact_modulus(radial, phase, rows, cols)
 
     rows = max(1, _CHUNK_BYTES // (8 * (2 * n + 8 * re.size)))
@@ -680,34 +732,44 @@ def winding_count(n: int, rect: SearchRectangle) -> int:
     return int(nearest)
 
 
-def _seed(n: int, rect: SearchRectangle, found: list[complex]) -> list[complex]:
-    """Add to ``found`` the zeros Newton reaches from the grid minima of |G|.
+def _seed(n: int, rect: SearchRectangle, found: dict[complex, float]) -> dict[complex, float]:
+    """Add to ``found`` the zeros Newton reaches from the grid minima of |G|,
+    each with its residual, the last of its Newton history.
 
     A converged zero is kept when its residual is at most ZERO_RESIDUAL_TOL,
-    it lies in the rectangle, and no kept zero is within _DEDUPE_DIST of it.
-    The minima are those of ``scan_modulus(n, rect)``, found by ``_grid_minima``.
+    it lies in the rectangle, and no kept zero is within _DEDUPE_DIST of it;
+    the minima are taken in order.  They are those of
+    ``scan_modulus(n, rect)``, found by ``_grid_minima``, and Newton runs from
+    all of them at once (``_newton``).
     """
     re, im, minima = _grid_minima(n, rect)
-    for i, j in minima:
-        refined = newton_refine(n, complex(re[j], im[i]))
+    rows, cols = np.array(minima, dtype=np.intp).reshape(-1, 2).T
+    # drop the list before Newton: about 90 bytes a minimum, where a start takes 16
+    del minima
+    starts = np.empty(rows.size, dtype=complex)
+    starts.real, starts.imag = re[cols], im[rows]
+    for refined in _newton(n, starts):
         if refined is None:
             continue
         z, history = refined
-        # the last residual in the history is |G(z)|
         if history[-1] > ZERO_RESIDUAL_TOL or not rect.contains(z):
             continue
         if all(abs(z - seen) > _DEDUPE_DIST for seen in found):
-            found.append(z)
+            found[z] = history[-1]
     return found
 
 
-def _verified(n: int, rect: SearchRectangle, found: list[complex]) -> list[ComplexZero]:
-    """The zeros sorted by (Im, Re) with their residuals; none may hug the edge."""
+def _verified(n: int, rect: SearchRectangle, found: dict[complex, float]) -> list[ComplexZero]:
+    """The zeros sorted by (Im, Re) with their residuals; none may hug the edge.
+
+    Each residual is the last of its Newton history, which is
+    ``abs(power_sum(n, z))`` bit for bit.
+    """
     for z in found:
         if rect.edge_distance(z) < _EDGE_MARGIN:
             raise BoundaryZero(f"zero {z:.9g} within {_EDGE_MARGIN:.0e} of the edge")
     ordered = sorted(found, key=lambda z: (z.imag, z.real))
-    return [ComplexZero(z=z, modulus_residual=abs(power_sum(n, z)), n=n) for z in ordered]
+    return [ComplexZero(z=z, modulus_residual=found[z], n=n) for z in ordered]
 
 
 def find_zeros(n: int, rect: SearchRectangle | None = None) -> list[ComplexZero]:
@@ -730,7 +792,7 @@ def find_zeros(n: int, rect: SearchRectangle | None = None) -> list[ComplexZero]
     _check_n(n)
     _check_grid(n, rect)
     turns = winding_count(n, rect)
-    found = _seed(n, rect, [])
+    found = _seed(n, rect, {})
     zeros = _verified(n, rect, found)
     grid_re, grid_im = 2 * rect.grid_re - 1, 2 * rect.grid_im - 1
     if turns > len(zeros) and _grid_refusal(n, grid_re, grid_im) is None:

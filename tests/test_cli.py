@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dilateq import power_sum
 from dilateq.cli import main, to_json
 from tests.test_package import src_env
 
@@ -784,6 +785,16 @@ class TestMoraSolution:
     def test_not_a_zero_exits_3(self, capsys):
         code, _, _ = run(capsys, "mora-solution", "--n", 2, "--re", 0.0, "--im", 1.0)
         assert code == 3
+
+    def test_overflowing_modulus_exits_3(self, capsys):
+        # the sum's parts are finite, but its modulus is past the float range
+        g = power_sum(3, complex(646.2, 0.7149))
+        assert math.isfinite(g.real) and math.isfinite(g.imag)
+        code, out, err = run(
+            capsys, "mora-solution", "--n", 3, "--re", 646.2, "--im", 0.7149, "--range", -5, 5
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: (646.2+0.7149j) is not a zero: |sum| = inf exceeds 1e-10\n"
 
 
     def test_reversed_range_exits_2(self, capsys):

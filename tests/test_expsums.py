@@ -1,8 +1,10 @@
 import hashlib
 import math
 import time
+import tracemalloc
 import warnings
 from math import log, pi
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -186,7 +188,7 @@ class TestFindZeros:
     def test_refused_before_any_newton_start(self, monkeypatch):
         # the winding count refuses the 1e300-wide boundary before any seeding
         calls = []
-        monkeypatch.setattr(expsums, "newton_refine", lambda n, z: calls.append(z))
+        monkeypatch.setattr(expsums, "_newton", lambda n, starts: calls.append(starts))
         for name in ("scan_modulus", "_grid_minima", "_tables"):
             monkeypatch.setattr(expsums, name, lambda n, rect: calls.append(rect))
         with pytest.raises(BoundaryZero, match="samples on the boundary"):
@@ -348,7 +350,7 @@ class TestBitwise:
         scan, first, final, count, turns = BITWISE_SEARCHES[name]
         _, _, mod = scan_modulus(n, rect)
         assert hashlib.sha256(mod.tobytes()).hexdigest() == scan
-        first_pass = expsums._verified(n, rect, expsums._seed(n, rect, []))
+        first_pass = expsums._verified(n, rect, expsums._seed(n, rect, {}))
         assert _zeros_digest(first_pass) == first
         with warnings.catch_warnings():
             warnings.simplefilter("error", IncompleteSearch)
@@ -937,19 +939,23 @@ def _bits(refined):
 
 class TestNewtonOnePass:
     def test_one_term_table_per_iterate(self, monkeypatch):
-        z0 = find_zeros(10)[3].z + 0.05 - 0.05j
+        zeros = find_zeros(10)
+        starts = np.array([zeros[3].z + 0.05 - 0.05j, zeros[5].z - 0.1j, zeros[1].z + 0.02])
         tables = []
         terms = expsums._terms
         monkeypatch.setattr(expsums, "_terms", lambda n, zz: tables.append(zz) or terms(n, zz))
         for name in ("power_sum", "power_sum_deriv"):
             monkeypatch.setattr(expsums, name, lambda n, z: pytest.fail("a second pass"))
-        z, history = newton_refine(10, z0)
-        assert abs(power_sum(10, z)) <= 1e-10
-        # z0, then each later iterate; the last may be rejected at rounding
-        # level without a history entry
-        assert len(tables) in (len(history) + 1, len(history) + 2)
-        assert all(t.ndim == 0 for t in tables)
-        assert complex(tables[0]) == z0
+        results = expsums._newton(10, starts)
+        monkeypatch.undo()
+        steps = max(len(history) for _, history in results)
+        assert all(abs(power_sum(10, z)) <= 1e-10 for z, _ in results)
+        # the starts, then one table per pass for the seeds still live; the
+        # last pass may reject every iterate at rounding level without a
+        # history entry
+        assert tables[0].tobytes() == starts.tobytes()
+        assert len(tables) in (steps + 1, steps + 2)
+        assert [t.size for t in tables] == sorted((t.size for t in tables), reverse=True)
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -968,6 +974,76 @@ class TestNewtonOnePass:
             for i, j in expsums._local_minima(mod):
                 z0 = complex(re[j], im[i])
                 assert _bits(newton_refine(n, z0)) == _bits(_two_pass_newton(n, z0))
+
+
+class TestNewtonLockstep:
+    """``_newton`` runs every seed at once and gives each the bits it gets alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 300),
+        starts=st.lists(
+            st.tuples(
+                st.one_of(st.floats(-5.0, 4.0), st.floats(-320.0, 10.0)),
+                st.one_of(st.floats(-10.0, 80.0), st.sampled_from([0.0, -0.0])),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        chunk=st.sampled_from([1 << 20, 1, 16 * 300 * 7]),
+        steps=st.sampled_from([60, 12]),
+    )
+    # alone each returns None; together, one row's underflow leaves errno at
+    # ERANGE and abs() of another row's NaN sum raised OverflowError
+    @example(
+        n=200,
+        starts=[(-58.400000000000006, 6.75), (-300.0, 6.875), (-294.96666666666664, 6.875)],
+        chunk=1 << 20,
+        steps=60,
+    )
+    def test_each_seed_as_alone(self, n, starts, chunk, steps):
+        z0 = [complex(*start) for start in starts]
+        # one seed a block, a few, or all in one; and few steps, so that
+        # many seeds run out of them
+        with mock.patch.multiple(expsums, _CHUNK_BYTES=chunk, _NEWTON_MAX_ITER=steps):
+            together = expsums._newton(n, np.array(z0))
+            alone = [_two_pass_newton(n, z) for z in z0]
+        assert [_bits(r) for r in together] == [_bits(r) for r in alone]
+
+    def test_wide_search(self):
+        # far left every cell reads 1.0 and is a grid minimum: 11,881 Newton
+        # starts, then 47,345 on the re-seed grid, run in blocks
+        sizes = []
+        newton = expsums._newton
+        spy = lambda n, starts: sizes.append(starts.size) or newton(n, starts)
+        tracemalloc.start()
+        try:
+            with mock.patch.object(expsums, "_newton", spy):
+                with pytest.warns(IncompleteSearch, match="^winding count 25 != 16 zeros"):
+                    zeros = find_zeros(200, SearchRectangle(-300.0, 2.0, 0.0, 30.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sizes == [11881, 47345]
+        digest = "0fdcf9d3a3f8a9122e3c6d145bbaf10f163a8bbd6ed2a736883edb7c1c4864a2"
+        assert _zeros_digest(zeros) == digest
+        assert peak <= 9 << 20
+
+
+class TestModulus:
+    def test_overflow_and_nan(self):
+        inf, nan = math.inf, math.nan
+        with pytest.raises(OverflowError):
+            abs(complex(1.5e308, 1.5e308))
+        assert expsums._modulus(complex(1.5e308, 1.5e308)) == inf
+        assert math.isnan(expsums._modulus(complex(nan, 1.0)))
+        # an infinite part wins over a NaN one, as in abs()
+        assert expsums._modulus(complex(inf, nan)) == inf == expsums._modulus(complex(nan, -inf))
+
+    @settings(max_examples=300, deadline=None)
+    @given(z=st.complex_numbers(allow_nan=False, allow_infinity=False, max_magnitude=1e300))
+    def test_equals_abs(self, z):
+        assert expsums._modulus(z).hex() == abs(z).hex()
 
 
 class TestScanBudget:
@@ -1010,7 +1086,7 @@ class TestScanBudget:
 class TestReseed:
     def test_winding_probe_finds_all(self):
         rect = SearchRectangle(-3.0, 2.0, 0.0, 60.0)
-        first = expsums._seed(100, rect, [])
+        first = expsums._seed(100, rect, {})
         assert len(first) == 43
         with warnings.catch_warnings():
             warnings.simplefilter("error", IncompleteSearch)
