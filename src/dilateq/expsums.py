@@ -269,7 +269,8 @@ def newton_refine(n: int, z0: complex) -> tuple[complex, list[float]] | None:
     """Newton iteration on the power sum from z0.
 
     Returns the limit and the per-step modulus history, or None when the
-    iteration stalls, diverges or runs out of steps.
+    iteration stalls, diverges or runs out of steps: the one-seed case of
+    ``_newton``.
     """
     return _newton(n, np.array([z0], dtype=complex))[0]
 
