@@ -299,7 +299,11 @@ def _cmd_mora_solution(args):
     )
     if not (math.isfinite(args.range[0]) and math.isfinite(args.range[1])):
         raise InvalidInput("--range must be finite")
-    x = np.linspace(*_range(args), args.samples)
+    lo, hi = _range(args)
+    # linspace's hi - lo would overflow, and each sample read inf or NaN
+    if math.isinf(hi - lo):
+        raise InvalidInput(f"--range {lo!r} {hi!r} is wider than a float holds")
+    x = np.linspace(lo, hi, args.samples)
     check = x[x < 0.0]
     if not sol.continuous_at_zero:
         check = check[np.abs(check) >= 0.01]

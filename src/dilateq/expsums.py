@@ -6,31 +6,23 @@ of the sum.  Zeros are located from the local minima of the modulus on a
 grid, refined by Newton, and audited with an argument-principle winding
 count over the rectangle boundary.
 
-The engine keeps transcendental calls few:
+The engine keeps transcendental calls few where a proved bound allows, and
+takes every exact value one way:
 
-- ``scan_modulus`` splits ``k^(x+iy) = k^x * e^(iy ln k)``.  It takes
-  ``(grid_re + grid_im) * n`` complex exponentials for a radial and a phase
-  table (``_tables``) instead of one per grid point and term, multiplies the
-  tables for a block of rows at a time (temporaries stay near
-  ``_CHUNK_BYTES``, 1 MiB) and sums each row's terms in the same pairwise
-  order as ``power_sum``.  While ``max|Re z| * ln n <= 700`` every cell
-  equals ``abs(power_sum(n, z))`` bit for bit.  Above 709 the complex
-  exponential scales its argument and rounds twice, so a finite cell may
-  differ in the last bit, and a cell whose terms overflow is non-finite in
-  both and may read ``inf`` in one and ``nan`` in the other.
-  ``find_zeros`` never gets that far: the rectangle's right edge overflows
-  too, and the winding count raises ``BoundaryZero``.
+- Every exact |G| is ``abs(power_sum(n, z))`` bit for bit: the terms
+  ``exp(z ln k)`` from one table (``_terms``), each point's n terms summed
+  along a contiguous last axis, in blocks of about ``_CHUNK_BYTES`` (1 MiB)
+  of temporaries.  ``scan_modulus`` and the seeding's exact cells take it
+  from ``_grid_modulus``, made from the two grid axes alone.
 - ``find_zeros`` seeds from the minima of that scan without computing it
-  (``_grid_minima``): two real matrix products of the radial table and a
-  phase table taken from a ``_linetable.LineTable`` on the im axis (about
-  ``2 sqrt(grid_im) * n`` exponentials) estimate |G| on every cell within a
-  proved bound, one per column.  The search for minima is the one the
-  periodicity scan runs too, ``_linetable.pruned_minima``: cells that a
-  neighbour provably undercuts are dropped, and only the rest and their
-  neighbours are summed exactly, here by the scan's own operations on
-  phase rows exponentiated for them alone and written into an unfilled
-  table, so no other row is touched.  The seeds, and so every zero, are
-  those of the full scan, bit for bit and in the same order.
+  (``_grid_minima``): two real matrix products of a real radial table
+  ``k^x`` and a phase table taken from a ``_linetable.LineTable`` on the
+  im axis (about ``2 sqrt(grid_im) * n`` exponentials) estimate |G| on
+  every cell within a proved bound, one per column.  The search for minima
+  is the one the periodicity scan runs too, ``_linetable.pruned_minima``:
+  cells that a neighbour provably undercuts are dropped, and only the rest
+  and their neighbours are summed exactly.  The seeds, and so every zero,
+  are those of the full scan, bit for bit and in the same order.
 - Newton runs from all seeds in lockstep (``_newton``): each step takes
   ``g`` and ``g'`` at the next iterate of every live seed from one table of
   terms ``exp(z ln k)``, in blocks, and each seed keeps Python's complex
@@ -97,14 +89,16 @@ _EDGE_MARGIN = 1e-6
 
 _NEWTON_MAX_ITER = 60
 
-#: bytes of temporaries per block of the scan, of the seeding and of winding samples
+#: bytes of temporaries per block of exact moduli, of Newton, of the seeding and
+#: of winding samples
 _CHUNK_BYTES = 1 << 20
 
 #: most points one modulus scan grid may hold
 _MAX_SCAN_POINTS = 1 << 22
 
-#: most entries of one scan's radial and phase tables, (grid_re + grid_im) * n,
-#: and of one power sum at a point, n
+#: most entries of the seeding's tables, (grid_re + grid_im) * n, which bounds its
+#: radial table (grid_re * n) and its phase line's rows (under grid_im * n), and
+#: of one power sum at a point, n
 _MAX_TABLE_TERMS = 1 << 22
 
 #: most terms one scan may sum, grid points * n, and one equation residual may
@@ -349,6 +343,7 @@ def _grid_refusal(n: int, grid_re: int, grid_im: int) -> str | None:
 
 
 def _check_grid(n: int, rect: SearchRectangle) -> None:
+    _check_n(n)
     refusal = _grid_refusal(n, rect.grid_re, rect.grid_im)
     if refusal is not None:
         raise GridBudgetExceeded(refusal)
@@ -363,75 +358,44 @@ def _check_terms(n: int, samples: int) -> None:
         )
 
 
-def _tables(n: int, rect: SearchRectangle) -> tuple[np.ndarray, ...]:
-    """The grid axes and the scan's tables ``(re, im, radial, phase)``.
-
-    ``radial[j, k]`` is exp(re[j] ln k) and ``phase[i, k]`` is exp(i im[i] ln k),
-    both exponentiated as complex numbers so that their products match
-    exp((x + iy) ln k) bit for bit; see the module docstring for the range.
-    ``radial`` is real: its imaginary parts are zero.  A grid of more than
-    ``_MAX_SCAN_POINTS`` points, or over the n-aware budgets
-    ``_MAX_TABLE_TERMS`` and ``_MAX_TERMS``, raises GridBudgetExceeded before
-    anything is allocated.
-    """
-    re, im, radial = _radial(n, rect)
-    return re, im, radial, _phase(n, im)
-
-
-def _radial(n: int, rect: SearchRectangle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grid axes and ``radial`` of ``_tables``, after its budget checks."""
-    _check_n(n)
+def _grid_axes(n: int, rect: SearchRectangle) -> tuple[np.ndarray, np.ndarray]:
+    """The grid axes (re, im), after the checks of ``_check_grid``."""
     _check_grid(n, rect)
     re = np.linspace(rect.re_min, rect.re_max, rect.grid_re)
-    im = np.linspace(rect.im_min, rect.im_max, rect.grid_im)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return re, im, np.exp(np.multiply.outer(re, _log_table(n)).astype(complex))
+    return re, np.linspace(rect.im_min, rect.im_max, rect.grid_im)
 
 
-def _phase(n: int, im: np.ndarray) -> np.ndarray:
-    """``phase`` of ``_tables`` at the rows ``im``: each row the same bits."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.exp(1j * np.multiply.outer(im, _log_table(n)))
+def _grid_modulus(n: int, re: np.ndarray, im: np.ndarray, rows=None, cols=None) -> np.ndarray:
+    """|G| at the grid points re[cols[m]] + i im[rows[m]], or at every cell in
+    row-major order when ``rows`` and ``cols`` are None.
+
+    Each point takes its terms from ``_terms`` and sums them as
+    ``power_sum`` does, so it equals ``abs(power_sum(n, z))`` bit for bit.
+    The points go in blocks of about ``_CHUNK_BYTES`` of temporaries, as
+    ``_newton``'s do, made from the two axes alone: a block ends anywhere
+    in a row without changing a bit.
+    """
+    size = im.size * re.size if rows is None else rows.size
+    out = np.empty(size)
+    block = max(1, _CHUNK_BYTES // (32 * n))
+    for lo in range(0, size, block):
+        at = np.arange(lo, min(lo + block, size))
+        i, j = np.divmod(at, re.size) if rows is None else (rows[at], cols[at])
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.abs(_terms(n, re[j] + 1j * im[i]).sum(axis=-1), out=out[lo : lo + block])
+    return out
 
 
 def scan_modulus(n: int, rect: SearchRectangle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Modulus of the power sum on the rectangle grid (re axis, im axis, |G|).
 
-    Each term is the product of a radial factor exp(x ln k) and a phase
-    exp(iy ln k) from ``_tables``, which also checks the budgets.
-
-    The im rows are taken in blocks of about ``_CHUNK_BYTES`` (1 MiB) of
-    complex temporaries, small enough to stay in a core's L2 cache.  A cell
-    is computed by the same operations whatever its block, so the block size
-    does not change a bit of the result.
+    Every cell is ``abs(power_sum(n, z))`` at its point, bit for bit, summed
+    by ``_grid_modulus`` in blocks of about ``_CHUNK_BYTES`` (1 MiB) of
+    complex temporaries, small enough to stay in a core's L2 cache.  The
+    grid is checked against the budgets before anything is allocated.
     """
-    re, im, radial, phase = _tables(n, rect)
-    mod = np.empty((im.size, re.size))
-    rows = max(1, _CHUNK_BYTES // (16 * re.size * n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, im.size, rows):
-            terms = radial * phase[i : i + rows, None, :]
-            np.abs(terms.sum(axis=-1), out=mod[i : i + rows])
-    return re, im, mod
-
-
-def _exact_modulus(
-    radial: np.ndarray, phase: np.ndarray, rows: np.ndarray, cols: np.ndarray
-) -> np.ndarray:
-    """|G| at the cells ``(rows[m], cols[m])`` by the scan's own operations.
-
-    Each cell multiplies the same table entries in the same order and sums
-    its n terms along a contiguous last axis, as ``scan_modulus`` does, so it
-    equals its scan cell bit for bit.  Cells go in chunks of about
-    ``_CHUNK_BYTES`` of complex temporaries.
-    """
-    out = np.empty(rows.size)
-    step = max(1, _CHUNK_BYTES // (48 * radial.shape[1]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, rows.size, step):
-            terms = radial[cols[lo : lo + step]] * phase[rows[lo : lo + step]]
-            np.abs(terms.sum(axis=-1), out=out[lo : lo + step])
-    return out
+    re, im = _grid_axes(n, rect)
+    return re, im, _grid_modulus(n, re, im).reshape(im.size, re.size)
 
 
 def _grid_minima(
@@ -442,50 +406,54 @@ def _grid_minima(
 
     Re G and Im G are estimated on every cell by two real matrix products,
     ``P.real @ radial.T`` and ``P.imag @ radial.T``, which BLAS sums in any
-    order.  P is the phase table taken from a ``LineTable`` on the im axis,
-    each entry within e_k (its ``error``) of the scan's phase entry.  With
-    r_k = k^x the radial entries of a cell's column, u = 2^-53 and
-    gamma_n = n u / (1 - n u), its estimate E lies within
+    order.  ``radial`` holds r_k = k^x, the real parts of the terms
+    (``_terms``) at the points x of the re axis, and P the phases taken
+    from a ``LineTable`` on the im axis, each within e_k (its ``error``) of
+    the phase c_k + i s_k, cos + i sin of fl(y ln k), that the complex
+    exponential of the cell's term takes.  With u = 2^-53 and
+    gamma_n = n u / (1 - n u), a cell's estimate E lies within
 
         B = 8 gamma_n sum_k r_k + 3 sum_k e_k r_k
 
-    of its scan value S (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., section 3.1).  Take first the scan's own phases.
-    The scan's terms are the rounded products r_k c_k and r_k s_k of the
-    table entries, and both their pairwise sum and a dot product in any
-    order lie within gamma_n sum_k |r_k c_k| <= gamma_n sum_k r_k of the
-    exact sum, as |c_k|, |s_k| <= 1.  So each part of E and S differs by at
-    most 2 gamma_n sum r_k, and the moduli by at most 2 sqrt(2) gamma_n
-    sum r_k.  Each of the two hypot roundings adds at most 2 u of its value,
-    and E and S are at most sum r_k up to rounding, so with gamma_n >= 2 u
-    (n >= 2) both add at most 2 gamma_n sum r_k.  The first term of B is
-    over 1.6 times the total, which covers the rounding of B and of the
-    comparisons of neighbours.  The first term is exactly 1, so
-    sum r_k >= 1 also covers the absolute error, below 2^-1074 a term, of
-    products that underflow.  The sum is taken four times before it is scaled, so B is
-    infinite wherever a partial sum, or E, could overflow.  The line's
-    phases then move each part of E by at most sum e_k r_k, its modulus by
-    sqrt(2) times that, and the rounding terms by under 2 gamma_n
-    sum e_k r_k: the second term covers the three.
+    of its exact value S = abs(power_sum(n, z)) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 3.1).  Take first
+    the exact phases.  While x ln k <= 709 the complex exponential gives the
+    rounded products r_k c_k and r_k s_k, and both their pairwise sum and a
+    dot product in any order lie within gamma_n sum_k |r_k c_k| <=
+    gamma_n sum_k r_k of the exact sum, as |c_k|, |s_k| <= 1.  So each part
+    of E and S differs by at most 2 gamma_n sum r_k, and the moduli by at
+    most 2 sqrt(2) gamma_n sum r_k.  Each of the two hypot roundings adds at
+    most 2 u of its value, and E and S are at most sum r_k up to rounding,
+    so with gamma_n >= 2 u (n >= 2) both add at most 2 gamma_n sum r_k.
+    Above 709 the complex exponential rescales: a term is
+    exp(x ln k - 709) times exp(709) c_k, rounded twice, and r_k the same
+    two exponentials' rounded product, so the term lies within 3.01 u r_k
+    of r_k c_k rather than u r_k.  That moves the modulus by at most
+    sqrt(2) 2.01 u sum r_k <= 1.43 gamma_n sum r_k more, and the first
+    term of B is over 1.25 times the total, which covers the rounding of B
+    and of the comparisons of neighbours.  (Such an r_k exceeds a quarter
+    of the largest float, so B is infinite there anyway.)  The first term
+    is exactly 1, so sum r_k >= 1 also covers the absolute error, below
+    2^-1074 a term, of products that underflow.  The sum is taken four
+    times before it is scaled, so B is infinite wherever a partial sum, or
+    E, could overflow.  The line's phases then move each part of E by at
+    most sum e_k r_k, its modulus by sqrt(2) times that, and the rounding
+    terms by under 2 gamma_n sum e_k r_k: the second term covers the three.
 
     ``_linetable.pruned_minima`` then finds the minima with B, one bound
     per column: it drops a cell that a neighbour provably undercuts, and
-    sums exactly (``_exact_modulus``) only the rest and their neighbours,
-    on phase rows exponentiated for their rows alone.  Every row is a
-    candidate, in blocks of about ``_CHUNK_BYTES`` of temporaries, and the
-    minima come in row-major order.
+    sums exactly (``_grid_modulus``) only the rest and their neighbours.
+    Every row is a candidate, in blocks of about ``_CHUNK_BYTES`` of
+    temporaries, and the minima come in row-major order.
     """
-    re, im, radial = _radial(n, rect)
+    re, im = _grid_axes(n, rect)
     # linspace's own step: the line's points are the im axis up to rounding
     step = (rect.im_max - rect.im_min) / (rect.grid_im - 1)
     line = LineTable(1j * rect.im_min, 1j * step, im.size, _log_table(n))
-    rad = np.ascontiguousarray(radial.real)
     gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
     with np.errstate(over="ignore", invalid="ignore"):
+        rad = np.ascontiguousarray(_terms(n, re.astype(complex)).real)
         bound = 2.0 * gamma * (4.0 * rad.sum(axis=1)) + 3.0 * (rad @ line.error)
-    # exact phase rows, written only for the rows summed exactly (``filled``)
-    phase = np.empty((im.size, n), dtype=complex)
-    filled = np.zeros(im.size, dtype=bool)
 
     def estimate(top: int, bottom: int) -> np.ndarray:
         block = line.term_block(top, bottom)
@@ -493,13 +461,7 @@ def _grid_minima(
             real, imag = (np.ascontiguousarray(part) @ rad.T for part in (block.real, block.imag))
             return np.hypot(real, imag)
 
-    def exact(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        # the rows come in order, so the first cell of each names it
-        fresh = rows[np.diff(rows, prepend=-1) != 0]
-        fresh = fresh[~filled[fresh]]
-        phase[fresh], filled[fresh] = _phase(n, im[fresh]), True
-        return _exact_modulus(radial, phase, rows, cols)
-
+    exact = functools.partial(_grid_modulus, n, re, im)
     rows = max(1, _CHUNK_BYTES // (8 * (2 * n + 8 * re.size)))
     return re, im, list(pruned_minima(im.size, range(0, im.size, rows), estimate, bound, exact))
 
@@ -706,7 +668,7 @@ def winding_count(n: int, rect: SearchRectangle) -> int:
         if tabled and level <= _MASK_BITS:
             # every step split at this level is h 2^(1 - level) long
             with np.errstate(over="ignore", invalid="ignore"):
-                halves.append(np.exp(np.multiply.outer(np.array(steps) * 0.5**level, logs)))
+                halves.append(_terms(n, np.array(steps) * 0.5**level))
         # a step's midpoint lies on the side of its left end
         mid = 0.5 * (z[split] + z_next[split])
         stuck = (mid == z[split]) | (mid == z_next[split])
@@ -790,7 +752,6 @@ def find_zeros(n: int, rect: SearchRectangle | None = None) -> list[ComplexZero]
     """
     if rect is None:
         rect = default_rectangle()
-    _check_n(n)
     _check_grid(n, rect)
     turns = winding_count(n, rect)
     found = _seed(n, rect, {})

@@ -285,9 +285,14 @@ def find_periodic_alphas(
 
 
 def scale_shifts(b, d: float):
-    """Multiply every shift by d > 0; periodic solvability is invariant."""
+    """Multiply every shift by d > 0; periodic solvability is invariant.
+
+    A plain sequence, and its scaled shifts, must pass ``_shift_list`` as a
+    ShiftVector's must pass its own checks: an empty, non-positive or
+    non-finite one raises InvalidInput.
+    """
     if not (d > 0.0):
         raise NonPositiveScale("scale must be positive")
     if isinstance(b, ShiftVector):
         return ShiftVector(tuple(v * d for v in b.entries))
-    return tuple(float(v) * d for v in b)
+    return tuple(_shift_list([v * d for v in _shift_list(b)]))

@@ -804,6 +804,17 @@ class TestMoraSolution:
         )
         assert (code, out, err) == (2, "", "error: range must satisfy lo < hi\n")
 
+    def test_overflowing_width_exits_2_with_one_line(self, tmp_path):
+        # hi - lo overflows: refused before sampling, with no numpy warning
+        argv = ["mora-solution", "--n", "2", "--re", "0", "--im", "4.532360141827194",
+                "--range", "-1e308", "1e308"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "dilateq", *argv],
+            cwd=tmp_path, env=src_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: --range -1e+308 1e+308 is wider than a float holds\n"
+
     def test_report_follows_payload(self, capsys, tmp_path):
         code, out, err = run(
             capsys, "mora-solution", "--n", 2, "--re", 0, "--im", 4.532360141827194,

@@ -513,6 +513,22 @@ class TestScaleShifts:
         with pytest.raises(NonPositiveScale):
             scale_shifts(ShiftVector((1.0,)), 0.0)
 
+    @pytest.mark.parametrize(
+        "shifts, d, message",
+        [
+            ((1.0, 2.0), 1e308, "finite"),
+            ((1.0, -2.0), 2.0, "positive"),
+            ((), 2.0, "at least one shift"),
+            ((1e-300,), 1e-300, "positive"),
+            ((1.0, math.nan), 2.0, "finite"),
+        ],
+    )
+    def test_plain_sequence_checked_as_a_shift_vector(self, shifts, d, message):
+        # the input and the scaled shifts alike, as the ShiftVector path refuses them
+        with pytest.raises(InvalidInput, match=message):
+            scale_shifts(shifts, d)
+        assert scale_shifts([1, 2.5], 2.0) == (2.0, 5.0)
+
     def test_certified_frequency_scales(self):
         assert system_residual(2 * pi / 3, (1.0, 2.0)) <= 1e-28
         assert system_residual(pi / 3, scale_shifts(ShiftVector((1.0, 2.0)), 2.0)) <= 1e-28
