@@ -336,7 +336,10 @@ def _grid_refusal(n: int, grid_re: int, grid_im: int) -> str | None:
             f"scan grid of {grid_re} x {grid_im} points exceeds the budget of {_MAX_SCAN_POINTS}"
         )
     if (grid_re + grid_im) * n > _MAX_TABLE_TERMS:
-        return f"scan tables of ({grid_re} + {grid_im}) x {n} terms exceed {_MAX_TABLE_TERMS}"
+        return (
+            f"seeding's radial table and phase rows of ({grid_re} + {grid_im}) x {n} terms "
+            f"exceed the budget of {_MAX_TABLE_TERMS}"
+        )
     if points * n > _MAX_TERMS:
         return f"scan of {points} points x {n} terms exceeds the budget of {_MAX_TERMS}"
     return None

@@ -26,14 +26,21 @@ and this scan share one search for grid minima,
 points are no candidates.  A point that a neighbour's estimate undercuts
 by more than both bounds is no minimum; only the other points and their
 neighbours are summed exactly, so the grid minima are those of the
-residual summed exp by exp at every point, bit for bit.  The scan then
-refines every interior grid minimum by golden section, all brackets in
+residual summed exp by exp at every point, bit for bit.  ``scan_minima``
+then refines every interior grid minimum by golden section, all brackets in
 lockstep: each step evaluates the new points of every live bracket in one
 array call, and each bracket takes exactly the steps a scalar golden
 section would take on it alone.  The refined residuals square the cosine
 and sine sums by libm ``pow`` (``np.float_power``), as the scalar residual
 does, so the certificates are the same to the bit as refining one bracket
-at a time.  Non-finite shifts, frequencies and angles are refused.
+at a time.  ``find_periodic_alphas`` refines only the brackets that can
+still certify: |E'| <= sum b_k, so the exact residuals at a minimum and its
+two neighbours, which the search has already summed, bound |E| from below
+on the bracket, and a bracket whose bound, less a proved rounding margin,
+keeps every residual above the tolerance is dropped unrefined
+(``_cannot_certify``).  Its certificates are those of refining every
+minimum, bit for bit.  Non-finite shifts, frequencies and angles are
+refused.
 """
 
 from __future__ import annotations
@@ -188,10 +195,17 @@ def scan_minima(
     """All refined local minima of the system residual on (0, alpha_max].
 
     Returns (alpha, residual) pairs sorted by alpha, regardless of how small
-    the residual is; ``find_periodic_alphas`` applies the acceptance cut.  A
-    grid of over ``MAX_GRID_POINTS`` points, or whose points times N exceed
+    the residual is: every interior grid minimum is refined, and
+    ``find_periodic_alphas`` applies the acceptance cut.  A grid of over
+    ``MAX_GRID_POINTS`` points, or whose points times N exceed
     ``_MAX_TERMS``, raises GridBudgetExceeded before anything is allocated.
     """
+    return _refined_minima(b, alpha_max, grid_step, math.inf)
+
+
+def _refined_minima(b, alpha_max: float, grid_step: float | None, tol: float):
+    """``scan_minima``, less the brackets ``_cannot_certify`` proves hold no
+    residual ``<= tol``: an infinite ``tol`` drops none."""
     if not (alpha_max > 0.0):
         raise InvalidRange("alpha_max must be positive")
     if not math.isfinite(alpha_max):
@@ -215,7 +229,14 @@ def scan_minima(
     # the grid: step * (j + 1) for j < count, then alpha_max unless it is the last
     size = count + (grid_step * count < alpha_max)
     at = lambda j: np.where(j < count, grid_step * (j + 1), alpha_max)
-    exact = lambda rows, cols: _residuals(at(rows), shifts, np.square)
+    # every exact grid residual, kept for the bound on each minimum's bracket
+    seen: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def exact(rows, cols):
+        values = _residuals(at(rows), shifts, np.square)
+        seen.append((rows, values))
+        return values
+
     # a line table over 8 MiB (a few thousand shifts on a grid of 1e4 points)
     # would outgrow the exact sums' blocks: such grids, and the shortest, are
     # estimated by their residuals themselves, with a zero bound
@@ -244,8 +265,18 @@ def scan_minima(
         estimate = lambda top, bottom: exact(np.arange(top, bottom), None)[:, None]
     minima = pruned_minima(size, range(1, size - 1, block), estimate, bound, exact)
     interior = np.array([i for i, _ in minima], dtype=np.intp)
+    lo, hi = at(interior - 1), at(interior + 1)
+    if interior.size:
+        # each minimum and its two neighbours were summed exactly
+        rows, values = (np.concatenate(part) for part in zip(*seen))
+        order = np.argsort(rows, kind="stable")
+        near = values[order[np.searchsorted(rows[order], interior[:, None] + (-1, 0, 1))]]
+        keep = ~_cannot_certify(near, lo, at(interior), hi, shifts, tol)
+        lo, hi = lo[keep], hi[keep]
+    if lo.size == 0:
+        return []
     f = lambda a: _row_residuals(a, shifts)
-    alphas = _golden_minimize(f, at(interior - 1), at(interior + 1), _REFINE_WIDTH)
+    alphas = _golden_minimize(f, lo, hi, _REFINE_WIDTH)
     out: list[tuple[float, float]] = []
     for alpha, value in zip(alphas.tolist(), f(alphas).tolist()):
         if out and abs(alpha - out[-1][0]) < 1e-8:
@@ -254,6 +285,59 @@ def scan_minima(
             continue
         out.append((alpha, value))
     return out
+
+
+def _cannot_certify(near, lo, mid, hi, shifts: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the brackets [lo, hi] around grid minima mid in which every
+    residual the golden section can compute exceeds ``tol``, from the exact
+    grid residuals ``near`` at (lo, mid, hi), one row per bracket, squared
+    by ``x * x``.
+
+    Let u = 2^-53, N shifts, W = N + 1, L = sum b_k and L^ its float sum,
+    within gamma_N L of L.  |E'| <= L, so on [a, c]
+
+        min |E| >= (|E(a)| + |E(c)| - L (c - a)) / 2;
+
+    the bound B is the smaller of this on [lo, mid] and on [mid, hi], formed
+    in floats from m = sqrt of each grid residual.  Every point the golden
+    section evaluates lies in [lo, hi], as rounding is monotone, and its
+    computed sums E^ (before squaring) lie within
+
+        eta = u (c L + 12 N + 1.5 N W) + N 2^-1074
+
+    of E there, c = hi: each phase fl(alpha b_k) is off by u c b_k (plus
+    2^-1075 if it underflows), each cos + i sin within 12 u of the exact
+    exponential of that phase (the 4-ulp assumption of ``_linetable``), and
+    each of the two sums of at most W terms, N adds in any order, within
+    gamma_N W (1 + 12 u).  A grid residual r, two squares by ``x * x`` and
+    an add, gives |E^| >= m (1 - 2 u) - 2^-536 at its point.  Forming B in
+    floats, with L^ for L, errs by at most 1.01 u (m_1 + m_2) + (gamma_N / 2
+    + 1.51 u) L (c - a) + 2^-1075.  So at every evaluated point
+
+        |E^| >= B - 2 eta - 4.1 u W - (0.51 N + 1.51) u c L - 2^-535
+             >= B - delta,   delta = (N + 10) u (c L^ + 3 W) + 2^-530,
+
+    as m <= 1.01 W, L <= 1.0001 L^ (N u < 2^-20: 2^33 shifts fill 64 GiB),
+    (N + 10) covers 0.52 N + 3.6 times c L^ and 3 (N + 10) W covers
+    3 N W + 28.1 W, with slack for rounding delta itself; the rounding of
+    low = fl(B - delta) is u |B - delta| more.  A residual
+    squares the sums by libm ``pow`` (within one ulp) and adds, so it is at
+    least |E^|^2 (1 - 3 u) - 2^-1073 >= low^2 (1 - 5.01 u) - 2^-1073 when
+    low > 0.  A bracket is excluded when fl(low^2 (1 - 8 u)) exceeds tol
+    and 2^-1000: then low^2 (1 - 5.01 u) > tol + 2^-1073, so every residual
+    it can compute, its refined one included, exceeds tol.  A NaN or
+    infinite bound or margin (an overflowing sum of shifts, or phases near
+    the largest float), and an infinite tol, exclude nothing.
+    """
+    u = _UNIT_ROUNDOFF
+    with np.errstate(over="ignore", invalid="ignore"):
+        lip = shifts.sum()
+        m = np.sqrt(near)
+        left, right = m[:, 0] + m[:, 1] - lip * (mid - lo), m[:, 1] + m[:, 2] - lip * (hi - mid)
+        bound = 0.5 * np.minimum(left, right)
+        margin = (shifts.size + 10) * u * (hi * lip + 3.0 * (shifts.size + 1)) + 2.0**-530
+        low = np.maximum(bound - margin, 0.0)
+        return low * low * (1.0 - 8.0 * u) > max(tol, 2.0**-1000)
 
 
 def find_periodic_alphas(
@@ -266,11 +350,27 @@ def find_periodic_alphas(
 
     The witness is cos(alpha w); any (a, b) pair works because a vanishing
     determinant forces the whole Fourier matrix to vanish.
+
+    The certificates are the minima of ``scan_minima`` whose residual is
+    ``<= tol``, at alpha > 0 with a finite period, but only the brackets
+    that ``_cannot_certify`` does not exclude are refined.  That drops no
+    certificate and adds none.  Call a refined minimum with residual <= tol
+    a certificate here.  An excluded bracket's refined residual exceeds
+    tol, and so does the residual at every point of it: no certificate's
+    alpha lies in it.  The brackets [at(i - 1), at(i + 1)] arrive in grid
+    order, so a certificate from an earlier bracket lies below the excluded
+    one and one from a later bracket above it.  In the 1e-8 pass that
+    merges neighbouring minima, an excluded minimum never displaces a
+    certificate (its residual is larger), and when it starts a run of its
+    own, the next certificate lies above it and so at least 1e-8 above the
+    earlier certificate it parted from: it starts a run in both passes.  So
+    the minima with residual <= tol come out of the pass the same with or
+    without the excluded ones, and the cut keeps the same certificates.
     """
     if not (tol > 0.0):
         raise InvalidRange("tol must be positive")
     certs = []
-    for alpha, residual in scan_minima(b, alpha_max, grid_step):
+    for alpha, residual in _refined_minima(b, alpha_max, grid_step, tol):
         # a subnormal alpha_max can refine to 0, or to a frequency whose
         # period overflows: neither states a periodic solution
         if residual <= tol and alpha > 0.0 and 2.0 * math.pi / alpha < math.inf:

@@ -1037,7 +1037,7 @@ class TestTermBudget:
         monkeypatch.setattr(expsums, "_log_table", lambda n: pytest.fail("allocated"))
         code, out, err = run(capsys, "zeros", "--n", 11)
         assert (code, out) == (3, "")
-        assert "scan tables of (61 + 241) x 11 terms exceed" in err
+        assert "radial table and phase rows of (61 + 241) x 11 terms exceed" in err
 
     @pytest.mark.parametrize("budget", ["_MAX_TABLE_TERMS", "_MAX_TERMS"])
     def test_mora_solution(self, capsys, monkeypatch, budget):

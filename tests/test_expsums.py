@@ -1065,7 +1065,7 @@ class TestScanBudget:
         assert scan_modulus(10, rect)[2].shape == (241, 61)
         monkeypatch.setattr(expsums, "_log_table", lambda n: pytest.fail("allocated"))
         for call in (scan_modulus, find_zeros):
-            with pytest.raises(GridBudgetExceeded, match=r"tables of \(61 \+ 241\) x 11"):
+            with pytest.raises(GridBudgetExceeded, match=r"radial table and phase rows of \(61 \+ 241\) x 11"):
                 call(11, rect)
 
     def test_terms_refused_before_allocating(self, monkeypatch):

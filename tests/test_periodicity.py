@@ -432,6 +432,105 @@ class TestBitwise:
         assert sizes[0] == 2 * 74 and max(sizes) == 2 * 74
 
 
+def _cut_every_minimum(b, alpha_max, grid_step, tol) -> list[tuple[float, float, float]]:
+    """(alpha, period, residual) of the acceptance cut applied to every refined
+    minimum of ``scan_minima``."""
+    return [
+        (alpha, 2 * pi / alpha, residual)
+        for alpha, residual in scan_minima(b, alpha_max, grid_step)
+        if residual <= tol and alpha > 0.0 and 2 * pi / alpha < math.inf
+    ]
+
+
+_SHIFT_FAMILIES = st.one_of(
+    # lattice: integer multiples of one spacing
+    st.builds(
+        lambda d, ks: [d * k for k in ks],
+        st.floats(0.05, 3.0),
+        st.lists(st.integers(1, 8), min_size=1, max_size=8),
+    ),
+    # two-shift rational
+    st.builds(
+        lambda d, p, q: [p * d, q * d],
+        st.floats(0.05, 3.0),
+        st.integers(1, 11),
+        st.integers(1, 11),
+    ),
+    st.lists(st.floats(0.05, 4.0), min_size=1, max_size=16),
+    # repeated
+    st.builds(lambda d, n: [d] * n, st.floats(0.05, 3.0), st.integers(1, 6)),
+)
+
+
+class TestExclusion:
+    """``find_periodic_alphas`` refines only the grid minima that a Lipschitz
+    bound on |E| does not keep above tol, and certifies what the cut on
+    every refined minimum certifies."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shifts=_SHIFT_FAMILIES,
+        alpha_max=st.floats(1.0, 80.0),
+        grid_step=st.one_of(st.none(), st.floats(0.01, 0.5)),
+        tol=st.sampled_from([1e-16, 1e-8, 1e-2, 0.5, math.inf]),
+    )
+    @example(shifts=list(SCAN_FIXTURES["generic-6"][0]), alpha_max=50.0, grid_step=None, tol=1e-16)
+    # a near miss: the best refined residual is 1.1e-6, a certificate at
+    # tol 1e-2 and an excluded bracket at tol 1e-8
+    @example(shifts=[1.0, 2.001], alpha_max=3.0, grid_step=None, tol=1e-8)
+    @example(shifts=[1.0, 2.001], alpha_max=3.0, grid_step=None, tol=1e-2)
+    # phases near 1e19 round by more than |E| can be: nothing is excluded
+    @example(shifts=[1.0, 2.0], alpha_max=1e19, grid_step=1e17, tol=0.5)
+    def test_equals_the_cut_on_every_minimum(self, shifts, alpha_max, grid_step, tol):
+        certs = find_periodic_alphas(shifts, alpha_max, grid_step, tol)
+        got = [(c.alpha, c.period, c.system_residual) for c in certs]
+        assert got == _cut_every_minimum(shifts, alpha_max, grid_step, tol)
+
+    @staticmethod
+    def _brackets(monkeypatch, scan, *args) -> list[int]:
+        """Brackets of each golden-section call ``scan(*args)`` makes."""
+        sizes = []
+        golden = periodicity._golden_minimize
+
+        def spy(f, lo, hi, width):
+            sizes.append(lo.size)
+            return golden(f, lo, hi, width)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(periodicity, "_golden_minimize", spy)
+            scan(*args)
+        return sizes
+
+    @pytest.mark.parametrize("name", ["generic-2", "repeated-1-1", "log-2-3-5"])
+    def test_no_golden_step_where_nothing_certifies(self, name, monkeypatch):
+        assert len(scan_minima(*SCAN_FIXTURES[name])) > 0
+        monkeypatch.setattr(periodicity, "_golden_minimize", lambda *a: pytest.fail("refined"))
+        monkeypatch.setattr(periodicity, "_row_residuals", lambda *a: pytest.fail("evaluated"))
+        assert find_periodic_alphas(*SCAN_FIXTURES[name]) == []
+
+    def test_every_equispaced_bracket_refined(self, monkeypatch):
+        fixture = SCAN_FIXTURES["equispaced-16"]
+        assert self._brackets(monkeypatch, find_periodic_alphas, *fixture)[0] == 74
+
+    def test_generic_refines_only_what_can_certify(self, monkeypatch):
+        # 17 minima, the smallest residual 3.8e-4 and the next 0.041: only
+        # the bracket of the smallest is refined
+        fixture = SCAN_FIXTURES["generic-6"]
+        assert len(scan_minima(*fixture)) == 17
+        assert self._brackets(monkeypatch, find_periodic_alphas, *fixture) == [1]
+
+    def test_overflowing_shift_sum_excludes_nothing(self, monkeypatch):
+        # |1 + 2 exp(i alpha b)| >= 1 everywhere: with a finite sum of shifts
+        # every bracket is excluded, with an infinite one none is
+        finite = ((8e307, 8e307), 1e-305, 1e-309)
+        overflowing = ((9e307, 9e307), 1e-305, 1e-309)
+        assert self._brackets(monkeypatch, scan_minima, *finite)[0] > 0
+        assert self._brackets(monkeypatch, find_periodic_alphas, *finite) == []
+        every = self._brackets(monkeypatch, scan_minima, *overflowing)
+        assert every[0] > 0
+        assert self._brackets(monkeypatch, find_periodic_alphas, *overflowing) == every
+
+
 def test_subnormal_alpha_max_certifies_no_zero_frequency():
     # alpha_max / 3 underflows to 0, and every minimum passes an infinite
     # tolerance: a refined alpha of 0 divided by zero (exit 1 on the CLI)
