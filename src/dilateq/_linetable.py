@@ -56,15 +56,18 @@ it is false: a pruning caller prunes nothing.
 Both engines then look for the grid minima of a residual the same way,
 ``pruned_minima``: estimate every point (from a table), drop each point
 that a neighbour's estimate provably undercuts, sum exactly only the rest
-and their neighbours, and keep the points ``<=`` every 4-neighbour.  The
-periodicity scan passes a grid of one column, the seeding the rows and
-columns of its rectangle.
+and their neighbours, and keep the points ``<=`` every 4-neighbour.  It
+returns the minima as arrays, their rows, their columns and the exact
+values around each, so a caller reads them without summing again.  The
+periodicity scan passes a grid of one column and bounds each bracket by
+the three exact values around its minimum; the seeding passes the rows and
+columns of its rectangle and starts Newton at the minima.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -73,9 +76,9 @@ _UNIT_ROUNDOFF = 2.0**-53
 #: |libm cexp(w), or cos + i sin, - exp(w)| <= _LIBM_ERROR * u * |exp(w)|
 _LIBM_ERROR = 12.0
 
-#: in a grid padded by one cell, where cell (i, j) sits at (i + 1, j + 1),
-#: its 4-neighbours sit at (i + a, j + b)
-_AROUND = ((0, 1), (2, 1), (1, 0), (1, 2))
+#: in a grid padded by one cell, where cell (i, j) sits at (i + 1, j + 1), the
+#: cell itself and its 4-neighbours, above, below, left and right, sit at (i + a, j + b)
+_AROUND = ((1, 1), (0, 1), (2, 1), (1, 0), (1, 2))
 
 
 def _width(count: int) -> int:
@@ -172,12 +175,15 @@ def _undercut(est: np.ndarray, bound: np.ndarray) -> np.ndarray:
 
 def pruned_minima(
     size: int, candidates: range, estimate: Callable, bound: np.ndarray, exact: Callable
-) -> Iterator[tuple[int, int]]:
-    """Yield the cells (row, column), in row-major order, of a grid of
-    ``size`` rows whose row is a candidate and whose exact value is ``<=``
-    each 4-neighbour's, +inf outside the grid; summed exactly only where a
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cells of a grid of ``size`` rows whose row is a candidate and whose
+    exact value is ``<=`` each 4-neighbour's, +inf outside the grid, as
+    ``(rows, cols, around)`` in row-major order; summed exactly only where a
     minimum can be.
 
+    ``rows`` and ``cols`` are intp arrays, and ``around`` holds one row of
+    five exact values per minimum: the cell's own, then the neighbours'
+    above (row - 1), below (row + 1), left and right, +inf outside the grid.
     The candidates are the rows from ``candidates.start`` up to
     ``candidates.stop`` (within ``range(size)``), in blocks of
     ``candidates.step`` rows: the range holds the first row of each block.
@@ -191,11 +197,11 @@ def pruned_minima(
     neighbour's by more than both bounds (``_undercut``) has the larger
     exact value and fails the test, so it is dropped; only the remaining
     candidates and their neighbours are summed exactly, and the test runs
-    only at those candidates.  A NaN estimate or bound drops nothing, and a
-    NaN exact value is no minimum and makes no neighbour one, as in
-    ``expsums._local_minima``.  The blocks are searched as the cells are
-    taken.
+    only at those candidates, on ``around``.  A NaN estimate or bound drops
+    nothing, and a NaN exact value is no minimum and makes no neighbour
+    one, as in ``expsums._local_minima``.
     """
+    found = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty((0, 5)))]
     for lo in candidates:
         hi = min(lo + candidates.step, candidates.stop)
         top, bottom = max(lo - 1, 0), min(hi + 1, size)
@@ -213,5 +219,7 @@ def pruned_minima(
         values = np.full((keep.shape[0] + 2, keep.shape[1] + 2), np.inf)
         values[rows + 1, cols + 1] = exact(rows + top, cols)
         i, j = np.divmod(np.flatnonzero(keep), keep.shape[1])
-        low = np.all([values[i + 1, j + 1] <= values[i + a, j + b] for a, b in _AROUND], axis=0)
-        yield from zip((i[low] + top).tolist(), j[low].tolist())
+        around = np.stack([values[i + a, j + b] for a, b in _AROUND], axis=1)
+        low = (around[:, :1] <= around[:, 1:]).all(axis=1)
+        found.append((i[low] + top, j[low], around[low]))
+    return tuple(np.concatenate(part) for part in zip(*found))

@@ -22,6 +22,7 @@ from .errors import (
     NonPositiveScale,
     NotCoprime,
     ZeroDenominator,
+    _integer,
 )
 
 __all__ = [
@@ -47,8 +48,10 @@ def equispaced_alphas(n: int, d: float, m_max: int) -> list[float]:
     excluded.  An ``m_max`` above ``MAX_FREQUENCIES`` raises
     GridBudgetExceeded before the list is built.  An n + 1 too large for a
     float, and frequencies that overflow (a subnormal d) or underflow to 0
-    (an infinite (n+1)*d), raise InvalidInput.
+    (an infinite (n+1)*d), raise InvalidInput, as do an n or m_max that is
+    no integer.
     """
+    n, m_max = _integer(n, "n"), _integer(m_max, "m_max")
     if n < 1:
         raise InvalidInput("n must be >= 1")
     if not math.isfinite(d):
@@ -90,8 +93,10 @@ def two_term_periodic_exists(p: int, q: int) -> TwoTermVerdict:
 
     Solvable exactly when {p mod 3, q mod 3} == {1, 2}; then p/q equals
     (2+3k)/(1+3m) or its reciprocal for integer k, m recovered directly from
-    the residues.  Pure integer arithmetic throughout.
+    the residues.  Pure integer arithmetic throughout: a p or q that is no
+    integer raises InvalidInput.
     """
+    p, q = _integer(p, "p"), _integer(q, "q")
     if q == 0:
         raise ZeroDenominator("q must be nonzero")
     if p < 1 or q < 1:
@@ -172,8 +177,10 @@ def fourier_matrix(k: int, theta: float, b) -> FourierMatrix:
     summed in numpy's order, so they equal the numpy formula
     ``1 + np.cos(phases).sum()`` bit for bit wherever numpy takes float64
     cosines and sines from the C library, as ``math`` does.  A k * theta past
-    the float range, or a non-finite phase, raises InvalidInput.
+    the float range, a non-finite phase, or a k that is no integer raises
+    InvalidInput.
     """
+    k = _integer(k, "harmonic index k")
     if k < 1:
         raise InvalidInput("harmonic index k must be >= 1")
     shifts = _shift_list(b)

@@ -1,8 +1,11 @@
 """Exception hierarchy shared by all dilateq modules.
 
 Three bases drive the CLI exit codes: ``InvalidInput`` (exit 2),
-``DomainViolation`` (exit 3) and ``Nonconvergence`` (exit 4).
+``DomainViolation`` (exit 3) and ``Nonconvergence`` (exit 4).  Integer
+arguments are taken through ``_integer``, which raises the first.
 """
+
+import operator
 
 
 class DilateqError(Exception):
@@ -57,6 +60,16 @@ class NonPositiveSample(InvalidInput):
 
 class DomainMismatch(InvalidInput):
     """Boundary data does not live on the interval the shifts require."""
+
+
+def _integer(value, name: str) -> int:
+    """``operator.index(value)``: a Python or numpy integer as an int.  A float,
+    even an integral one, or any other type raises InvalidInput naming the
+    argument, where it would otherwise be rounded or fail deep inside."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{name} must be an integer, not {value!r}") from None
 
 
 # -- domain violations --------------------------------------------------------

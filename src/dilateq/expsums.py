@@ -21,8 +21,10 @@ takes every exact value one way:
   every cell within a proved bound, one per column.  The search for minima
   is the one the periodicity scan runs too, ``_linetable.pruned_minima``:
   cells that a neighbour provably undercuts are dropped, and only the rest
-  and their neighbours are summed exactly.  The seeds, and so every zero,
-  are those of the full scan, bit for bit and in the same order.
+  and their neighbours are summed exactly.  It returns the minima's rows
+  and columns as arrays, from which ``_seed`` builds the Newton starts.
+  The seeds, and so every zero, are those of the full scan, bit for bit and
+  in the same order.
 - Newton runs from all seeds in lockstep (``_newton``): each step takes
   ``g`` and ``g'`` at the next iterate of every live seed from one table of
   terms ``exp(z ln k)``, in blocks, and each seed keeps Python's complex
@@ -60,7 +62,14 @@ import numpy as np
 
 from ._frozen import Frozen
 from ._linetable import _UNIT_ROUNDOFF, LineTable, pruned_minima, table_rows
-from .errors import BoundaryZero, GridBudgetExceeded, IncompleteSearch, InvalidInput, InvalidRange
+from .errors import (
+    BoundaryZero,
+    GridBudgetExceeded,
+    IncompleteSearch,
+    InvalidInput,
+    InvalidRange,
+    _integer,
+)
 
 __all__ = [
     "ComplexZero",
@@ -123,7 +132,8 @@ def _log_table(n: int) -> np.ndarray:
 
 
 def _check_n(n: int) -> None:
-    if n < 2:
+    """Refuse an n that is no integer, or below 2."""
+    if _integer(n, "n") < 2:
         raise InvalidInput("the exponential sum needs n >= 2")
 
 
@@ -266,6 +276,7 @@ def newton_refine(n: int, z0: complex) -> tuple[complex, list[float]] | None:
     iteration stalls, diverges or runs out of steps: the one-seed case of
     ``_newton``.
     """
+    _check_n(n)
     return _newton(n, np.array([z0], dtype=complex))[0]
 
 
@@ -403,9 +414,10 @@ def scan_modulus(n: int, rect: SearchRectangle) -> tuple[np.ndarray, np.ndarray,
 
 def _grid_minima(
     n: int, rect: SearchRectangle
-) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
-    """The grid axes and ``_local_minima(scan_modulus(n, rect)[2])``, summed
-    exactly only where a minimum can be.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The grid axes (re, im) and the rows and columns of
+    ``_local_minima(scan_modulus(n, rect)[2])``, summed exactly only where a
+    minimum can be.
 
     Re G and Im G are estimated on every cell by two real matrix products,
     ``P.real @ radial.T`` and ``P.imag @ radial.T``, which BLAS sums in any
@@ -447,7 +459,7 @@ def _grid_minima(
     per column: it drops a cell that a neighbour provably undercuts, and
     sums exactly (``_grid_modulus``) only the rest and their neighbours.
     Every row is a candidate, in blocks of about ``_CHUNK_BYTES`` of
-    temporaries, and the minima come in row-major order.
+    temporaries, and the minima come in row-major order, as intp arrays.
     """
     re, im = _grid_axes(n, rect)
     # linspace's own step: the line's points are the im axis up to rounding
@@ -465,11 +477,15 @@ def _grid_minima(
             return np.hypot(real, imag)
 
     exact = functools.partial(_grid_modulus, n, re, im)
-    rows = max(1, _CHUNK_BYTES // (8 * (2 * n + 8 * re.size)))
-    return re, im, list(pruned_minima(im.size, range(0, im.size, rows), estimate, bound, exact))
+    block = max(1, _CHUNK_BYTES // (8 * (2 * n + 8 * re.size)))
+    rows, cols, _ = pruned_minima(im.size, range(0, im.size, block), estimate, bound, exact)
+    return re, im, rows, cols
 
 
-def _local_minima(a: np.ndarray) -> list[tuple[int, int]]:
+def _local_minima(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and columns of the cells of ``a`` that are ``<=`` each
+    4-neighbour, +inf outside the grid, in row-major order: the dense
+    reference of ``_linetable.pruned_minima``."""
     padded = np.pad(a, 1, constant_values=np.inf)
     core = padded[1:-1, 1:-1]
     mask = (
@@ -478,7 +494,7 @@ def _local_minima(a: np.ndarray) -> list[tuple[int, int]]:
         & (core <= padded[1:-1, :-2])
         & (core <= padded[1:-1, 2:])
     )
-    return [(int(i), int(j)) for i, j in zip(*np.nonzero(mask))]
+    return np.nonzero(mask)
 
 
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -705,13 +721,11 @@ def _seed(n: int, rect: SearchRectangle, found: dict[complex, float]) -> dict[co
     A converged zero is kept when its residual is at most ZERO_RESIDUAL_TOL,
     it lies in the rectangle, and no kept zero is within _DEDUPE_DIST of it;
     the minima are taken in order.  They are those of
-    ``scan_modulus(n, rect)``, found by ``_grid_minima``, and Newton runs from
-    all of them at once (``_newton``).
+    ``scan_modulus(n, rect)``, found by ``_grid_minima`` as arrays of rows and
+    columns, and Newton runs from all of them at once (``_newton``), started
+    at the grid points re[cols] + i im[rows].
     """
-    re, im, minima = _grid_minima(n, rect)
-    rows, cols = np.array(minima, dtype=np.intp).reshape(-1, 2).T
-    # drop the list before Newton: about 90 bytes a minimum, where a start takes 16
-    del minima
+    re, im, rows, cols = _grid_minima(n, rect)
     starts = np.empty(rows.size, dtype=complex)
     starts.real, starts.imag = re[cols], im[rows]
     for refined in _newton(n, starts):
@@ -758,13 +772,13 @@ def find_zeros(n: int, rect: SearchRectangle | None = None) -> list[ComplexZero]
     _check_grid(n, rect)
     turns = winding_count(n, rect)
     found = _seed(n, rect, {})
-    zeros = _verified(n, rect, found)
     grid_re, grid_im = 2 * rect.grid_re - 1, 2 * rect.grid_im - 1
-    if turns > len(zeros) and _grid_refusal(n, grid_re, grid_im) is None:
+    if turns > len(found) and _grid_refusal(n, grid_re, grid_im) is None:
         finer = SearchRectangle(
             rect.re_min, rect.re_max, rect.im_min, rect.im_max, grid_re, grid_im
         )
-        zeros = _verified(n, rect, _seed(n, finer, found))
+        _seed(n, finer, found)
+    zeros = _verified(n, rect, found)
     if turns != len(zeros):
         warnings.warn(
             IncompleteSearch(

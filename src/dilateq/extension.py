@@ -57,6 +57,7 @@ from .errors import (
     InvalidRange,
     NonPositiveSample,
     OutOfCoverage,
+    _integer,
 )
 
 __all__ = [
@@ -213,8 +214,10 @@ def periodic_reference(n: int) -> PiecewiseLinear:
 
     On [0, n+1]: 1 up to n-1, then down to -n at n along -(n+1)x + n^2, then
     back up to 1 at n+1 along (n+1)x - n(n+2).  Tiled with period n+1 this is
-    the global extension of ``tent_boundary((1, ..., n))``.
+    the global extension of ``tent_boundary((1, ..., n))``.  An n that is no
+    integer raises InvalidInput.
     """
+    n = _integer(n, "n")
     if n < 2:
         raise InvalidInput("periodic reference requires n >= 2")
     return PiecewiseLinear(
@@ -719,10 +722,12 @@ def popoviciu_determinant(f: Callable, x: float, h: float, n: int) -> float:
     Vanishing for all (x, h) characterizes exponential polynomials; a single
     decisively nonzero value certifies that f is not one.  An order whose
     matrix would hold more than ``_MAX_HANKEL_ENTRIES`` entries raises
-    GridBudgetExceeded before any sample is taken.
+    GridBudgetExceeded before any sample is taken, and an order that is no
+    integer raises InvalidInput.
     """
     if h == 0.0:
         raise InvalidInput("step h must be nonzero")
+    n = _integer(n, "order n")
     if n < 1:
         raise InvalidInput("order n must be >= 1")
     _check_order(n)

@@ -26,18 +26,20 @@ and this scan share one search for grid minima,
 points are no candidates.  A point that a neighbour's estimate undercuts
 by more than both bounds is no minimum; only the other points and their
 neighbours are summed exactly, so the grid minima are those of the
-residual summed exp by exp at every point, bit for bit.  ``scan_minima``
-then refines every interior grid minimum by golden section, all brackets in
-lockstep: each step evaluates the new points of every live bracket in one
-array call, and each bracket takes exactly the steps a scalar golden
-section would take on it alone.  The refined residuals square the cosine
-and sine sums by libm ``pow`` (``np.float_power``), as the scalar residual
-does, so the certificates are the same to the bit as refining one bracket
-at a time.  ``find_periodic_alphas`` refines only the brackets that can
-still certify: |E'| <= sum b_k, so the exact residuals at a minimum and its
-two neighbours, which the search has already summed, bound |E| from below
-on the bracket, and a bracket whose bound, less a proved rounding margin,
-keeps every residual above the tolerance is dropped unrefined
+residual summed exp by exp at every point, bit for bit.  The search returns
+the minima's indices as an array, each with the exact residuals at itself
+and its two neighbours.  ``scan_minima`` then refines every interior grid
+minimum by golden section, all brackets in lockstep: each step evaluates
+the new points of every live bracket in one array call, and each bracket
+takes exactly the steps a scalar golden section would take on it alone.
+The refined residuals square the cosine and sine sums by libm ``pow``
+(``np.float_power``), as the scalar residual does, so the certificates are
+the same to the bit as refining one bracket at a time.
+``find_periodic_alphas`` refines only the brackets that can still certify:
+|E'| <= sum b_k, so the exact residuals at a minimum and its two
+neighbours, which the search returns with it, bound |E| from below on the
+bracket, and a bracket whose bound, less a proved rounding margin, keeps
+every residual above the tolerance is dropped unrefined
 (``_cannot_certify``).  Its certificates are those of refining every
 minimum, bit for bit.  Non-finite shifts, frequencies and angles are
 refused.
@@ -229,13 +231,7 @@ def _refined_minima(b, alpha_max: float, grid_step: float | None, tol: float):
     # the grid: step * (j + 1) for j < count, then alpha_max unless it is the last
     size = count + (grid_step * count < alpha_max)
     at = lambda j: np.where(j < count, grid_step * (j + 1), alpha_max)
-    # every exact grid residual, kept for the bound on each minimum's bracket
-    seen: list[tuple[np.ndarray, np.ndarray]] = []
-
-    def exact(rows, cols):
-        values = _residuals(at(rows), shifts, np.square)
-        seen.append((rows, values))
-        return values
+    exact = lambda rows, cols: _residuals(at(rows), shifts, np.square)
 
     # a line table over 8 MiB (a few thousand shifts on a grid of 1e4 points)
     # would outgrow the exact sums' blocks: such grids, and the shortest, are
@@ -263,16 +259,11 @@ def _refined_minima(b, alpha_max: float, grid_step: float | None, tol: float):
             at, size = np.linspace(min(grid_step, alpha_max / 3.0), alpha_max, 4).__getitem__, 4
         bound, block = np.zeros(1), max(1, _BLOCK_BYTES // 48)
         estimate = lambda top, bottom: exact(np.arange(top, bottom), None)[:, None]
-    minima = pruned_minima(size, range(1, size - 1, block), estimate, bound, exact)
-    interior = np.array([i for i, _ in minima], dtype=np.intp)
+    interior, _, around = pruned_minima(size, range(1, size - 1, block), estimate, bound, exact)
     lo, hi = at(interior - 1), at(interior + 1)
-    if interior.size:
-        # each minimum and its two neighbours were summed exactly
-        rows, values = (np.concatenate(part) for part in zip(*seen))
-        order = np.argsort(rows, kind="stable")
-        near = values[order[np.searchsorted(rows[order], interior[:, None] + (-1, 0, 1))]]
-        keep = ~_cannot_certify(near, lo, at(interior), hi, shifts, tol)
-        lo, hi = lo[keep], hi[keep]
+    # the exact residuals at each minimum's rows i - 1, i and i + 1
+    keep = ~_cannot_certify(around[:, [1, 0, 2]], lo, at(interior), hi, shifts, tol)
+    lo, hi = lo[keep], hi[keep]
     if lo.size == 0:
         return []
     f = lambda a: _row_residuals(a, shifts)

@@ -155,6 +155,8 @@ class TestPrunedMinima:
     @example(case=(np.array([CHAIN[::-1]]), [0.5] * 4, [0.0] * 4, [False] * 4, (0, 1, 1)))
     @example(case=(np.array([CHAIN]).T, [0.5], [0.0] * 4, [False] * 4, (0, 4, 1)))
     @example(case=(np.array([CHAIN[::-1]]).T, [0.5], [0.0] * 4, [False] * 4, (0, 4, 1)))
+    # no candidate row at all
+    @example(case=(np.ones((3, 2)), [0.0] * 2, [0.0] * 6, [False] * 6, (2, 2, 1)))
     def test_brute_force_minima_of_the_candidates(self, case):
         exact, bound, shift, lost, (start, stop, step) = case
         rows, cols = exact.shape
@@ -184,7 +186,18 @@ class TestPrunedMinima:
 
         # the first row of each block of candidates, every row up to the stop
         blocks = range(start, stop, step)
-        found = list(pruned_minima(rows, blocks, estimate, bound, exact_cells))
-        assert found == [(i, j) for i, j in expsums._local_minima(exact) if start <= i < stop]
+        found_rows, found_cols, around = pruned_minima(rows, blocks, estimate, bound, exact_cells)
+        want_rows, want_cols = expsums._local_minima(exact)
+        inside = (start <= want_rows) & (want_rows < stop)
+        np.testing.assert_array_equal(found_rows, want_rows[inside])
+        np.testing.assert_array_equal(found_cols, want_cols[inside])
+        assert found_rows.dtype == found_cols.dtype == np.intp
+        # each minimum's exact value and its neighbours' above, below, left
+        # and right, +inf outside the grid
+        padded = np.pad(exact, 1, constant_values=math.inf)
+        i, j = found_rows + 1, found_cols + 1
+        near = [padded[i + a, j + b] for a, b in ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))]
+        assert around.dtype == float and around.shape == (found_rows.size, 5)
+        np.testing.assert_array_equal(around, np.stack(near, axis=1))
         # exact sums go only to the candidates and their neighbours
         assert sum(calls) <= (stop - start + 2 * len(blocks)) * cols

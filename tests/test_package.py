@@ -1,6 +1,8 @@
-"""The package namespace: lazy public names and what a bare import loads."""
+"""The package namespace: lazy public names, what a bare import loads, and
+the integer arguments every module refuses alike."""
 
 import importlib
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +12,8 @@ import pytest
 
 import dilateq
 from dilateq import closedforms, periodicity
+from dilateq.errors import InvalidInput
+from dilateq.expsums import SearchRectangle
 
 #: the public names of ``dilateq``, in ``__all__`` order
 EXPORTS = [
@@ -122,6 +126,38 @@ def test_submodule_import_from_package():
     from dilateq import extension
 
     assert extension.extend is dilateq.extend
+
+
+#: (module, function, argument, arguments) where the named argument must be an
+#: integer and is not: a float is never rounded, and NaN is no integer either
+RECT = SearchRectangle(-3.0, 2.0, 0.0, 5.0, 5, 5)
+NON_INTEGERS = [
+    ("expsums", "power_sum", "n", (2.5, 1j)),
+    ("expsums", "power_sum", "n", (math.nan, 1j)),
+    ("expsums", "zeta_partial_sum", "n", (3.7, 2)),
+    ("expsums", "power_sum_deriv", "n", (2.5, 1j)),
+    ("expsums", "newton_refine", "n", (2.5, 1 + 1j)),
+    ("expsums", "find_zeros", "n", (2.5,)),
+    ("expsums", "scan_modulus", "n", (2.5, RECT)),
+    ("expsums", "winding_count", "n", (2.5, RECT)),
+    ("expsums", "residual_integer_equation", "n", (abs, 2.5, [-1.0])),
+    ("closedforms", "equispaced_alphas", "n", (2.5, 1.0, 3)),
+    ("closedforms", "equispaced_alphas", "m_max", (2, 1.0, 2.5)),
+    ("closedforms", "two_term_periodic_exists", "p", (2.5, 1)),
+    ("closedforms", "two_term_periodic_exists", "q", (1, 2.0)),
+    ("closedforms", "fourier_matrix", "k", (1.5, 1.0, (1.0,))),
+    ("extension", "popoviciu_determinant", "order n", (math.cos, 0.0, 0.1, 2.5)),
+    ("extension", "periodic_reference", "n", (2.5,)),
+]
+
+
+@pytest.mark.parametrize(
+    "module, name, arg, args", NON_INTEGERS, ids=[f"{c[1]}-{c[2]}" for c in NON_INTEGERS]
+)
+def test_non_integer_argument_is_invalid_input(module, name, arg, args):
+    func = getattr(importlib.import_module(f"dilateq.{module}"), name)
+    with pytest.raises(InvalidInput, match=f"{arg} must be an integer"):
+        func(*args)
 
 
 def test_readme_library_example_runs(capsys):
