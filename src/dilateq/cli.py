@@ -10,16 +10,23 @@ byte-identical output.
 Each ``_cmd_*`` returns what it prints: a JSON-able value, CSV text, or an
 ``_Output`` that adds files and stderr text to follow the payload.  ``main``
 alone writes it, to stdout or ``--out``, and only after the subcommand has
-returned, so no refusal leaves a partial file behind.
+returned, so no refusal leaves a partial file behind.  It opens every file
+target before it writes anything: one that cannot be written exits 2 with
+nothing printed and no file changed.
 
 A process pays only for the subcommand it runs.  This module imports the
 standard library, ``coefficients``, ``closedforms`` and ``errors``, none of
 which loads numpy, so ``regularity``, ``normalize``, ``equispaced``,
-``two-term`` and ``fourier-matrix`` run without numpy.  Every other
-subcommand imports numpy and its one engine module when it starts:
-``extend``, ``residual`` and ``popoviciu`` load ``extension``;
-``periodicity`` loads ``periodicity``; ``zeros`` and ``mora-solution`` load
-``expsums``.
+``two-term`` and ``fourier-matrix`` run without numpy.  ``extend`` and
+``residual --shifts`` load ``_floats`` and run there, in Python floats, when
+the boundary, the extension's least breakpoint count and the grid's reads
+are within its limits; its numbers are the numpy engine's bit for bit, and
+it refuses only incompatible boundary data.  Past those limits, or on
+anything it hands over (invalid or non-finite data, a domain not exactly
+[0, bN], a seam mismatch, a build past its node cap), they load numpy and
+``extension`` as ``popoviciu`` and ``residual --coeffs`` always do.
+``periodicity`` loads numpy and ``periodicity``; ``zeros`` and
+``mora-solution`` load numpy and ``expsums``.
 """
 
 from __future__ import annotations
@@ -28,9 +35,9 @@ import argparse
 import json
 import math
 import numbers
+import os
 import sys
 import warnings
-from pathlib import Path
 from typing import NamedTuple
 
 from . import closedforms, coefficients
@@ -79,11 +86,23 @@ class _Output(NamedTuple):
     stderr: str = ""
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _check_writable(paths) -> None:
+    """Refuse, before any is written, a path that cannot be opened for writing.
+
+    Each path is opened for appending, which changes no file; a file made
+    here is removed again when a later path fails, which raises InvalidInput.
+    """
+    made = []
+    for path in paths:
+        new = not os.path.lexists(path)
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            for done in made:
+                os.remove(done)
+            raise InvalidInput(f"cannot write {path}: {exc.strerror or exc}") from None
+        if new:
+            made.append(path)
 
 
 # -- input parsing -------------------------------------------------------------
@@ -137,27 +156,67 @@ def _range(args) -> tuple[float, float]:
 
 def _sampled_range(args, shifts) -> tuple[float, float]:
     """``--range`` of ``extend`` and ``residual``, after ``--samples`` and its budget."""
-    from . import extension
+    from . import _floats
 
     _check_samples(args.samples)
     # each sample reads the extension at N + 1 points, before any is built
-    extension._check_reads(args.samples, len(shifts.entries))
+    _floats._check_reads(args.samples, len(shifts.entries))
     return _range(args)
 
 
-def _extension(args, shifts, lo: float, hi: float):
-    """``--boundary`` and its extension over (min(lo, 0), max(hi, bN)) within ``--tol``."""
-    from . import extension
-
+def _boundary(args) -> tuple[list[float], list[float]]:
+    """Breakpoints and values of ``--boundary``."""
     obj = _read_json(args.boundary)
     if not isinstance(obj, dict) or "breakpoints" not in obj or "values" not in obj:
         raise InvalidInput(f"{args.boundary} must be an object with 'breakpoints' and 'values'")
-    boundary = extension.PiecewiseLinear(
-        _number_list(obj["breakpoints"], "breakpoints"), _number_list(obj["values"], "values")
-    )
-    tol = args.tol if args.tol is not None else extension.INTERPOLATION_TOL
+    return _number_list(obj["breakpoints"], "breakpoints"), _number_list(obj["values"], "values")
+
+
+def _tol(args) -> float:
+    from . import _floats
+
+    return args.tol if args.tol is not None else _floats.INTERPOLATION_TOL
+
+
+def _extension(args, shifts, lo: float, hi: float, data=None):
+    """``--boundary`` (or its ``data``) and its extension over (min(lo, 0), max(hi, bN))."""
+    from . import extension
+
+    boundary = extension.PiecewiseLinear(*(data or _boundary(args)))
     target = (min(lo, 0.0), max(hi, shifts.largest))
-    return boundary, extension.extend(boundary, shifts, target, tol=tol)
+    return boundary, extension.extend(boundary, shifts, target, tol=_tol(args))
+
+
+def _additive(args, shifts):
+    """The extension of ``--boundary`` on ``--range`` and ``--samples``.
+
+    Returns the compatibility residual, the grid, the extension's values on
+    it and its largest additive residual there, from ``_floats`` when it
+    takes the sizes and the data, else from numpy and ``extension``.
+    """
+    from . import _floats
+
+    lo, hi = _sampled_range(args, shifts)
+    data = _boundary(args)
+    b_n = shifts.largest
+    target = (min(lo, 0.0), max(hi + b_n, b_n))
+    out = _floats.sampled(*data, shifts.entries, target, _tol(args), lo, hi, args.samples)
+    if out is not None:
+        return out
+    import numpy as np
+
+    from . import extension
+
+    boundary, sol = _extension(args, shifts, lo, hi + b_n, data)
+    grid = np.linspace(lo, hi, args.samples)
+    # the residual's own first read: either raises what the other would
+    values = sol(grid).tolist()
+    return (
+        extension.check_interpolation(boundary, shifts),
+        grid.tolist(),
+        values,
+        extension.residual_additive(sol, shifts, grid),
+    )
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -179,47 +238,30 @@ def _cmd_normalize(args):
 
 
 def _cmd_extend(args):
-    import numpy as np
-
-    from . import extension
-
-    shifts = _shifts(args.shifts)
-    lo, hi = _sampled_range(args, shifts)
-    boundary, sol = _extension(args, shifts, lo, hi + shifts.largest)
-    w = np.linspace(lo, hi, args.samples)
-    report = {
-        "interpolation_residual": extension.check_interpolation(boundary, shifts),
-        "max_additive_residual": extension.residual_additive(sol, shifts, w),
-    }
-    table = _csv("w,value", zip(w.tolist(), sol(w).tolist()))
-    return _Output(table, stderr=to_json(report) + "\n")
+    residual, grid, values, peak = _additive(args, _shifts(args.shifts))
+    report = {"interpolation_residual": residual, "max_additive_residual": peak}
+    return _Output(_csv("w,value", zip(grid, values)), stderr=to_json(report) + "\n")
 
 
 def _cmd_residual(args):
+    if (args.shifts is None) == (args.coeffs is None):
+        raise InvalidInput("give exactly one of --shifts or --coeffs")
+    if args.shifts is not None:
+        residual, _, _, peak = _additive(args, _shifts(args.shifts))
+        return {"max_residual": peak, "interpolation_residual": residual}
     import numpy as np
 
     from . import extension
 
-    if (args.shifts is None) == (args.coeffs is None):
-        raise InvalidInput("give exactly one of --shifts or --coeffs")
-    if args.shifts is not None:
-        shifts = _shifts(args.shifts)
-    else:
-        vec = coefficients.normalize(_parse_vector(args.coeffs, "coefficients"))
-        shifts = coefficients.to_additive(vec)
+    vec = coefficients.normalize(_parse_vector(args.coeffs, "coefficients"))
+    shifts = coefficients.to_additive(vec)
     lo, hi = _sampled_range(args, shifts)
-    if args.shifts is not None:
-        boundary, sol = _extension(args, shifts, lo, hi + shifts.largest)
-        grid = np.linspace(lo, hi, args.samples)
-        value = extension.residual_additive(sol, shifts, grid)
-    else:
-        if lo <= 0.0:
-            raise InvalidInput("multiplicative grid must be positive")
-        boundary, sol = _extension(args, shifts, math.log(lo), math.log(hi) + shifts.largest)
-        grid = np.geomspace(lo, hi, args.samples)
-        value = extension.residual_multiplicative(lambda x: sol(np.log(x)), vec, grid)
+    if lo <= 0.0:
+        raise InvalidInput("multiplicative grid must be positive")
+    boundary, sol = _extension(args, shifts, math.log(lo), math.log(hi) + shifts.largest)
+    grid = np.geomspace(lo, hi, args.samples)
     return {
-        "max_residual": value,
+        "max_residual": extension.residual_multiplicative(lambda x: sol(np.log(x)), vec, grid),
         "interpolation_residual": extension.check_interpolation(boundary, shifts),
     }
 
@@ -446,9 +488,15 @@ def main(argv=None) -> int:
         if not isinstance(out, _Output):
             out = _Output(out)
         payload = out.payload
-        _emit(payload if isinstance(payload, str) else to_json(payload) + "\n", args.out)
-        for path, text in out.files:
-            _emit(text, path)
+        text = payload if isinstance(payload, str) else to_json(payload) + "\n"
+        files = (((args.out, text),) if args.out else ()) + out.files
+        _check_writable(path for path, _ in files)
+        if not args.out:
+            sys.stdout.write(text)
+        # in order: where two targets are one file, the later text remains
+        for path, content in files:
+            with open(path, "w") as fh:
+                fh.write(content)
         sys.stderr.write(out.stderr)
     except InvalidInput as exc:
         sys.stderr.write(f"error: {exc}\n")

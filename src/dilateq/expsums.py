@@ -237,7 +237,8 @@ def default_rectangle() -> SearchRectangle:
 
 
 class ComplexZero(Frozen):
-    """A verified zero of the order-n power sum."""
+    """A verified zero of the order-n power sum; an n that is no integer, or
+    below 2, raises InvalidInput."""
 
     __slots__ = ("z", "modulus_residual", "n")
     z: complex
@@ -246,6 +247,7 @@ class ComplexZero(Frozen):
 
     def __init__(self, z: complex, modulus_residual: float, n: int) -> None:
         super().__init__(z, modulus_residual, n)
+        _check_n(self.n)
         # both checks are written so that NaN fails them
         if not self.modulus_residual <= ZERO_RESIDUAL_TOL:
             raise InvalidInput(
@@ -794,13 +796,17 @@ class PowerSolution(Frozen):
 
     Solves f(x) + f(2x) + ... + f(nx) = 0 pointwise for x != 0; continuous
     at 0 only when Re(alpha) > 0 (the modulus blows up or oscillates without
-    settling otherwise), reported by ``continuous_at_zero``.  A NaN or
-    infinite point raises InvalidInput.
+    settling otherwise), reported by ``continuous_at_zero``.  An n that is
+    no integer, or below 2, and a NaN or infinite point raise InvalidInput.
     """
 
     __slots__ = ("alpha", "n")
     alpha: complex
     n: int
+
+    def __init__(self, alpha: complex, n: int) -> None:
+        super().__init__(alpha, n)
+        _check_n(self.n)
 
     @property
     def continuous_at_zero(self) -> bool:

@@ -34,16 +34,32 @@ arithmetic; larger strips are built in numpy arrays.  The two agree bit for
 bit: the float body does the array body's float operations in the same
 order, reads each point by numpy's own interpolation formula and sums each
 node's terms in read order from +0.0, as ``np.add.reduce`` sums rows.
+
+This module is the reference engine, and every library caller gets its
+``PiecewiseLinear`` arrays.  The float strip body, the compatibility
+tolerance and its refusal, the merge range, the plan of a build (steps,
+stops, breakpoint estimate, vanishing strips) and the read budget live in
+``_floats``, which both engines share.  The command line runs ``_floats``'
+own list engine for small ``extend`` and ``residual --shifts`` calls,
+without numpy, and this module for everything else.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ._floats import (
+    INTERPOLATION_TOL,
+    _MERGE_EPS,
+    _check_reads,
+    _float_strip,
+    _incompatible,
+    _plan,
+)
 from ._frozen import Frozen
 from .coefficients import CoefficientVector, ShiftVector
 from .errors import (
@@ -52,7 +68,6 @@ from .errors import (
     DomainMismatch,
     GridBudgetExceeded,
     InternalInconsistency,
-    InterpolationViolated,
     InvalidInput,
     InvalidRange,
     NonPositiveSample,
@@ -75,17 +90,8 @@ __all__ = [
 #: hard cap on breakpoints accumulated during extension
 MAX_BREAKPOINTS = 1_000_000
 
-#: default tolerance on the boundary compatibility residual
-INTERPOLATION_TOL = 1e-9
-
-#: breakpoints closer than _MERGE_EPS * max(1, |w|) are treated as one
-_MERGE_EPS = 1e-12
-
 #: relative tolerance of the seam check where strips join (see ``_seam_check``)
 _MERGE_VALUE_TOL = 1e-9
-
-#: most reads one residual grid may take, grid points times N + 1
-_MAX_READS = 1 << 26
 
 #: most entries, (order + 1)^2, of one Popoviciu Hankel matrix: 8 MiB of floats
 _MAX_HANKEL_ENTRIES = 1 << 20
@@ -395,73 +401,11 @@ def _array_strip(
     return nodes, np.negative(np.add.reduce(terms, axis=0, initial=0.0))
 
 
-def _float_strip(xs: list, ys: list, reads: list, lo: float, hi: float, right: bool):
-    """``_array_strip`` in Python floats, bit for bit, with lists for arrays.
-
-    Each step is the array body's own float operation.  ``fl(x - r)`` is
-    monotone in x, so the kinks of a read are one run of the window, found
-    from a ``bisect`` start.  A read takes ``np.interp``'s formula (numpy's
-    ``arr_interp``): the stored value at a breakpoint or past an end, else
-    ``slope * (p - x_a) + y_a`` with x_a <= p < x_(a+1), retried from the
-    right end of the segment when that is NaN.  A node's terms are summed in
-    read order from +0.0, as ``np.add.reduce`` sums the rows.  No read point
-    is NaN: nodes and reads are finite.
-    """
-    last = len(xs) - 1
-    x0, xl, y0, yl = xs[0], xs[last], ys[0], ys[last]
-    inner = []
-    for r in reads:
-        # past fl(lo + r), x - r > lo, so fl(x - r) >= lo; a kink equal to lo
-        # merges into it.  At or below it, fl(x - r) may still exceed lo
-        a = bisect_right(xs, lo + r)
-        while a > 0 and xs[a - 1] - r > lo:
-            a -= 1
-        while a <= last and xs[a] - r < hi:
-            inner.append(xs[a] - r)
-            a += 1
-    inner.sort()
-    inner.append(hi)
-    nodes, before = [lo], lo
-    if lo >= 1.0 if right else hi <= -1.0:
-        scale = _MERGE_EPS if right else -_MERGE_EPS
-        for x in inner:
-            if x - before > x * scale:
-                nodes.append(x)
-            before = x
-    else:
-        for x in inner:
-            if x - before > _MERGE_EPS * max(1.0, abs(x)):
-                nodes.append(x)
-            before = x
-    nodes[-1] = hi
-    values = []
-    for node in nodes:
-        total = 0.0
-        for r in reads:
-            p = node + r
-            if x0 < p < xl:
-                a = bisect_right(xs, p) - 1
-                x, y = xs[a], ys[a]
-                if x != p:
-                    slope = (ys[a + 1] - y) / (xs[a + 1] - x)
-                    t = slope * (p - x) + y
-                    if t != t:
-                        t = slope * (p - xs[a + 1]) + ys[a + 1]
-                        if t != t and y == ys[a + 1]:
-                            t = y
-                    y = t
-            else:
-                y = y0 if p <= x0 else yl
-            total += y
-        values.append(-total)
-    return nodes, values
-
-
-def _grow(built: _Breakpoints, reads, edge: float, step: float, stop: float, right: bool):
+def _grow(built: _Breakpoints, reads: list, edge: float, step: float, stop: float, right: bool):
     """Add strips of width ``step`` at ``edge`` until ``edge`` passes ``stop``.
 
-    The strip on [lo, hi] is g(y) = -sum_j g(y + reads[j]), ``reads`` an
-    (N, 1) column reaching back to -bN (right) or forward to bN (left).  Its
+    The strip on [lo, hi] is g(y) = -sum_j g(y + reads[j]), the N ``reads``
+    reaching back to -bN (right) or forward to bN (left).  Its
     nodes are the exact ends plus every kink xs - reads[j] inside (lo, hi),
     less each within merge range of the one before.  It reads the breakpoints
     within bN of ``edge`` plus two, so interpolation on that window brackets
@@ -490,9 +434,9 @@ def _grow(built: _Breakpoints, reads, edge: float, step: float, stop: float, rig
     and writes the buffer directly.  The budget is checked once per strip,
     before its nodes are stored.
     """
-    shifts = reads[:, 0].tolist()
-    n = len(shifts)
-    reach = shifts[0] if right else shifts[-1]
+    column = np.array(reads)[:, None]
+    n = len(reads)
+    reach = reads[0] if right else reads[-1]
     # the seam: the stored value at ``edge`` (last or first) and the strip's node there
     end, seam = (-1, 0) if right else (0, -1)
     new = slice(1, None) if right else slice(None, -1)
@@ -525,17 +469,17 @@ def _grow(built: _Breakpoints, reads, edge: float, step: float, stop: float, rig
                 lx, ly, at_head = [], [], False
         if small:
             xs, ys = lx[a:b], ly[a:b]
-            nodes, values = _float_strip(xs, ys, shifts, lo, hi, right)
+            nodes, values = _float_strip(xs, ys, reads, lo, hi, right)
             existing, incoming = ys[end], values[seam]
         else:
             xs, ys = built.bx[i:j], built.by[i:j]
-            nodes, values = _array_strip(xs, ys, reads, lo, hi, right)
+            nodes, values = _array_strip(xs, ys, column, lo, hi, right)
             existing, incoming = float(ys[end]), float(values[seam])
         if existing != incoming:
             # the N reads at the seam node, read again: np.interp gives a point
             # the same value in any call on the same window
             xs, ys = np.asarray(xs), np.asarray(ys)
-            points = nodes[seam] + reads[:, 0]
+            points = nodes[seam] + column[:, 0]
             _seam_check(existing, incoming, edge, points, np.interp(points, xs, ys), xs, ys)
         count = len(nodes) - 1
         total = built.size + pending + count
@@ -580,13 +524,10 @@ def extend(
     doubles, a batch of small strips' nodes is written or a side is done.
     """
     shifts = _shift_entries(b)
-    n = len(shifts)
     b_n = shifts[-1]
     residual = check_interpolation(boundary, shifts)  # also validates the domain
     if abs(residual) > tol:
-        raise InterpolationViolated(
-            f"boundary residual {residual:.6g} exceeds tolerance {tol:.6g}"
-        )
+        raise _incompatible(residual, tol)
     w_lo, w_hi = float(target[0]), float(target[1])
     if not (w_lo <= 0.0 and w_hi >= b_n):
         raise InvalidRange(f"target must contain [0, {b_n:.17g}]")
@@ -594,44 +535,18 @@ def extend(
     if not (math.isfinite(w_lo) and math.isfinite(w_hi)):
         raise CoverageBudgetExceeded("an infinite target needs unboundedly many breakpoints")
 
-    # ShiftVector's strict increase makes both steps positive
-    step_right = b_n - (shifts[-2] if n >= 2 else 0.0)
-    step_left = shifts[0]
-    eps = _MERGE_EPS * max(1.0, abs(w_lo), abs(w_hi))
     lo, hi = boundary.domain
-    # a strip no wider than the merge range at its far end keeps no new node,
-    # so coverage would stop growing or end short; twice that range leaves
-    # room for a last strip past the target and for rounding of its ends
-    for side, step, far, needed in (
-        ("right", step_right, w_hi, hi < w_hi - eps),
-        ("left", step_left, w_lo, lo > w_lo + eps),
-    ):
-        if needed and not step > 2.0 * _MERGE_EPS * max(1.0, abs(far)):
-            raise CoverageBudgetExceeded(
-                f"{side} strips of width {step:.6g} vanish in the merge range at w = {far:.17g}"
-            )
-    # every strip adds a breakpoint; one strip less per side absorbs rounding
-    # in the strip positions, so this refuses only targets the loops below
-    # would refuse too
-    least = (
-        boundary.breakpoints.size
-        + max(0.0, (w_hi - eps - hi) / step_right - 1.0)
-        + max(0.0, (lo - eps - w_lo) / step_left - 1.0)
-    )
+    least, sides = _plan(shifts, lo, hi, boundary.breakpoints.size, w_lo, w_hi)
     if least > MAX_BREAKPOINTS:
         raise CoverageBudgetExceeded(
             f"target needs at least {least:.6g} breakpoints, over the budget of {MAX_BREAKPOINTS}"
         )
 
-    # a right strip reads g(y - bN), g(y - (bN - b1)), ...: all within bN to its left
-    back_shifts = np.array([-b_n] + [s - b_n for s in shifts[:-1]])[:, None]
-    # a left strip reads g(x + b1), ..., g(x + bN): all within bN to its right
-    fwd_shifts = np.array(shifts)[:, None]
     built = _Breakpoints(boundary.breakpoints, boundary.values)
     # overflowing values are refused by ``check_finite``, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        _grow(built, back_shifts, hi, step_right, w_hi - eps, right=True)
-        _grow(built, fwd_shifts, lo, step_left, w_lo + eps, right=False)
+        for reads, edge, step, stop, right in sides:
+            _grow(built, reads, edge, step, stop, right)
 
     # the constructor copies the live part of the buffer
     pieces = PiecewiseLinear(built.xs, built.ys)
@@ -658,14 +573,6 @@ def _eval_many(f: Callable, xs: np.ndarray) -> np.ndarray:
     except (TypeError, ValueError):
         pass
     return np.array([float(f(float(x))) for x in xs])
-
-
-def _check_reads(samples: int, n: int) -> None:
-    """Refuse a grid of ``samples`` points, each read at N + 1 points, over ``_MAX_READS``."""
-    if samples * (n + 1) > _MAX_READS:
-        raise GridBudgetExceeded(
-            f"{samples} samples x {n + 1} reads exceed the budget of {_MAX_READS} reads"
-        )
 
 
 def residual_additive(g: Callable, b: ShiftVector | Sequence[float], grid) -> float:

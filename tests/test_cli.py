@@ -19,6 +19,10 @@ from dilateq.cli import main, to_json
 from tests.test_package import src_env
 
 TENT = '{"breakpoints": [0, 1, 2], "values": [1, 1, -2]}'
+TENT_LN = json.dumps(
+    {"breakpoints": [0.0, math.log(2.0), math.log(3.0)], "values": [1.0, 1.0, -2.0]}
+)
+BAD = '{"breakpoints": [0, 1, 2], "values": [1, 1, 0]}'
 
 
 def run(capsys, *argv):
@@ -277,13 +281,13 @@ class TestExtend:
         assert (code, out, err) == (2, "", "error: range must satisfy lo < hi\n")
 
     def test_report_follows_payload(self, capsys, tent_file, tmp_path):
+        # a payload that cannot be written stops the report too
+        dump = tmp_path / "no" / "dump.csv"
         code, out, err = run(
-            capsys, "extend", tent_file, "--shifts", "[1,2]", "--range", -3, 6,
-            "--out", tmp_path / "no" / "dump.csv",
+            capsys, "extend", tent_file, "--shifts", "[1,2]", "--range", -3, 6, "--out", dump,
         )
-        assert (code, out) == (1, "")
-        assert err.startswith("error: internal: FileNotFoundError: ")
-        assert err.count("\n") == 1
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {dump}: No such file or directory\n"
 
     def test_out_file(self, capsys, tent_file, tmp_path):
         out_path = tmp_path / "dump.csv"
@@ -432,8 +436,8 @@ class TestZeros:
         code, out, err = run(
             capsys, "zeros", "--n", 2, "--scan-csv", scan, "--out", tmp_path / "no" / "z.json"
         )
-        assert (code, out) == (1, "")
-        assert err.startswith("error: internal: FileNotFoundError: ")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write ")
         assert not scan.exists()
 
     def test_scan_csv_scans_once(self, capsys, tmp_path, monkeypatch):
@@ -816,13 +820,14 @@ class TestMoraSolution:
         assert proc.stderr == "error: --range -1e+308 1e+308 is wider than a float holds\n"
 
     def test_report_follows_payload(self, capsys, tmp_path):
+        # a payload that cannot be written stops the report too
+        dump = tmp_path / "no" / "m.csv"
         code, out, err = run(
             capsys, "mora-solution", "--n", 2, "--re", 0, "--im", 4.532360141827194,
-            "--out", tmp_path / "no" / "m.csv",
+            "--out", dump,
         )
-        assert (code, out) == (1, "")
-        assert err.startswith("error: internal: FileNotFoundError: ")
-        assert err.count("\n") == 1
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {dump}: No such file or directory\n"
 
 
 class TestPopoviciu:
@@ -899,6 +904,52 @@ class TestGlobalFlags:
             main(["regularity", "[2,3]", "--tol", "1"])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+
+class TestUnwritableOutput:
+    """A target that cannot be written exits 2 before anything is written:
+    one stderr line, nothing on stdout, no file changed."""
+
+    @pytest.mark.parametrize("argv", [
+        ["regularity", "[2,3]"],
+        ["extend", "{tent}", "--shifts", "[1,2]", "--range", "-3", "6"],
+        ["zeros", "--n", "2", "--scan-csv", "{kept}"],
+    ])
+    @pytest.mark.parametrize("target, reason", [
+        ("no/out.txt", "No such file or directory"),
+        (".", "Is a directory"),
+    ])
+    def test_out(self, capsys, tmp_path, tent_file, argv, target, reason):
+        kept = tmp_path / "kept.csv"
+        kept.write_text("old\n")
+        path = tmp_path / target
+        argv = [{"{tent}": tent_file, "{kept}": str(kept)}.get(a, a) for a in argv]
+        code, out, err = run(capsys, *argv, "--out", path)
+        assert (code, out, err) == (2, "", f"error: cannot write {path}: {reason}\n")
+        assert kept.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv", "tent.json"]
+
+    @pytest.mark.parametrize("target, reason", [
+        ("no/scan.csv", "No such file or directory"),
+        (".", "Is a directory"),
+    ])
+    def test_scan_csv(self, capsys, tmp_path, target, reason):
+        # it printed the zeros, then exited 1 with FileNotFoundError
+        path = tmp_path / target
+        code, out, err = run(capsys, "zeros", "--n", 2, "--scan-csv", path)
+        assert (code, out, err) == (2, "", f"error: cannot write {path}: {reason}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_opened_targets_are_left_as_they_were(self, capsys, tmp_path):
+        # --out opens first: an existing file keeps its text, a new one is removed
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text("old\n")
+        for out in (old, new):
+            code, _, err = run(
+                capsys, "zeros", "--n", 2, "--out", out, "--scan-csv", tmp_path / "no" / "s.csv"
+            )
+            assert code == 2 and err.startswith("error: cannot write ")
+        assert old.read_text() == "old\n" and not new.exists()
 
 
 class TestInternalError:
@@ -1085,22 +1136,24 @@ class TestSamplesBudget:
 
     @pytest.mark.parametrize("name", sorted(ARGV))
     def test_refused_before_extending(self, capsys, monkeypatch, tmp_path, tent_file, name):
-        from dilateq import extension
+        from dilateq import _floats, extension
 
         argv = self._argv(self.ARGV[name], tent_file, tmp_path)
-        monkeypatch.setattr(extension, "_MAX_READS", 30)
+        monkeypatch.setattr(_floats, "_MAX_READS", 30)
         assert run(capsys, *argv, "--samples", 10)[0] == 0
+        # neither engine extends
         monkeypatch.setattr(extension, "extend", lambda *a, **k: pytest.fail("extended"))
+        monkeypatch.setattr(_floats, "_extend", lambda *a, **k: pytest.fail("extended"))
         code, out, err = run(capsys, *argv, "--samples", 11)
         assert (code, out) == (3, "")
         assert "11 samples x 3 reads exceed the budget of 30 reads" in err
 
     @pytest.mark.parametrize("residual", ["residual_additive", "residual_multiplicative"])
     def test_library_residuals(self, monkeypatch, residual):
-        from dilateq import extension
+        from dilateq import _floats, extension
         from dilateq.errors import GridBudgetExceeded
 
-        monkeypatch.setattr(extension, "_MAX_READS", 30)
+        monkeypatch.setattr(_floats, "_MAX_READS", 30)
         grid = np.linspace(1.0, 2.0, 11)
         with pytest.raises(GridBudgetExceeded, match="11 samples x 3 reads"):
             getattr(extension, residual)(lambda x: pytest.fail("read"), [1.0, 2.0], grid)
@@ -1151,11 +1204,32 @@ class TestImportWeight:
         assert not names & {"dataclasses", "inspect"}
 
     @pytest.mark.parametrize(
+        "argv, exit_code",
+        [
+            (["extend", "tent.json", "--shifts", "[1,2]", "--range", "-3", "6", "--samples", "901",
+              "--out", "samples.csv"], 0),
+            (["extend", "tent_ln.json", "--shifts", "[0.69314718055994529,1.0986122886681098]",
+              "--range", "-4", "8", "--samples", "2001"], 0),
+            (["residual", "--boundary", "tent.json", "--shifts", "[1,2]", "--range", "-3", "3"], 0),
+            (["extend", "bad.json", "--shifts", "[1,2]", "--range", "-3", "6"], 3),
+        ],
+    )
+    def test_float_engine_imports_no_numpy(self, tmp_path, argv, exit_code):
+        for name, text in (("tent.json", TENT), ("tent_ln.json", TENT_LN), ("bad.json", BAD)):
+            (tmp_path / name).write_text(text)
+        code, names = _imports(argv, tmp_path)
+        assert code == exit_code
+        assert "dilateq._floats" in names
+        assert not names & ENGINES
+
+    @pytest.mark.parametrize(
         "argv, engine",
         [
-            (["extend", "tent.json", "--shifts", "[1,2]", "--range", "-3", "6"], "dilateq.extension"),
-            (["residual", "--boundary", "tent.json", "--shifts", "[1,2]", "--range", "-3", "3"],
+            (["residual", "--boundary", "tent_ln.json", "--coeffs", "[2,3]", "--range", "0.1", "10"],
              "dilateq.extension"),
+            # past the float engine's read limit
+            (["extend", "tent.json", "--shifts", "[1,2]", "--range", "-3", "6",
+              "--samples", "30000"], "dilateq.extension"),
             (["popoviciu", "--boundary", "tent.json", "--shifts", "[1,2]",
               "--x", "0.5", "--h", "0.3", "--order", "3"], "dilateq.extension"),
             (["periodicity", "--shifts", "[1,2]", "--alpha-max", "10"], "dilateq.periodicity"),
@@ -1168,6 +1242,7 @@ class TestImportWeight:
     )
     def test_heavy_subcommand_imports_its_engine_only(self, tmp_path, argv, engine):
         (tmp_path / "tent.json").write_text(TENT)
+        (tmp_path / "tent_ln.json").write_text(TENT_LN)
         code, names = _imports(argv, tmp_path)
         assert code == 0
         assert names & ENGINES == {"numpy", engine}

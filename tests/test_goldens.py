@@ -72,3 +72,27 @@ def test_case_stderr(case, tmp_path, monkeypatch, capsys):
     out = capsys.readouterr()
     assert hashlib.sha256(out.out.encode()).hexdigest() == GOLDENS[case]["stdout_sha256"]
     assert out.err == STDERR[case]
+
+
+def _in_process(argv, workdir, monkeypatch, capsys):
+    """Exit code, stdout, stderr and written files of ``main(argv)`` run in ``workdir``."""
+    from dilateq.cli import main
+
+    cliwork.prepare_dir(workdir)
+    monkeypatch.chdir(workdir)
+    code = main(argv)
+    out = capsys.readouterr()
+    files = {p.name: p.read_bytes() for p in workdir.iterdir() if p.name not in cliwork.FILES}
+    return code, out.out, out.err, files
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_case_without_float_engine(case, tmp_path, monkeypatch, capsys):
+    # every case again with extend and residual --shifts on the numpy engine
+    from dilateq import _floats
+
+    floats = _in_process(CASES[case], tmp_path / "floats", monkeypatch, capsys)
+    monkeypatch.setattr(_floats, "_FLOAT_READS", 0)
+    assert _in_process(CASES[case], tmp_path / "numpy", monkeypatch, capsys) == floats
+    assert floats[0] == GOLDENS[case]["exit"]
+    assert hashlib.sha256(floats[1].encode()).hexdigest() == GOLDENS[case]["stdout_sha256"]

@@ -194,3 +194,21 @@ def test_fields_by_position_or_name():
 def test_wrong_fields_raise_type_error(args, named):
     with pytest.raises(TypeError, match="takes the fields exists, witness, reason"):
         TwoTermVerdict(*args, **named)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, "x", None, 1, True, -3])
+def test_order_is_an_integer_of_at_least_two(n):
+    # both records took any n
+    with pytest.raises(InvalidInput, match="n"):
+        PowerSolution(alpha=1 + 1j, n=n)
+    with pytest.raises(InvalidInput, match="n"):
+        ComplexZero(z=0.5 + 3j, modulus_residual=0.0, n=n)
+
+
+@pytest.mark.parametrize("n", [np.int64(3), np.uint8(2), 5])
+def test_numpy_integer_orders_are_accepted(n):
+    records = [PowerSolution(alpha=1 + 1j, n=n), ComplexZero(z=0.5 + 3j, modulus_residual=0.0, n=n)]
+    for record in records:
+        assert record.n == n
+        for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+            assert clone == record
