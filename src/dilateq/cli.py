@@ -20,11 +20,14 @@ which loads numpy, so ``regularity``, ``normalize``, ``equispaced``,
 ``two-term`` and ``fourier-matrix`` run without numpy.  ``extend`` and
 ``residual --shifts`` load ``_floats`` and run there, in Python floats, when
 the boundary, the extension's least breakpoint count and the grid's reads
-are within its limits; its numbers are the numpy engine's bit for bit, and
-it refuses only incompatible boundary data.  Past those limits, or on
+are within its limits.  ``_floats`` holds the strip loop both engines
+build with, so its numbers and its refusals (incompatible data, vanishing
+strips, a seam mismatch, overflowing values, a residual sum that is not
+finite) are the numpy engine's bit for bit.  Past those limits, or on
 anything it hands over (invalid or non-finite data, a domain not exactly
-[0, bN], a seam mismatch, a build past its node cap), they load numpy and
-``extension`` as ``popoviciu`` and ``residual --coeffs`` always do.
+[0, bN], a non-finite range width, a build past its node cap, a read
+outside coverage), they load numpy and ``extension`` as ``popoviciu`` and
+``residual --coeffs`` always do.
 ``periodicity`` loads numpy and ``periodicity``; ``zeros`` and
 ``mora-solution`` load numpy and ``expsums``.
 """

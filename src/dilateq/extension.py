@@ -16,38 +16,31 @@ its values on the union of the shifted breakpoints.  That makes the equation
 hold identically (up to float rounding) instead of only at sample points.
 
 One loop builds the strips of both sides, at a cost linear in their number:
-a strip reads only the breakpoints within bN of it (one binary search).  The
-function built so far lives in a buffer that doubles when a side fills.
-Two Python lists cache one window of it plus the nodes of small strips not
-yet written, so that a small strip finds its window, reads it and adds its
-nodes without a numpy call: the lists are filled from the buffer when a
-strip's window is not inside them, and emptied when their nodes are written
-in a batch and before a large strip.  The breakpoint budget is checked
-before any strip is built and once per strip.  Where strips join,
-the two values must agree to within the rounding of the read positions
-times the local slopes (or to 1e-9 relative).
+a strip reads only the breakpoints within bN of it (one binary search).
+Where strips join, the two values must agree to within the rounding of the
+read positions times the local slopes (or to 1e-9 relative), and values
+that overflow a float are refused where they overflow.
 
-A strip has two bodies, chosen by size.  When its window breakpoints times
-N is at most ``_FLOAT_STRIP_READS`` it is built in Python floats, where
-numpy's call overhead on a few dozen floats would cost more than the
-arithmetic; larger strips are built in numpy arrays.  The two agree bit for
-bit: the float body does the array body's float operations in the same
-order, reads each point by numpy's own interpolation formula and sums each
-node's terms in read order from +0.0, as ``np.add.reduce`` sums rows.
-
-This module is the reference engine, and every library caller gets its
-``PiecewiseLinear`` arrays.  The float strip body, the compatibility
-tolerance and its refusal, the merge range, the plan of a build (steps,
-stops, breakpoint estimate, vanishing strips) and the read budget live in
-``_floats``, which both engines share.  The command line runs ``_floats``'
-own list engine for small ``extend`` and ``residual --shifts`` calls,
-without numpy, and this module for everything else.
+The loop, the buffer it builds in, the seam check, the strip body in Python
+floats, the compatibility tolerance and its refusal, the merge range, the
+plan of a build (steps, stops, breakpoint estimate, vanishing strips) and
+the read budget live in ``_floats``, which imports no numpy and which the
+command line also runs on its own for small ``extend`` and ``residual
+--shifts`` calls.  A strip whose window breakpoints times N is at most
+``_floats._FLOAT_STRIP_READS`` is built in floats, where numpy's call
+overhead on a few dozen floats would cost more than the arithmetic; this
+module gives the loop its array body (``_array_strip``) for larger strips,
+over zero-copy views of the buffer.  The two agree bit for bit: the float
+body does the array body's float operations in the same order, reads each
+point by numpy's own interpolation formula and sums each node's terms in
+read order from +0.0, as ``np.add.reduce`` sums rows.  Every library caller
+gets ``PiecewiseLinear`` arrays.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,10 +48,12 @@ import numpy as np
 from ._floats import (
     INTERPOLATION_TOL,
     _MERGE_EPS,
+    _Breakpoints,
     _check_reads,
-    _float_strip,
+    _grow,
     _incompatible,
     _plan,
+    _unbounded,
 )
 from ._frozen import Frozen
 from .coefficients import CoefficientVector, ShiftVector
@@ -67,7 +62,6 @@ from .errors import (
     DilateqError,
     DomainMismatch,
     GridBudgetExceeded,
-    InternalInconsistency,
     InvalidInput,
     InvalidRange,
     NonPositiveSample,
@@ -90,20 +84,8 @@ __all__ = [
 #: hard cap on breakpoints accumulated during extension
 MAX_BREAKPOINTS = 1_000_000
 
-#: relative tolerance of the seam check where strips join (see ``_seam_check``)
-_MERGE_VALUE_TOL = 1e-9
-
 #: most entries, (order + 1)^2, of one Popoviciu Hankel matrix: 8 MiB of floats
 _MAX_HANKEL_ENTRIES = 1 << 20
-
-#: most reads (window breakpoints times N) of a strip built in Python floats;
-#: a larger strip is built in numpy arrays (see ``_grow``).  The measured
-#: crossover lies near 80 reads on dense windows and near 200 on the
-#: sparse ones of lattice data (BENCH_12.json)
-_FLOAT_STRIP_READS = 128
-
-#: nodes of small strips held in lists before one write to the buffer
-_BATCH_NODES = 512
 
 
 class PiecewiseLinear:
@@ -250,132 +232,6 @@ class ExtendedSolution(Frozen):
         return self.pieces(w)
 
 
-class _Breakpoints:
-    """Breakpoints and values of the function built so far, in growing buffers.
-
-    The live data is ``bx[head:tail]`` (breakpoints) and ``by[head:tail]``
-    (values).  Right strips are written at ``tail`` and left strips before
-    ``head``; when a side runs out of room both buffers are reallocated at
-    twice the live size plus the request, with all the free room on that
-    side.  Two arrays rather than one two-row block halve the size of the
-    blocks freed on growth, which keeps glibc's dynamic mmap threshold, and
-    with it the heap fragmentation of later large arrays, low.
-
-    Values, or value differences, that overflow a float are refused at the
-    next reallocation or when a side is done (``check_finite``), and a batch
-    of small strips' nodes as it is written (``write``): not per strip, one
-    pass over the live values per copy of them and one over each batch.
-    """
-
-    __slots__ = ("bx", "by", "head", "tail")
-
-    def __init__(self, xs: np.ndarray, ys: np.ndarray) -> None:
-        self.bx, self.by = np.empty(2 * xs.size), np.empty(2 * xs.size)
-        self.head, self.tail = 0, xs.size
-        self.bx[: xs.size] = xs
-        self.by[: xs.size] = ys
-
-    @property
-    def size(self) -> int:
-        return self.tail - self.head
-
-    @property
-    def xs(self) -> np.ndarray:
-        return self.bx[self.head : self.tail]
-
-    @property
-    def ys(self) -> np.ndarray:
-        return self.by[self.head : self.tail]
-
-    def check_finite(self, right: bool) -> None:
-        """Refuse values or differences that overflow, naming the first w a side reached.
-
-        A difference is finite only if both values are, so one test covers
-        both.  Runs under ``extend``'s ``errstate``: the overflow is expected.
-        """
-        bad = np.flatnonzero(~np.isfinite(np.diff(self.ys)))
-        if bad.size:
-            w = self.xs[bad[0] + 1] if right else self.xs[bad[-1]]
-            raise CoverageBudgetExceeded(
-                f"extension values or their differences overflow a float at w = {w:.17g}"
-            )
-
-    def _regrow(self, room: int, right: bool) -> None:
-        self.check_finite(right)
-        live = self.size
-        cap = 2 * (live + room)
-        head = 0 if right else cap - live
-        bx, by = np.empty(cap), np.empty(cap)
-        bx[head : head + live] = self.xs
-        by[head : head + live] = self.ys
-        self.bx, self.by, self.head, self.tail = bx, by, head, head + live
-
-    def claim(self, count: int, right: bool) -> int:
-        """Start of ``count`` new slots past the tail or before the head.
-
-        The caller has checked the breakpoint budget for them.
-        """
-        if right:
-            if self.tail + count > self.bx.size:
-                self._regrow(count, right=True)
-            self.tail += count
-            return self.tail - count
-        if self.head < count:
-            self._regrow(count, right=False)
-        self.head -= count
-        return self.head
-
-    def write(self, xs: list, ys: list, count: int, right: bool) -> None:
-        """Write the ``count`` newest entries of lists (xs, ys) past the tail or before the head.
-
-        The newest entries are the last on the right and the first on the
-        left.  Values that overflow, in the batch or where it joins the live
-        data, are refused as ``check_finite`` refuses them.
-        """
-        at = self.claim(count, right)
-        new = slice(-count, None) if right else slice(count)
-        self.bx[at : at + count] = xs[new]
-        self.by[at : at + count] = ys[new]
-        joined = self.by[at - 1 : at + count] if right else self.by[at : at + count + 1]
-        if not np.isfinite(np.diff(joined)).all():
-            self.check_finite(right)
-
-
-def _seam_check(
-    existing: float,
-    incoming: float,
-    where: float,
-    points: np.ndarray,
-    terms: np.ndarray,
-    xs: np.ndarray,
-    ys: np.ndarray,
-) -> None:
-    """Refuse a strip whose value at the seam ``where`` disagrees beyond rounding.
-
-    ``points`` and ``terms`` are the N read positions and values that gave
-    ``incoming``; (xs, ys) is the window they were read from.  A gap within
-    1e-9 relative passes at once.  Otherwise the bound is 1e-9 of the summed
-    term sizes plus the rounding of the read positions (16 ulps at |w| plus
-    the largest read) times the summed local slopes.
-    """
-    gap = abs(existing - incoming)
-    if gap <= _MERGE_VALUE_TOL * max(1.0, abs(existing), abs(incoming)):
-        return
-    # steeper of the two segments next to each read position
-    k = np.minimum(np.maximum(np.searchsorted(xs, points), 1), xs.size - 1)
-    m = np.minimum(k, xs.size - 2)
-    left = np.abs((ys[k] - ys[k - 1]) / (xs[k] - xs[k - 1]))
-    right = np.abs((ys[m + 1] - ys[m]) / (xs[m + 1] - xs[m]))
-    size = np.abs(terms)
-    bound = _MERGE_VALUE_TOL * max(1.0, float(size.sum())) + 16.0 * float(
-        np.spacing(abs(where) + size.max()) * np.maximum(left, right).sum()
-    )
-    if gap > bound:
-        raise InternalInconsistency(
-            f"strip value {incoming:.17g} disagrees with {existing:.17g} at w = {where:.17g}"
-        )
-
-
 def _array_strip(
     xs: np.ndarray, ys: np.ndarray, reads: np.ndarray, lo: float, hi: float, right: bool
 ):
@@ -401,109 +257,10 @@ def _array_strip(
     return nodes, np.negative(np.add.reduce(terms, axis=0, initial=0.0))
 
 
-def _grow(built: _Breakpoints, reads: list, edge: float, step: float, stop: float, right: bool):
-    """Add strips of width ``step`` at ``edge`` until ``edge`` passes ``stop``.
-
-    The strip on [lo, hi] is g(y) = -sum_j g(y + reads[j]), the N ``reads``
-    reaching back to -bN (right) or forward to bN (left).  Its
-    nodes are the exact ends plus every kink xs - reads[j] inside (lo, hi),
-    less each within merge range of the one before.  It reads the breakpoints
-    within bN of ``edge`` plus two, so interpolation on that window brackets
-    every read as all of the data would; the window's near end is the live
-    end of the side, its far end one binary search.
-
-    A strip whose window breakpoints times N is at most
-    ``_FLOAT_STRIP_READS`` is built in Python floats (``_float_strip``),
-    a larger one in numpy arrays (``_array_strip``): on a few dozen floats
-    numpy's call overhead outweighs its arithmetic.  Both take the same
-    float operations in the same order, numpy's interpolation formula and
-    the row order of ``np.add.reduce`` from +0.0 included, so their bits
-    agree.  The seam check and the budget are shared.
-
-    A small strip makes no numpy call unless its seam needs checking.  Two
-    lists (lx, ly) cache one window of the buffer: when not empty, they hold
-    the window copied at the last miss plus the ``pending`` nodes of small
-    strips added since, which are not yet in the buffer.  A strip reads its
-    window from them when its ``bisect_left`` index proves the window lies
-    inside: on the right when it starts at least two in or the lists start
-    at the live head, on the left when it ends within them.  Otherwise it
-    misses: the pending nodes are written, the buffer is searched, and the
-    lists are refilled with a small window or emptied for a large one.  The
-    pending nodes are also written once there are ``_BATCH_NODES`` of them,
-    which empties the lists, and when the side is done.  A large strip reads
-    and writes the buffer directly.  The budget is checked once per strip,
-    before its nodes are stored.
-    """
-    column = np.array(reads)[:, None]
-    n = len(reads)
-    reach = reads[0] if right else reads[-1]
-    # the seam: the stored value at ``edge`` (last or first) and the strip's node there
-    end, seam = (-1, 0) if right else (0, -1)
-    new = slice(1, None) if right else slice(None, -1)
-    # ``at_head``: the lists start at the live head (set only on the right)
-    lx, ly, at_head, pending = [], [], False, 0
-    while edge < stop if right else edge > stop:
-        lo, hi = (edge, edge + step) if right else (edge - step, edge)
-        k = bisect_left(lx, edge + reach)
-        if right:
-            # the window starts two before the bisect index, or at the live head
-            a, b = k - 2 if k > 2 else 0, len(lx)
-            held = k >= 2 or at_head
-        else:
-            # the window ends two past the bisect index
-            a, b = 0, k + 2
-            held = b <= len(lx)
-        small = held and (b - a) * n <= _FLOAT_STRIP_READS
-        if not small:
-            if pending:
-                built.write(lx, ly, pending, right)
-                pending = 0
-            head, tail = built.head, built.tail
-            k = int(built.bx[head:tail].searchsorted(edge + reach))
-            i, j = (head + max(k - 2, 0), tail) if right else (head, min(head + k + 2, tail))
-            small = (j - i) * n <= _FLOAT_STRIP_READS
-            if small:
-                lx, ly, at_head = built.bx[i:j].tolist(), built.by[i:j].tolist(), i == head
-                a, b = 0, j - i
-            else:
-                lx, ly, at_head = [], [], False
-        if small:
-            xs, ys = lx[a:b], ly[a:b]
-            nodes, values = _float_strip(xs, ys, reads, lo, hi, right)
-            existing, incoming = ys[end], values[seam]
-        else:
-            xs, ys = built.bx[i:j], built.by[i:j]
-            nodes, values = _array_strip(xs, ys, column, lo, hi, right)
-            existing, incoming = float(ys[end]), float(values[seam])
-        if existing != incoming:
-            # the N reads at the seam node, read again: np.interp gives a point
-            # the same value in any call on the same window
-            xs, ys = np.asarray(xs), np.asarray(ys)
-            points = nodes[seam] + column[:, 0]
-            _seam_check(existing, incoming, edge, points, np.interp(points, xs, ys), xs, ys)
-        count = len(nodes) - 1
-        total = built.size + pending + count
-        if total > MAX_BREAKPOINTS:
-            raise CoverageBudgetExceeded(f"{total} breakpoints exceed the budget")
-        if small:
-            if right:
-                lx += nodes[new]
-                ly += values[new]
-            else:
-                lx[:0] = nodes[new]
-                ly[:0] = values[new]
-            pending += count
-            if pending >= _BATCH_NODES:
-                built.write(lx, ly, pending, right)
-                lx, ly, at_head, pending = [], [], False, 0
-        else:
-            at = built.claim(count, right)
-            built.bx[at : at + count] = nodes[new]
-            built.by[at : at + count] = values[new]
-        edge = hi if right else lo
-    if pending:
-        built.write(lx, ly, pending, right)
-    built.check_finite(right)
+def _window_strip(reads: np.ndarray, right: bool, xs: memoryview, ys: memoryview,
+                  lo: float, hi: float):
+    """``_array_strip`` on zero-copy views of the window (xs, ys) of the buffer."""
+    return _array_strip(np.frombuffer(xs), np.frombuffer(ys), reads, lo, hi, right)
 
 
 def extend(
@@ -542,14 +299,18 @@ def extend(
             f"target needs at least {least:.6g} breakpoints, over the budget of {MAX_BREAKPOINTS}"
         )
 
-    built = _Breakpoints(boundary.breakpoints, boundary.values)
+    built = _Breakpoints(boundary.breakpoints.tobytes(), boundary.values.tobytes())
     # overflowing values are refused by ``check_finite``, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for reads, edge, step, stop, right in sides:
-            _grow(built, reads, edge, step, stop, right)
+            arrays = partial(_window_strip, np.array(reads)[:, None], right)
+            over = _grow(built, reads, edge, step, stop, right, MAX_BREAKPOINTS, arrays)
+            if over:
+                raise CoverageBudgetExceeded(f"{over} breakpoints exceed the budget")
 
     # the constructor copies the live part of the buffer
-    pieces = PiecewiseLinear(built.xs, built.ys)
+    live = slice(built.head, built.tail)
+    pieces = PiecewiseLinear(np.frombuffer(built.bx[live]), np.frombuffer(built.by[live]))
     return ExtendedSolution(
         shifts=ShiftVector(shifts),
         boundary=boundary,
@@ -575,19 +336,37 @@ def _eval_many(f: Callable, xs: np.ndarray) -> np.ndarray:
     return np.array([float(f(float(x))) for x in xs])
 
 
+def _largest_sum(f: Callable, grid: np.ndarray, moved, name: str) -> float:
+    """max over ``grid`` of |f(grid) + f(m1) + f(m2) + ...|, the m_k the arrays of ``moved``.
+
+    An empty grid gives 0.  A sum that is not finite (it overflows, or is
+    inf - inf) raises DomainViolation at its first such grid point.
+    """
+    # a sum that overflows or is inf - inf is refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = _eval_many(f, grid)
+        for points in moved:
+            total = total + _eval_many(f, points)
+    if not grid.size:
+        return 0.0
+    peak = float(np.max(np.abs(total)))
+    if not math.isfinite(peak):
+        first = int(np.flatnonzero(~np.isfinite(total))[0])
+        raise _unbounded(name, float(grid.flat[first]), float(total.flat[first]))
+    return peak
+
+
 def residual_additive(g: Callable, b: ShiftVector | Sequence[float], grid) -> float:
     """max over the grid of |g(w) + g(w+b1) + ... + g(w+bN)|.
 
     A grid whose size times N + 1 exceeds ``_MAX_READS`` raises
-    GridBudgetExceeded before g is called.
+    GridBudgetExceeded before g is called, and a sum that is not finite
+    (it overflows, or is inf - inf) raises DomainViolation.
     """
     shifts = _shift_entries(b)
     w = np.asarray(grid, dtype=float)
     _check_reads(w.size, len(shifts))
-    total = _eval_many(g, w)
-    for s in shifts:
-        total = total + _eval_many(g, w + s)
-    return float(np.max(np.abs(total))) if w.size else 0.0
+    return _largest_sum(g, w, (w + s for s in shifts), "w")
 
 
 def residual_multiplicative(
@@ -598,7 +377,7 @@ def residual_multiplicative(
     A grid whose size times N + 1 exceeds ``_MAX_READS`` raises
     GridBudgetExceeded before f is called, and so does OutOfCoverage when
     a_k x overflows for a finite point (the largest |a_k| times the largest
-    x overflows first).
+    x overflows first).  A sum that is not finite raises DomainViolation.
     """
     factors = a.entries if isinstance(a, CoefficientVector) else tuple(map(float, a))
     x = np.asarray(grid, dtype=float)
@@ -608,10 +387,7 @@ def residual_multiplicative(
     largest, top = max(map(abs, factors), default=0.0), float(x[np.isfinite(x)].max(initial=0.0))
     if math.isinf(largest * top):
         raise OutOfCoverage(f"the point {largest!r} x overflows a float at x = {top:.17g}")
-    total = _eval_many(f, x)
-    for c in factors:
-        total = total + _eval_many(f, c * x)
-    return float(np.max(np.abs(total))) if x.size else 0.0
+    return _largest_sum(f, x, (c * x for c in factors), "x")
 
 
 def _check_order(n: int) -> None:

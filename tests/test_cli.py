@@ -271,6 +271,31 @@ class TestExtend:
         assert err == "error: extension values or their differences overflow a float at w = 929.5\n"
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("engine", ["floats", "numpy"])
+    @pytest.mark.parametrize("name", ["extend", "residual"])
+    def test_non_finite_residual_exits_3(self, capsys, monkeypatch, tmp_path, engine, name):
+        # slopes of -inf and +inf next to 0 make a sum -inf + inf: it printed
+        # a RuntimeWarning and "max_residual": nan, and exited 0
+        from dilateq import _floats
+
+        if engine == "numpy":
+            monkeypatch.setattr(_floats, "_FLOAT_READS", 0)
+        path = tmp_path / "steep.json"
+        path.write_text('{"breakpoints": [0, 1e-300, 2e-300], "values": [1e10, -2e10, 1e10]}')
+        out_path = tmp_path / "out.txt"
+        argv = {"extend": ["extend", path], "residual": ["residual", "--boundary", path]}[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, *argv, "--shifts", "[1e-300,2e-300]", "--range", 0, 1e-301,
+                "--samples", 5, "--out", out_path,
+            )
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: the residual sum at w = 2.5000000000000002e-302 is nan, not a finite number\n"
+        )
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("name", ["extend", "residual"])
     def test_reversed_range_exits_2(self, capsys, tent_file, name):
         argv = {
@@ -1143,7 +1168,7 @@ class TestSamplesBudget:
         assert run(capsys, *argv, "--samples", 10)[0] == 0
         # neither engine extends
         monkeypatch.setattr(extension, "extend", lambda *a, **k: pytest.fail("extended"))
-        monkeypatch.setattr(_floats, "_extend", lambda *a, **k: pytest.fail("extended"))
+        monkeypatch.setattr(_floats, "_grow", lambda *a, **k: pytest.fail("extended"))
         code, out, err = run(capsys, *argv, "--samples", 11)
         assert (code, out) == (3, "")
         assert "11 samples x 3 reads exceed the budget of 30 reads" in err
@@ -1212,11 +1237,23 @@ class TestImportWeight:
               "--range", "-4", "8", "--samples", "2001"], 0),
             (["residual", "--boundary", "tent.json", "--shifts", "[1,2]", "--range", "-3", "3"], 0),
             (["extend", "bad.json", "--shifts", "[1,2]", "--range", "-3", "6"], 3),
+            # tent data on three and four log shifts, whose seams' two values differ
+            *(
+                (argv + ["--shifts", json.dumps([math.log(p) for p in primes]),
+                         "--range", "-6", "9"], 0)
+                for primes in [(2, 3, 5), (3, 5, 7), (2, 3, 5, 7)]
+                for argv in (["extend", f"ln{len(primes)}{primes[0]}.json"],
+                             ["residual", "--boundary", f"ln{len(primes)}{primes[0]}.json"])
+            ),
         ],
     )
     def test_float_engine_imports_no_numpy(self, tmp_path, argv, exit_code):
         for name, text in (("tent.json", TENT), ("tent_ln.json", TENT_LN), ("bad.json", BAD)):
             (tmp_path / name).write_text(text)
+        for primes in [(2, 3, 5), (3, 5, 7), (2, 3, 5, 7)]:
+            tent = {"breakpoints": [0.0, math.log(primes[-2]), math.log(primes[-1])],
+                    "values": [1.0, 1.0, -float(len(primes))]}
+            (tmp_path / f"ln{len(primes)}{primes[0]}.json").write_text(json.dumps(tent))
         code, names = _imports(argv, tmp_path)
         assert code == exit_code
         assert "dilateq._floats" in names

@@ -27,11 +27,12 @@ from dilateq import (
     tent_boundary,
     to_additive,
 )
-from dilateq import extension
+from dilateq import _floats, extension
 from tests.test_package import src_env
 from dilateq.errors import (
     CoverageBudgetExceeded,
     DomainMismatch,
+    DomainViolation,
     InternalInconsistency,
     InterpolationViolated,
     InvalidInput,
@@ -509,14 +510,14 @@ B_OVERFLOW = ShiftVector((1.0, 1.5))
 def _count_strips(monkeypatch) -> list:
     """List the strips built, by either body: ('f' or 'a', right side or not)."""
     built = []
-    for name in ("_float_strip", "_array_strip"):
-        body = getattr(extension, name)
+    for module, name in ((_floats, "_float_strip"), (extension, "_array_strip")):
+        body = getattr(module, name)
 
         def counted(*args, body=body, tag=name[1]):
             built.append((tag, args[5]))
             return body(*args)
 
-        monkeypatch.setattr(extension, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return built
 
 
@@ -560,11 +561,26 @@ class TestOverflowRefused:
     def test_refused_at_the_batch_that_overflows(self, monkeypatch, far):
         # a batch is checked with its join to the live data: written a node at
         # a time, the strip that overflows is the last one built
-        monkeypatch.setattr(extension, "_BATCH_NODES", 1)
+        monkeypatch.setattr(_floats, "_BATCH_NODES", 1)
         built = _count_strips(monkeypatch)
         with pytest.raises(CoverageBudgetExceeded, match="overflow a float"):
             extend(tent_boundary(B_OVERFLOW), B_OVERFLOW, far)
         assert len(built) == 1856
+
+    @pytest.mark.parametrize("last, first, w", [((0.0, 929.0), (0.0, 929.5), "929.5")])
+    @pytest.mark.parametrize("far", [(0.0, 200000.0), (-200000.0, 1.5)])
+    def test_array_strips_refused(self, monkeypatch, far, last, first, w):
+        # numpy strips write the buffer directly: their values are checked
+        # when it doubles and when the side is done
+        monkeypatch.setattr(_floats, "_FLOAT_STRIP_READS", 0)
+        g = tent_boundary(B_OVERFLOW)
+        built = _count_strips(monkeypatch)
+        with pytest.raises(CoverageBudgetExceeded, match="overflow a float"):
+            extend(g, B_OVERFLOW, far)
+        assert {tag for tag, _ in built} == {"a"} and 1856 <= len(built) <= 2 * 1856
+        assert np.isfinite(np.diff(extend(g, B_OVERFLOW, last).pieces.values)).all()
+        with pytest.raises(CoverageBudgetExceeded, match=rf"at w = {w}$"):
+            extend(g, B_OVERFLOW, first)
 
     def test_pieces_own_their_data(self):
         # the constructor copies the live part of the extension's buffer
@@ -757,6 +773,37 @@ def _strip(xs, ys, reads, lo, hi):
     return nodes, -np.add.reduce(terms, axis=0, initial=0.0), points, terms
 
 
+def _numpy_bound(where, points, terms, xs, ys) -> float:
+    """The seam check's bound in numpy arrays: 1e-9 of the summed term sizes
+    plus the rounding of the read positions (16 ulps at |w| plus the largest
+    read) times the summed local slopes."""
+    # steeper of the two segments next to each read position
+    k = np.minimum(np.maximum(np.searchsorted(xs, points), 1), xs.size - 1)
+    m = np.minimum(k, xs.size - 2)
+    left = np.abs((ys[k] - ys[k - 1]) / (xs[k] - xs[k - 1]))
+    right = np.abs((ys[m + 1] - ys[m]) / (xs[m + 1] - xs[m]))
+    size = np.abs(terms)
+    return 1e-9 * max(1.0, float(size.sum())) + 16.0 * float(
+        np.spacing(abs(where) + size.max()) * np.maximum(left, right).sum()
+    )
+
+
+def _numpy_seam_check(existing, incoming, where, points, terms, xs, ys) -> None:
+    """The seam check in numpy arrays, the reference for ``_floats._seam_check``.
+
+    ``points`` and ``terms`` are the N read positions and values that gave
+    ``incoming``; (xs, ys) is the window they were read from.  A gap within
+    1e-9 relative passes at once, and so does one within ``_numpy_bound``.
+    """
+    gap = abs(existing - incoming)
+    if gap <= 1e-9 * max(1.0, abs(existing), abs(incoming)):
+        return
+    if gap > _numpy_bound(where, points, terms, xs, ys):
+        raise InternalInconsistency(
+            f"strip value {incoming:.17g} disagrees with {existing:.17g} at w = {where:.17g}"
+        )
+
+
 def _reference_build(g: PiecewiseLinear, b: ShiftVector, target) -> bytes:
     """Breakpoint then value bytes of the extension, one loop per side."""
     shifts, b_n = b.entries, b.largest
@@ -771,7 +818,7 @@ def _reference_build(g: PiecewiseLinear, b: ShiftVector, target) -> bytes:
         lo_s, hi_s = hi, hi + step_right
         wx, wy = _window(xs, ys, lo_s - b_n, lo_s)
         nodes, vals, points, terms = _strip(wx, wy, back, lo_s, hi_s)
-        extension._seam_check(
+        _numpy_seam_check(
             float(wy[-1]), float(vals[0]), lo_s, points[:, 0], terms[:, 0], wx, wy
         )
         xs, ys = np.concatenate((xs, nodes[1:])), np.concatenate((ys, vals[1:]))
@@ -780,7 +827,7 @@ def _reference_build(g: PiecewiseLinear, b: ShiftVector, target) -> bytes:
         lo_s, hi_s = lo - shifts[0], lo
         wx, wy = _window(xs, ys, hi_s, hi_s + b_n)
         nodes, vals, points, terms = _strip(wx, wy, fwd, lo_s, hi_s)
-        extension._seam_check(
+        _numpy_seam_check(
             float(wy[0]), float(vals[-1]), hi_s, points[:, -1], terms[:, -1], wx, wy
         )
         xs, ys = np.concatenate((nodes[:-1], xs)), np.concatenate((vals[:-1], ys))
@@ -901,7 +948,7 @@ class TestReferenceLoop:
     @pytest.mark.parametrize("body", sorted(ONE_BODY))
     @pytest.mark.parametrize("name", sorted(REFERENCE_BUILDS))
     def test_pinned_build_in_one_body(self, monkeypatch, body, name):
-        monkeypatch.setattr(extension, "_FLOAT_STRIP_READS", ONE_BODY[body])
+        monkeypatch.setattr(_floats, "_FLOAT_STRIP_READS", ONE_BODY[body])
         data, target = REFERENCE_BUILDS[name]
         b, g = data()
         assert _build_bytes(g, b, target) == _reference_build(g, b, target)
@@ -912,13 +959,13 @@ class TestReferenceLoop:
     def test_same_bytes_in_one_body(self, body, data):
         b, g, target = data
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(extension, "_FLOAT_STRIP_READS", ONE_BODY[body])
+            mp.setattr(_floats, "_FLOAT_STRIP_READS", ONE_BODY[body])
             assert _build_bytes(g, b, target) == _reference_build(g, b, target)
 
     @pytest.mark.parametrize("batch", sorted(BATCHES))
     @pytest.mark.parametrize("name", sorted(REFERENCE_BUILDS))
     def test_pinned_build_in_batches(self, monkeypatch, batch, name):
-        monkeypatch.setattr(extension, "_BATCH_NODES", BATCHES[batch])
+        monkeypatch.setattr(_floats, "_BATCH_NODES", BATCHES[batch])
         data, target = REFERENCE_BUILDS[name]
         b, g = data()
         assert _build_bytes(g, b, target) == _reference_build(g, b, target)
@@ -929,18 +976,18 @@ class TestReferenceLoop:
     def test_same_bytes_in_batches(self, batch, data):
         b, g, target = data
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(extension, "_BATCH_NODES", BATCHES[batch])
+            mp.setattr(_floats, "_BATCH_NODES", BATCHES[batch])
             assert _build_bytes(g, b, target) == _reference_build(g, b, target)
 
 
 def _counted_bodies(monkeypatch) -> dict[str, int]:
     """Count the strips each body builds, by wrapping both in the module."""
     calls = {"_float_strip": 0, "_array_strip": 0}
-    for name in calls:
-        def counted(*args, _body=getattr(extension, name), _name=name):
+    for module, name in ((_floats, "_float_strip"), (extension, "_array_strip")):
+        def counted(*args, _body=getattr(module, name), _name=name):
             calls[_name] += 1
             return _body(*args)
-        monkeypatch.setattr(extension, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -971,21 +1018,21 @@ class TestStripBodies:
         # per full batch and per side's end, not one per strip
         calls = _counted_bodies(monkeypatch)
         claims = []
-        claim = extension._Breakpoints.claim
+        claim = _floats._Breakpoints.claim
         monkeypatch.setattr(
-            extension._Breakpoints, "claim", lambda *a: claims.append(a[1]) or claim(*a)
+            _floats._Breakpoints, "claim", lambda *a: claims.append(a[1]) or claim(*a)
         )
         g = tent_boundary(B12)
         nodes = tent_solution((-300.0, 600.0)).pieces.breakpoints.size - g.breakpoints.size
         strips = calls["_float_strip"] + calls["_array_strip"]
         assert strips == 898 and sum(claims) == nodes
-        assert len(claims) <= calls["_array_strip"] + nodes // extension._BATCH_NODES + 2
+        assert len(claims) <= calls["_array_strip"] + nodes // _floats._BATCH_NODES + 2
 
     def test_seam_checked_after_a_float_strip(self, monkeypatch):
         calls = _counted_bodies(monkeypatch)
         seams = []
-        check = extension._seam_check
-        monkeypatch.setattr(extension, "_seam_check", lambda *a: seams.append(a) or check(*a))
+        check = _floats._seam_check
+        monkeypatch.setattr(_floats, "_seam_check", lambda *a: seams.append(a) or check(*a))
         b, g = _tent_data(0.7, 1.4, 2.1)
         extend(g, b, (-100.0, 200.0))
         assert seams and calls["_array_strip"] == 0
@@ -1001,7 +1048,7 @@ class TestStripBodies:
     )
     def test_nan_retry(self, ys, lo, hi, expected):
         xs = [0.0, 1.0, 2.0, 3.0]
-        nodes, values = extension._float_strip(xs, ys, [0.0], lo, hi, True)
+        nodes, values = _floats._float_strip(xs, ys, [0.0], lo, hi, True)
         assert nodes == [lo, 2.0, hi]
         assert values == expected
         with np.errstate(invalid="ignore", over="ignore"):
@@ -1013,7 +1060,7 @@ class TestStripBodies:
     def test_one_read_is_np_interp(self, data):
         xs, ys, reads, lo, hi, right = data
         r = reads[0]
-        nodes, values = extension._float_strip(xs.tolist(), ys.tolist(), [r], lo, hi, right)
+        nodes, values = _floats._float_strip(xs.tolist(), ys.tolist(), [r], lo, hi, right)
         with np.errstate(invalid="ignore", over="ignore"):
             terms = np.interp(np.array(nodes) + r, xs, ys)
         assert np.array(values).tobytes() == (-(0.0 + terms)).tobytes()
@@ -1029,7 +1076,7 @@ class TestStripBodies:
                                    -7391.5440782971455, -7077.375913914443))
     def test_same_bits_as_array_body(self, data):
         xs, ys, reads, lo, hi, right = data
-        nodes, values = extension._float_strip(xs.tolist(), ys.tolist(), reads, lo, hi, right)
+        nodes, values = _floats._float_strip(xs.tolist(), ys.tolist(), reads, lo, hi, right)
         with np.errstate(invalid="ignore", over="ignore"):
             a_nodes, a_values = extension._array_strip(
                 xs, ys, np.array(reads)[:, None], lo, hi, right
@@ -1117,6 +1164,17 @@ class TestResiduals:
         # a point already infinite is f's to refuse
         with pytest.raises(OutOfCoverage, match="point inf outside"):
             residual_multiplicative(tent_solution(), [2.0, 3.0], [1.0, math.inf])
+
+    @pytest.mark.parametrize("residual, grid, name", [
+        (residual_additive, [0.0, 1.0], "w"), (residual_multiplicative, [0.5, 1.0], "x"),
+    ])
+    def test_non_finite_sum_refused(self, residual, grid, name):
+        # 0 + 1e308 + 1e308 at the second point: it warned and returned inf
+        f = lambda v: np.where(np.asarray(v) >= 2.0, 1e308, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainViolation, match=rf"sum at {name} = 1 is inf, not a finite"):
+                residual(f, [2.0, 3.0] if name == "x" else [1.0, 2.0], grid)
 
     def test_multiplicative_rejects_nonpositive(self):
         with pytest.raises(NonPositiveSample):
