@@ -1,7 +1,9 @@
 import contextlib
 import hashlib
+import io
 import json
 import math
+import re
 import signal
 import subprocess
 import sys
@@ -9,12 +11,13 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dilateq import power_sum
+from dilateq import _spectral, power_sum
 from dilateq.cli import main, to_json
 from tests.test_package import src_env
 
@@ -29,6 +32,36 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out, err = capsys.readouterr()
     return code, out, err
+
+
+@contextlib.contextmanager
+def _library_engine():
+    """``zeros`` and ``periodicity`` on the library's numpy engines alone."""
+    with mock.patch.multiple(
+        _spectral, find_zeros=lambda *a, **k: None, find_periodic_alphas=lambda *a: None
+    ):
+        yield
+
+
+#: both engines of ``zeros`` and ``periodicity``: Python floats, then numpy
+ENGINE_CONTEXTS = [contextlib.nullcontext, _library_engine]
+
+
+def _on_both_engines(call):
+    """``call()`` under each engine of ``zeros`` and ``periodicity``.
+
+    The float engine sums each winding sample exactly and the library from
+    line tables, so a refusal of a sample on a zero quotes a modulus that
+    differs in its rounding noise; that figure is masked.
+    """
+    outs = []
+    for engine in ENGINE_CONTEXTS:
+        err = io.StringIO()
+        with engine(), contextlib.redirect_stderr(err):
+            out = call()
+        text = re.sub(r"error: modulus \S+ on the boundary", "error: modulus _", err.getvalue())
+        outs.append((out, text))
+    return outs
 
 
 @pytest.fixture
@@ -469,14 +502,26 @@ class TestZeros:
         from dilateq import expsums
 
         calls = []
-        scan = expsums.scan_modulus
+        scan, float_scan = expsums.scan_modulus, _spectral._scan
 
         def counted(n, rect):
             calls.append((n, rect.grid_re, rect.grid_im))
             return scan(n, rect)
 
+        def float_counted(logs, rect, grid_re, grid_im):
+            calls.append((len(logs), grid_re, grid_im))
+            return float_scan(logs, rect, grid_re, grid_im)
+
         monkeypatch.setattr(expsums, "scan_modulus", counted)
+        monkeypatch.setattr(_spectral, "_scan", float_counted)
+        # the float engine's search and CSV read one grid
         code, _, _ = run(capsys, "zeros", "--n", 2, "--scan-csv", tmp_path / "scan.csv")
+        assert code == 0
+        assert calls == [(2, 61, 241)]
+        # the library's search seeds without a scan, so the CSV takes the only one
+        calls.clear()
+        with _library_engine():
+            code, _, _ = run(capsys, "zeros", "--n", 2, "--scan-csv", tmp_path / "scan.csv")
         assert code == 0
         assert calls == [(2, 61, 241)]
 
@@ -559,15 +604,22 @@ class TestZerosFuzz:
         names = ("--re-min", "--re-max", "--im-min", "--im-max")
         argv = ["zeros", "--n", str(n), "--grid-re", str(grid[0]), "--grid-im", str(grid[1])]
         argv += [f"{name}={value!r}" for name, value in zip(names, bounds)]
-        with tempfile.TemporaryDirectory() as tmp:
-            out, scan = Path(tmp, "zeros.json"), Path(tmp, "scan.csv")
-            code = main(argv + ["--out", str(out), "--scan-csv", str(scan)])
-            assert code in (0, 2, 3, 4)
-            if code == 0:
-                assert json.loads(out.read_text()) is not None
-                assert len(scan.read_text().splitlines()) == 1 + grid[0] * grid[1]
-            else:
+
+        def call():
+            with tempfile.TemporaryDirectory() as tmp:
+                out, scan = Path(tmp, "zeros.json"), Path(tmp, "scan.csv")
+                code = main(argv + ["--out", str(out), "--scan-csv", str(scan)])
+                assert code in (0, 2, 3, 4)
+                if code == 0:
+                    assert json.loads(out.read_text()) is not None
+                    assert len(scan.read_text().splitlines()) == 1 + grid[0] * grid[1]
+                    return code, out.read_text(), scan.read_text()
                 assert not out.exists() and not scan.exists()
+                return code, None, None
+
+        # the same exit, error line, payload and scan on both engines
+        floats, library = _on_both_engines(call)
+        assert floats == library
 
 
 def _arg(value: float) -> str:
@@ -717,13 +769,14 @@ class TestSubcommandFuzz:
     """
 
     @staticmethod
-    def _check(argv) -> None:
+    def _check(argv):
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp, "out.txt")
             with _deadline(10.0):
                 code = _exit_code(argv + ["--out", str(out)])
             assert code in (0, 2, 3, 4)
             assert out.exists() == (code == 0)
+            return code, out.read_text() if code == 0 else None
 
     @settings(max_examples=60, deadline=5000)
     @given(
@@ -735,7 +788,9 @@ class TestSubcommandFuzz:
         argv = ["periodicity", "--shifts", shifts, f"--alpha-max={alpha_max!r}"]
         argv += [] if step is None else [f"--grid-step={step!r}"]
         argv += [] if tol is None else [f"--tol={tol!r}"]
-        self._check(argv)
+        # the same exit, error line and certificates on both engines
+        floats, library = _on_both_engines(lambda: self._check(argv))
+        assert floats == library
 
     @settings(max_examples=60, deadline=5000)
     @given(
@@ -1105,15 +1160,19 @@ class TestEquispacedRefusals:
 class TestTermBudget:
     """``zeros`` and ``mora-solution`` check budgets that grow with n before any work."""
 
-    def test_zeros(self, capsys, monkeypatch):
+    def test_zeros(self, capsys):
         from dilateq import expsums
 
-        monkeypatch.setattr(expsums, "_MAX_TABLE_TERMS", (61 + 241) * 10)
-        assert run(capsys, "zeros", "--n", 10)[0] == 0
-        monkeypatch.setattr(expsums, "_log_table", lambda n: pytest.fail("allocated"))
-        code, out, err = run(capsys, "zeros", "--n", 11)
-        assert (code, out) == (3, "")
-        assert "radial table and phase rows of (61 + 241) x 11 terms exceed" in err
+        for engine in ENGINE_CONTEXTS:
+            with pytest.MonkeyPatch.context() as patch, engine():
+                for module in (expsums, _spectral):
+                    patch.setattr(module, "_MAX_TABLE_TERMS", (61 + 241) * 10)
+                assert run(capsys, "zeros", "--n", 10)[0] == 0
+                patch.setattr(expsums, "_log_table", lambda n: pytest.fail("allocated"))
+                patch.setattr(_spectral, "_first_samples", lambda *a: pytest.fail("sampled"))
+                code, out, err = run(capsys, "zeros", "--n", 11)
+            assert (code, out) == (3, "")
+            assert "radial table and phase rows of (61 + 241) x 11 terms exceed" in err
 
     @pytest.mark.parametrize("budget", ["_MAX_TABLE_TERMS", "_MAX_TERMS"])
     def test_mora_solution(self, capsys, monkeypatch, budget):
@@ -1226,7 +1285,7 @@ class TestImportWeight:
         assert code == exit_code
         assert "dilateq.cli" in names
         assert not names & ENGINES
-        assert not names & {"dataclasses", "inspect"}
+        assert not names & {"dataclasses", "inspect", "dilateq._spectral"}
 
     @pytest.mark.parametrize(
         "argv, exit_code",
@@ -1258,6 +1317,24 @@ class TestImportWeight:
         assert code == exit_code
         assert "dilateq._floats" in names
         assert not names & ENGINES
+        assert "dilateq._spectral" not in names
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the README's calls
+            ["periodicity", "--shifts", "[1,2]", "--alpha-max", "10"],
+            ["periodicity", "--shifts", "[0.5,1,1.5]", "--alpha-max", "20", "--grid-step", "0.01",
+             "--out", "certs.json"],
+            ["zeros", "--n", "2", "--scan-csv", "scan.csv"],
+            ["zeros", "--n", "10"],
+        ],
+    )
+    def test_spectral_float_engine_imports_no_numpy(self, tmp_path, argv):
+        code, names = _imports(argv, tmp_path)
+        assert code == 0
+        assert "dilateq._spectral" in names
+        assert not names & (ENGINES | {"dilateq._linetable", "dilateq._floats"})
 
     @pytest.mark.parametrize(
         "argv, engine",
@@ -1269,10 +1346,14 @@ class TestImportWeight:
               "--samples", "30000"], "dilateq.extension"),
             (["popoviciu", "--boundary", "tent.json", "--shifts", "[1,2]",
               "--x", "0.5", "--h", "0.3", "--order", "3"], "dilateq.extension"),
-            (["periodicity", "--shifts", "[1,2]", "--alpha-max", "10"], "dilateq.periodicity"),
-            (["periodicity", "--shifts", "[1,2,3]", "--alpha-max", "10", "--out", "certs.json"],
+            # past the float engines' size rules: 100,000 points x 2 shifts,
+            # 10,000 points x 7 shifts, and (61 x 241 cells + 242 first
+            # samples) x 30 terms
+            (["periodicity", "--shifts", "[1,2]", "--alpha-max", "10", "--grid-step", "1e-4"],
              "dilateq.periodicity"),
-            (["zeros", "--n", "2"], "dilateq.expsums"),
+            (["periodicity", "--shifts", "[1,2,3,4,5,6,7]", "--alpha-max", "10",
+              "--out", "certs.json"], "dilateq.periodicity"),
+            (["zeros", "--n", "30"], "dilateq.expsums"),
             (["mora-solution", "--n", "2", "--re", "0", "--im", "4.532360141827194"],
              "dilateq.expsums"),
         ],
